@@ -7,14 +7,14 @@ pipeline that only ever runs the CAS counter cannot probe the claim's
 boundary.  This module gives each algorithm in
 :mod:`repro.algorithms` a uniform handle, a :class:`Workload`, that
 flows through :func:`repro.core.latency.measure_latencies`,
-:func:`repro.core.sweep.latency_sweep` / ``parallel_sweep`` and the CLI
+:func:`repro.core.sweep.latency_sweep` and the CLI
 exactly like the CAS counter: same checkpoint fingerprints (the
 workload name is folded into the schema-versioned sweep fingerprint),
 same telemetry events, same stores.
 
 Every builder referenced here is a **module-level callable**, so
-registry workloads remain picklable for ``parallel_sweep``'s process
-pools — the builders, not the factories, cross process boundaries.
+registry workloads remain picklable for pooled sweeps — the builders,
+not the factories, cross process boundaries.
 
 Use :func:`get_workload` to resolve a name, :func:`workload_names` to
 enumerate, and :func:`register_workload` to add project-local entries

@@ -483,7 +483,7 @@ def cmd_figure5(args: argparse.Namespace) -> int:
             if args.engine == "ensemble":
                 # One replicate per thread count, same rng=n seed — the
                 # engine-equivalence contract keeps the table identical
-                # to the serial path; workers shard the fused blocks.
+                # to the serial path.
                 from repro.core.latency import measure_latencies_ensemble
 
                 m = measure_latencies_ensemble(
@@ -494,7 +494,6 @@ def cmd_figure5(args: argparse.Namespace) -> int:
                     seeds=[n],
                     memory_factory=workload.memory_builder,
                     telemetry=telemetry,
-                    max_workers=args.ensemble_workers,
                 )[0]
             else:
                 m = measure_latencies(
@@ -771,17 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["serial", "batched", "ensemble"],
         default="serial",
         help="execution engine — all three produce identical numbers "
-        "(trace-equivalence contract); ensemble is fastest and can "
-        "shard across workers",
-    )
-    p.add_argument(
-        "--ensemble-workers",
-        metavar="N",
-        type=lambda value: value if value == "auto" else int(value),
-        default=None,
-        help="shard the ensemble engine's fused blocks across N worker "
-        "processes ('auto' = every available CPU); implies --engine "
-        "ensemble semantics only when that engine is selected",
+        "(trace-equivalence contract); ensemble is fastest",
     )
     p.add_argument(
         "--checkpoint",

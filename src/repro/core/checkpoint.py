@@ -63,9 +63,8 @@ class ResolvedCrashSchedule:
     configuration.  :meth:`resolve` calls the schedule exactly once per
     ``n`` and the resulting map feeds both the fingerprint and the
     execution, so they cannot disagree.  The resolved form is a plain
-    dict of dicts, hence always picklable — callables shipped to
-    :func:`repro.core.sweep.parallel_sweep` workers no longer need to
-    be.
+    dict of dicts, hence always picklable — callables behind a pooled
+    :func:`repro.core.sweep.latency_sweep` no longer need to be.
     """
 
     by_n: Dict[int, Dict[int, int]] = field(default_factory=dict)

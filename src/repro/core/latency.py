@@ -268,7 +268,6 @@ def measure_latencies_ensemble(
     telemetry=None,
     fuse="auto",
     engine_kernel: str = "auto",
-    max_workers=None,
 ) -> "List[LatencyMeasurement]":
     """Measure many independent replicates on the ensemble engine.
 
@@ -284,9 +283,8 @@ def measure_latencies_ensemble(
     (stateful schedulers) and memory.  ``crash_times`` is the executor's
     ``{pid: time}`` halting-failure map, applied to every replicate
     (Corollary 2 experiments crash the same processes in each replicate
-    and vary only the seed).  ``fuse``, ``engine_kernel`` and
-    ``max_workers`` tune the resolution path (fused replicate stacking,
-    compiled inner loops, sharding fused blocks across a worker pool —
+    and vary only the seed).  ``fuse`` and ``engine_kernel`` tune the
+    resolution path (fused replicate stacking, compiled inner loops —
     see :class:`~repro.sim.EnsembleSimulator`); results are bit-identical
     for every setting.
     """
@@ -310,6 +308,5 @@ def measure_latencies_ensemble(
         telemetry=telemetry,
         fuse=fuse,
         engine_kernel=engine_kernel,
-        max_workers=max_workers,
     ).run(steps)
     return result.measurements(burn_in=burn_in)

@@ -78,21 +78,22 @@ def available_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def default_shard_workers() -> int:
-    """Worker count for sharded fused resolution, oversubscription-safe.
+def validate_max_workers(max_workers) -> int:
+    """``max_workers`` itself, if it is a positive int; else a
+    :class:`ValueError` naming the value.
 
-    When fused resolution runs inside a pool worker — a
-    ``parallel_sweep`` point that itself builds an ensemble — spawning a
-    nested shard pool would multiply the outer pool's worker count by
-    the core count.  ``multiprocessing.parent_process()`` is non-None
-    exactly in child processes, so nested callers get 1 (resolve
-    in-process) and top-level callers get the real CPU allowance.
+    ``bool`` is rejected although it is an ``int`` subclass: ``True``
+    as a worker count is always a mistake.
     """
-    import multiprocessing
-
-    if multiprocessing.parent_process() is not None:
-        return 1
-    return available_cpu_count()
+    if (
+        not isinstance(max_workers, int)
+        or isinstance(max_workers, bool)
+        or max_workers < 1
+    ):
+        raise ValueError(
+            f"max_workers must be a positive int, got {max_workers!r}"
+        )
+    return max_workers
 
 
 def _stable_seed(key: Hashable, attempt: int) -> int:
@@ -207,6 +208,8 @@ class ResilientExecutor:
     — completion *order* is scheduling, never semantics, so retries and
     rebuilds cannot affect what is returned.
 
+    ``max_workers`` is the pool size: a positive int, or ``None`` for
+    :func:`available_cpu_count`; anything else raises :class:`ValueError`.
     ``pool_factory`` exists for fault injection (see
     :mod:`repro.testing.chaos`); it must accept a ``max_workers``
     keyword and return a ``ProcessPoolExecutor``-shaped object.
@@ -223,9 +226,9 @@ class ResilientExecutor:
         telemetry=None,
     ):
         self._worker_fn = worker_fn
-        self.max_workers = (
-            max_workers if max_workers is not None else available_cpu_count()
-        )
+        if max_workers is None:
+            max_workers = available_cpu_count()
+        self.max_workers = validate_max_workers(max_workers)
         self.policy = policy if policy is not None else RetryPolicy()
         self._pool_factory = (
             pool_factory if pool_factory is not None else ProcessPoolExecutor

@@ -1,12 +1,12 @@
 """Zero-copy shared-memory dispatch buffers for parallel sweeps.
 
-:func:`repro.core.sweep.parallel_sweep` ships work to pool workers as
-chunks of ``(n, replicate)`` pairs and gets ``(latency, rate, fairness)``
-triples back.  With pickle dispatch every chunk pays serialization twice
-(task list out, result list back) plus a pipe write per direction; for
-small replicates that overhead rivals the work itself.  This module
-replaces both directions with two ``multiprocessing.shared_memory``
-segments per sweep:
+:func:`repro.core.sweep.latency_sweep` with ``max_workers > 1`` ships
+work to pool workers as chunks of ``(n, replicate)`` pairs and gets
+``(latency, rate, fairness)`` triples back.  With pickle dispatch every
+chunk pays serialization twice (task list out, result list back) plus a
+pipe write per direction; for small replicates that overhead rivals the
+work itself.  This module replaces both directions with two
+``multiprocessing.shared_memory`` segments per sweep:
 
 * a **task segment** — one int64 ``(n, replicate)`` row per replicate,
   written once by the parent; workers index it by row number, and
@@ -23,10 +23,8 @@ bytes, so recovery cannot tear or change a result.
 called ``repro-<digest>-<pid>-<counter>-<role>`` where ``digest`` hashes
 the fingerprint dict (stable across runs of the same sweep), ``pid`` and
 a per-process counter isolate concurrent sweeps, and ``role`` is ``t``
-(tasks) or ``r`` (results) — or ``s`` (schedules) and ``o`` (outcomes)
-for the :class:`ShardBlockBuffers` pair that ships fused ensemble
-schedule blocks to shard workers.  A stale segment left by a killed
-previous run (same name) is unlinked and recreated rather than failing.
+(tasks) or ``r`` (results).  A stale segment left by a killed previous
+run (same name) is unlinked and recreated rather than failing.
 
 **Lifetime**: the parent owns both segments and unlinks them in its
 ``finally`` — worker kills, hangs, poison tasks and parent exceptions
@@ -46,7 +44,7 @@ import hashlib
 import itertools
 import json
 import os
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +60,6 @@ __all__ = [
     "attach_array",
     "release",
     "SweepTaskBuffers",
-    "ShardBlockBuffers",
 ]
 
 _COUNTER = itertools.count()
@@ -233,160 +230,6 @@ class SweepTaskBuffers:
             # stripped this name from the fork-shared tracker cache, the
             # remove would log a KeyError in the tracker process.
             # Re-registering is a set-add — a no-op when already present.
-            if resource_tracker is not None:
-                try:
-                    resource_tracker.register(segment._name, "shared_memory")
-                except Exception:
-                    pass
-            try:
-                segment.unlink()
-                unlinked += 1
-            except Exception:
-                pass
-        telemetry = self._telemetry
-        if telemetry is not None and telemetry.enabled and unlinked:
-            telemetry.inc("shm.unlinked", unlinked)
-
-
-class ShardBlockBuffers:
-    """The parent-side segment pair for one sharded fused resolution.
-
-    The fused ensemble path stacks same-shape replicates into
-    ``fuse_block_steps``-sized schedule blocks; when those blocks are
-    sharded across a worker pool the array payloads travel through two
-    shared segments instead of the pickle pipe:
-
-    * a **schedule segment** (role ``s``) — every block's stacked int64
-      schedule, concatenated; block ``b`` owns
-      ``schedule[sched_base[b]:sched_base[b + 1]]``, written once by the
-      parent, and
-    * an **outcome segment** (role ``o``) — one fixed int64 slab per
-      block, laid out as ``[wins | succ_cols(cap) | succ_pids(cap) |
-      succ_seqs(cap) | seq(n) | phase(n) | counts(n)]`` and written in
-      place by whichever worker resolves the block.
-
-    ``cap`` must bound the block's success count — the fused path uses
-    ``steps // (q + s + 1) + n + 1``, safe because every CAS attempt in
-    an ``SCU(q, s)`` operation costs its process at least ``q + s + 1``
-    schedule steps amortized — so the slab cannot overflow, and a
-    retried block rewrites identical bytes, keeping the executor's
-    retry/poison-split recovery idempotent.  Naming and lifetime rules
-    (deterministic fingerprint names, stale-segment steamroll,
-    parent-owned unlink in ``finally``, suppressed attach registration)
-    are shared with :class:`SweepTaskBuffers`.
-    """
-
-    def __init__(
-        self,
-        block_sizes: Sequence[int],
-        block_ns: Sequence[int],
-        block_caps: Sequence[int],
-        digest: str,
-        *,
-        telemetry=None,
-    ) -> None:
-        if shared_memory is None:  # pragma: no cover — platform-dependent
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable on this platform"
-            )
-        if not len(block_sizes):
-            raise ValueError("sharded fused dispatch needs at least one block")
-        sizes = np.asarray(block_sizes, dtype=np.int64)
-        self.ns = np.asarray(block_ns, dtype=np.int64)
-        self.caps = np.asarray(block_caps, dtype=np.int64)
-        slabs = 1 + 3 * self.caps + 3 * self.ns
-        self.sched_base = np.concatenate(([0], np.cumsum(sizes)))
-        self.out_base = np.concatenate(([0], np.cumsum(slabs)))
-        base = f"repro-{digest}-{os.getpid()}-{next(_COUNTER)}"
-        self.schedule_name = f"{base}-s"
-        self.outcome_name = f"{base}-o"
-        self._telemetry = telemetry
-        total_sched = int(self.sched_base[-1])
-        total_out = int(self.out_base[-1])
-        self._sched_shm = _create_segment(
-            self.schedule_name, max(total_sched, 1) * 8
-        )
-        try:
-            self._out_shm = _create_segment(
-                self.outcome_name, max(total_out, 1) * 8
-            )
-        except Exception:
-            self._sched_shm.close()
-            self._sched_shm.unlink()
-            raise
-        self._closed = False
-        self.schedule = np.ndarray(
-            (total_sched,), dtype=np.int64, buffer=self._sched_shm.buf
-        )
-        self.outcomes = np.ndarray(
-            (total_out,), dtype=np.int64, buffer=self._out_shm.buf
-        )
-        if telemetry is not None and telemetry.enabled:
-            telemetry.inc("shm.segments", 2)
-            telemetry.inc(
-                "shm.bytes", self._sched_shm.size + self._out_shm.size
-            )
-
-    def spec(self) -> Tuple[str, str, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-        """A small picklable handle workers use to attach both segments.
-
-        ``(schedule_name, outcome_name, sched_base, out_base, caps, ns)``
-        — a few ints per block, regardless of block size.
-        """
-        return (
-            self.schedule_name,
-            self.outcome_name,
-            tuple(int(x) for x in self.sched_base),
-            tuple(int(x) for x in self.out_base),
-            tuple(int(x) for x in self.caps),
-            tuple(int(x) for x in self.ns),
-        )
-
-    @staticmethod
-    def attach(spec) -> Tuple[np.ndarray, np.ndarray]:
-        """Attach (cached per process) and view both segments as arrays."""
-        sched_name, out_name, sched_base, out_base = spec[:4]
-        schedule = attach_array(sched_name, (sched_base[-1],), np.int64)
-        outcomes = attach_array(out_name, (out_base[-1],), np.int64)
-        return schedule, outcomes
-
-    @staticmethod
-    def block_views(
-        outcomes: np.ndarray, lo: int, cap: int, n: int
-    ) -> Tuple[np.ndarray, ...]:
-        """Views into one block's outcome slab.
-
-        Returns ``(wins, succ_cols, succ_pids, succ_seqs, seq, phase,
-        counts)`` where ``wins`` is a one-element view holding the
-        number of valid leading entries in the three ``cap``-sized
-        success columns.
-        """
-        o = lo + 1
-        return (
-            outcomes[lo : lo + 1],
-            outcomes[o : o + cap],
-            outcomes[o + cap : o + 2 * cap],
-            outcomes[o + 2 * cap : o + 3 * cap],
-            outcomes[o + 3 * cap : o + 3 * cap + n],
-            outcomes[o + 3 * cap + n : o + 3 * cap + 2 * n],
-            outcomes[o + 3 * cap + 2 * n : o + 3 * cap + 3 * n],
-        )
-
-    def close(self) -> None:
-        """Unlink both segments (idempotent; never raises)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.schedule = None  # type: ignore[assignment]
-        self.outcomes = None  # type: ignore[assignment]
-        release(self.schedule_name)
-        release(self.outcome_name)
-        unlinked = 0
-        for segment in (self._sched_shm, self._out_shm):
-            try:
-                segment.close()
-            except Exception:
-                pass
             if resource_tracker is not None:
                 try:
                     resource_tracker.register(segment._name, "shared_memory")

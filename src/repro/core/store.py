@@ -98,8 +98,8 @@ class ColumnarSweepStore:
     Interface-compatible with :class:`SweepCheckpoint` where sweeps
     need it (``open``/``record``/``flush``/``close``/``missing``/
     ``completed``/``fingerprint``/context manager), so
-    :func:`repro.core.sweep.latency_sweep` and ``parallel_sweep`` accept
-    either through their ``checkpoint=``/``store=`` arguments.
+    :func:`repro.core.sweep.latency_sweep` accepts either through its
+    ``checkpoint=``/``store=`` arguments.
     """
 
     def __init__(

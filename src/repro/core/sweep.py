@@ -3,10 +3,11 @@
 The benchmarks report single seeded runs (deterministic, diff-friendly);
 downstream users doing their own studies want repeated runs and error
 bars.  :func:`latency_sweep` measures an algorithm across process counts
-with independent replicates and Student-t confidence intervals;
-:func:`parallel_sweep` is the same measurement fanned out over worker
-processes — replicate seeds are derived identically in both, so the two
-produce bit-identical results.
+with independent replicates and Student-t confidence intervals, in this
+process (``max_workers=1``) or fanned out over worker processes
+(``max_workers > 1``) — replicate seeds are derived identically either
+way, so the two produce bit-identical results.  :func:`parallel_sweep`
+is the historical pooled entry point and forwards to it.
 
 Three engines drive the replicates (``engine=``): ``"serial"`` steps the
 simulator one step at a time, ``"batched"`` uses the trace-equivalent
@@ -17,10 +18,10 @@ multi-replicate work, available for SCU-shaped workloads whose factory
 exposes a ``vector_kernel``.  All three produce bit-identical numbers
 for the same seeds.
 
-Long sweeps are *fault-tolerant*: :func:`parallel_sweep` runs on a
+Long sweeps are *fault-tolerant*: pooled sweeps run on a
 :class:`repro.core.runner.ResilientExecutor` (worker crashes, hangs and
 pool deaths are retried with backoff, isolated, or degraded to
-in-process execution — never silently dropped), and both sweeps accept
+in-process execution — never silently dropped), and every sweep accepts
 ``checkpoint=``/``resume=`` (an append-only
 :class:`repro.core.checkpoint.SweepCheckpoint`) or ``store=`` (a
 chunked columnar :class:`repro.core.store.ColumnarSweepStore`, the
@@ -53,7 +54,13 @@ from repro.core.latency import (
     resolve_vector_kernel,
     validate_burn_in,
 )
-from repro.core.runner import ResilientExecutor, RetryPolicy, TaskError
+from repro.core.runner import (
+    ResilientExecutor,
+    RetryPolicy,
+    TaskError,
+    available_cpu_count,
+    validate_max_workers,
+)
 from repro.core.scheduler import Scheduler, UniformStochasticScheduler
 from repro.sim.memory import Memory
 from repro.sim.process import ProcessFactory
@@ -64,18 +71,19 @@ from repro.stats.estimators import (
 )
 
 _ENGINES = ("serial", "batched", "ensemble")
+_DISPATCHES = ("auto", "pickle", "sharedmem")
 
 # Crash schedules for sweeps (``CrashTimesLike``): one ``{pid: time}``
 # map applied at every process count, a callable ``n -> {pid: time}`` so
 # the crash set can scale with the sweep point (the Corollary 2 shape:
 # crash all but ``k`` of ``n``), or an already-resolved
-# :class:`ResolvedCrashSchedule`.  Both sweeps resolve the schedule
-# exactly once, up front, and feed the *same* resolved map to the
+# :class:`ResolvedCrashSchedule`.  The sweep resolves the schedule
+# exactly once, up front, and feeds the *same* resolved map to the
 # fingerprint and to every replicate — a stateful or nondeterministic
 # callable can no longer diverge the stored fingerprint from the
 # executed crash config.  A side effect: the resolved schedule is a
-# plain frozen dataclass of dicts, so :func:`parallel_sweep` no longer
-# needs the callable itself to be picklable.
+# plain frozen dataclass of dicts, so a pooled sweep does not need the
+# callable itself to be picklable.
 
 
 def _resolve_crash_times(
@@ -101,28 +109,6 @@ class SweepPoint:
     fairness_ratio: MeanEstimate
 
 
-def _resolve_engine(engine: Optional[str], batched: bool) -> str:
-    """Engine name from the explicit ``engine`` argument or the legacy
-    ``batched`` flag.
-
-    Passing both is accepted only when they agree (``engine="batched"``
-    with ``batched=True``); a contradictory combination raises a
-    :class:`ValueError` naming both arguments rather than silently
-    letting one win.
-    """
-    if engine is None:
-        return "batched" if batched else "serial"
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if batched and engine != "batched":
-        raise ValueError(
-            f"contradictory arguments: engine={engine!r} with batched=True "
-            "(the legacy batched flag means engine='batched'); pass one or "
-            "the other"
-        )
-    return engine
-
-
 def _run_replicate(
     factory_builder: Callable[[], ProcessFactory],
     memory_builder: Callable[[], Memory],
@@ -138,10 +124,10 @@ def _run_replicate(
 ) -> Tuple[float, float, float]:
     """One independent replicate of one sweep point.
 
-    Module-level (not a closure) so :func:`parallel_sweep` can ship it to
-    worker processes; the ``(seed, n, replicate)`` seed tuple is the
-    single source of randomness, which is what makes the serial and
-    parallel sweeps bit-identical.  ``telemetry`` is only ever non-None
+    Module-level (not a closure) so pooled sweeps can ship it to worker
+    processes; the ``(seed, n, replicate)`` seed tuple is the single
+    source of randomness, which is what makes in-process and pooled
+    sweeps bit-identical.  ``telemetry`` is only ever non-None
     in-process (registries are not shipped to workers).
     """
     measurement = measure_latencies(
@@ -163,23 +149,45 @@ def _run_replicate(
     )
 
 
-def _run_replicate_chunk(
+def _chunk_worker(
+    pairs: Sequence[Tuple[int, int]],
     factory_builder: Callable[[], ProcessFactory],
     memory_builder: Callable[[], Memory],
     scheduler_builder: Callable[[], Scheduler],
-    pairs: Sequence[Tuple[int, int]],
     steps: int,
     seed: int,
-    batched: bool,
-    burn_in: Optional[int] = None,
-    crash_times: CrashTimesLike = None,
+    engine: str,
+    burn_in: Optional[int],
+    crash_times: CrashTimesLike,
+    fuse="auto",
+    engine_kernel: str = "auto",
 ) -> List[Tuple[float, float, float]]:
     """A chunk of ``(n, replicate)`` tasks, run back-to-back in one worker.
 
-    One pool task per chunk instead of per replicate cuts the pickling
-    and dispatch overhead; each replicate still derives its own
+    The task keys come first — the calling convention
+    :class:`~repro.core.runner.ResilientExecutor` (and the chaos harness
+    wrapping it) uses.  An ensemble chunk resolves as one fused grid
+    (:func:`_run_ensemble_grid`); the other engines run one replicate
+    at a time.  Each replicate still derives its own
     ``(seed, n, replicate)`` seed, so chunking cannot affect results.
     """
+    if engine == "ensemble":
+        results: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        _run_ensemble_grid(
+            factory_builder,
+            memory_builder,
+            scheduler_builder,
+            pairs,
+            steps,
+            seed,
+            burn_in,
+            crash_times,
+            results.__setitem__,
+            None,
+            fuse=fuse,
+            engine_kernel=engine_kernel,
+        )
+        return [results[pair] for pair in pairs]
     return [
         _run_replicate(
             factory_builder,
@@ -189,7 +197,7 @@ def _run_replicate_chunk(
             steps,
             seed,
             replicate,
-            batched,
+            engine == "batched",
             burn_in,
             crash_times,
         )
@@ -197,52 +205,18 @@ def _run_replicate_chunk(
     ]
 
 
-def _chunk_worker(
-    pairs: Sequence[Tuple[int, int]],
-    factory_builder: Callable[[], ProcessFactory],
-    memory_builder: Callable[[], Memory],
-    scheduler_builder: Callable[[], Scheduler],
-    steps: int,
-    seed: int,
-    batched: bool,
-    burn_in: Optional[int],
-    crash_times: CrashTimesLike,
-) -> List[Tuple[float, float, float]]:
-    """:func:`_run_replicate_chunk` with the task keys first — the
-    calling convention :class:`~repro.core.runner.ResilientExecutor`
-    (and the chaos harness wrapping it) uses."""
-    return _run_replicate_chunk(
-        factory_builder,
-        memory_builder,
-        scheduler_builder,
-        pairs,
-        steps,
-        seed,
-        batched,
-        burn_in,
-        crash_times,
-    )
-
-
 def _shm_chunk_worker(
     rows: Sequence[int],
     task_name: str,
     result_name: str,
     task_count: int,
-    factory_builder: Callable[[], ProcessFactory],
-    memory_builder: Callable[[], Memory],
-    scheduler_builder: Callable[[], Scheduler],
-    steps: int,
-    seed: int,
-    batched: bool,
-    burn_in: Optional[int],
-    crash_times: CrashTimesLike,
+    *run_args,
 ) -> List[int]:
     """The shared-memory twin of :func:`_chunk_worker`.
 
     Task keys are *row indices* into the sweep's shared task segment;
     the worker reads each row's ``(n, replicate)`` pair from shared
-    memory, runs the replicate, and writes the triple into the shared
+    memory, runs the chunk, and writes the triples into the shared
     result segment in place — nothing but the row indices ever crosses
     the pickle pipe.  Returning the rows satisfies the executor's
     one-result-per-key contract and tells the parent which result rows
@@ -254,50 +228,19 @@ def _shm_chunk_worker(
 
     tasks = attach_array(task_name, (task_count, 2), np.int64)
     results = attach_array(result_name, (task_count, 3), np.float64)
-    out: List[int] = []
-    for row in rows:
-        n = int(tasks[row, 0])
-        replicate = int(tasks[row, 1])
-        triple = _run_replicate(
-            factory_builder,
-            memory_builder,
-            scheduler_builder,
-            n,
-            steps,
-            seed,
-            replicate,
-            batched,
-            burn_in,
-            crash_times,
-        )
-        results[row, 0] = triple[0]
-        results[row, 1] = triple[1]
-        results[row, 2] = triple[2]
-        out.append(row)
-    return out
+    pairs = [(int(tasks[row, 0]), int(tasks[row, 1])) for row in rows]
+    for row, triple in zip(rows, _chunk_worker(pairs, *run_args)):
+        results[row] = triple
+    return list(rows)
 
 
-def _open_result_log(
-    checkpoint,
-    store,
-    resume: bool,
-    *,
-    seed: int,
-    steps: int,
-    engine: str,
-    n_values: Sequence[int],
-    repeats: int,
-    burn_in: Optional[int],
-    crash_times: CrashTimesLike,
-    telemetry=None,
-    workload: Optional[str] = None,
-):
+def _open_result_log(checkpoint, store, resume: bool, fingerprint, telemetry):
     """Open/validate the sweep's result log, if one was requested.
 
     ``checkpoint`` names a JSONL :class:`SweepCheckpoint` file,
     ``store`` a :class:`ColumnarSweepStore` directory; at most one may
     be given.  Both carry the same fingerprint and the same
-    ``record``/``completed``/``close`` interface, so the sweeps treat
+    ``record``/``completed``/``close`` interface, so the sweep treats
     them interchangeably.
     """
     if checkpoint is not None and store is not None:
@@ -311,16 +254,6 @@ def _open_result_log(
                 "resume=True requires checkpoint=<path> or store=<dir>"
             )
         return None
-    fingerprint = sweep_fingerprint(
-        seed=seed,
-        steps=steps,
-        engine=engine,
-        n_values=n_values,
-        repeats=repeats,
-        burn_in=burn_in,
-        crash_times=crash_times,
-        workload=workload,
-    )
     if store is not None:
         return ColumnarSweepStore.open(
             store, fingerprint, resume=resume, telemetry=telemetry
@@ -339,6 +272,25 @@ def _note_point_telemetry(telemetry, n: int, replicates: int, seconds: float) ->
         "sweep.point",
         {"n": n, "replicates": replicates, "seconds": seconds},
     )
+
+
+def _note_grid_telemetry(
+    telemetry, pending: Sequence[Tuple[int, int]], seconds: float
+) -> None:
+    """Per-point telemetry for replicates resolved together.
+
+    One ``sweep.point`` event per ``n``, with the elapsed wall time
+    apportioned by the point's share of the replicates (per-point timing
+    is not individually observable once points share a fused pass or a
+    worker pool).
+    """
+    counts: Dict[int, int] = {}
+    for n, _ in pending:
+        counts[n] = counts.get(n, 0) + 1
+    for n, replicates in counts.items():
+        _note_point_telemetry(
+            telemetry, n, replicates, seconds * replicates / len(pending)
+        )
 
 
 class StreamingSweepAggregator:
@@ -438,52 +390,37 @@ def _run_ensemble_grid(
     factory_builder: Callable[[], ProcessFactory],
     memory_builder: Callable[[], Memory],
     scheduler_builder: Callable[[], Scheduler],
-    n_values: Sequence[int],
-    repeats: int,
+    pending: Sequence[Tuple[int, int]],
     steps: int,
     seed: int,
     burn_in: Optional[int],
     schedule: CrashTimesLike,
-    recorded: set,
     note: Callable[[Tuple[int, int], Tuple[float, float, float]], None],
     telemetry,
     fuse="auto",
     engine_kernel: str = "auto",
-    ensemble_workers=None,
-) -> int:
-    """Resolve the whole sweep grid as fused ensembles.
+) -> None:
+    """Resolve the ``pending`` ``(n, r)`` replicates as fused ensembles.
 
-    Every missing ``(n, r)`` replicate across *all* sweep points joins
-    one ensemble (chunked so at most ``_GRID_FUSE_STEPS`` schedule steps
-    are drawn up front per chunk), and the fused resolver stacks
-    same-shape replicates regardless of ``n`` — one vectorized pass
-    covers the whole n-grid, not just one point's replicate block.
-    Replicates keep their ``(seed, n, r)`` seeds and dedicated
-    scheduler/memory instances, so results are bit-identical to the
-    per-point path.  ``note`` fires in canonical n-major order.
-
-    Per-point telemetry survives fusion: one ``sweep.point`` event per
-    ``n`` as before, with the grid's elapsed wall time apportioned by
-    the point's share of resolved replicates (per-point timing is no
-    longer individually observable once points share a pass).  Returns
-    the number of replicates run.
+    Every pending replicate across *all* sweep points joins one ensemble
+    (chunked so at most ``_GRID_FUSE_STEPS`` schedule steps are drawn up
+    front per chunk), and the fused resolver stacks same-shape
+    replicates regardless of ``n`` — one vectorized pass covers the
+    whole n-grid, not just one point's replicate block.  Replicates keep
+    their ``(seed, n, r)`` seeds and dedicated scheduler/memory
+    instances, so results are bit-identical to the per-point path.
+    ``note`` fires in ``pending`` order.
     """
     from repro.sim.ensemble import EnsembleReplicate, EnsembleSimulator
 
+    if not pending:
+        return
     kernel = resolve_vector_kernel(factory_builder())
     crash_of: Dict[int, Optional[Dict[int, int]]] = {}
-    missing_of: Dict[int, List[int]] = {}
-    pending: List[Tuple[int, int]] = []
-    for n in n_values:
-        missing = [r for r in range(repeats) if (n, r) not in recorded]
-        if not missing:
-            continue
-        missing_of[n] = missing
-        crash = _resolve_crash_times(schedule, n)
-        crash_of[n] = dict(crash) if crash else None
-        pending.extend((n, r) for r in missing)
-    if not pending:
-        return 0
+    for n, _ in pending:
+        if n not in crash_of:
+            crash = _resolve_crash_times(schedule, n)
+            crash_of[n] = dict(crash) if crash else None
     grid_started = time.perf_counter() if telemetry is not None else 0.0
     chunk = max(1, _GRID_FUSE_STEPS // max(steps, 1))
     for start in range(0, len(pending), chunk):
@@ -504,12 +441,11 @@ def _run_ensemble_grid(
             telemetry=telemetry,
             fuse=fuse,
             engine_kernel=engine_kernel,
-            max_workers=ensemble_workers,
         ).run(steps)
         measurements = result.measurements(burn_in=burn_in)
-        for (n, r), measurement in zip(block, measurements):
+        for key, measurement in zip(block, measurements):
             note(
-                (n, r),
+                key,
                 (
                     measurement.system_latency,
                     measurement.completion_rate,
@@ -517,12 +453,78 @@ def _run_ensemble_grid(
                 ),
             )
     if telemetry is not None:
-        elapsed = time.perf_counter() - grid_started
-        for n, missing in missing_of.items():
-            _note_point_telemetry(
-                telemetry, n, len(missing), elapsed * len(missing) / len(pending)
+        _note_grid_telemetry(
+            telemetry, pending, time.perf_counter() - grid_started
+        )
+
+
+def _run_pooled(
+    tasks: List[Tuple[int, int]],
+    run_args: Tuple,
+    note: Callable[[Tuple[int, int], Tuple[float, float, float]], None],
+    *,
+    max_workers: int,
+    chunk_size: Optional[int],
+    retry: Optional[RetryPolicy],
+    pool_factory: Optional[Callable],
+    dispatch: str,
+    fingerprint: Dict[str, object],
+    telemetry,
+) -> None:
+    """Run ``tasks`` on a :class:`ResilientExecutor` pool.
+
+    ``run_args`` are :func:`_chunk_worker`'s arguments after the task
+    keys.  Under shared-memory dispatch the executor's keys are row
+    indices into a :class:`~repro.core.shm.SweepTaskBuffers` pair whose
+    segments are named off the sweep ``fingerprint`` and unlinked in
+    ``finally``; a poison row is re-raised as a :class:`TaskError`
+    naming its ``(n, replicate)`` pair.
+    """
+    buffers = None
+    if dispatch != "pickle":
+        try:
+            from repro.core.shm import SweepTaskBuffers, segment_digest
+
+            buffers = SweepTaskBuffers(
+                tasks, segment_digest(fingerprint), telemetry=telemetry
             )
-    return len(pending)
+        except Exception:
+            if dispatch == "sharedmem":
+                raise
+            # auto: the platform refused (no /dev/shm, tiny rlimits, ...)
+            # — dispatch is transport only, so degrade to pickle.
+            if telemetry is not None and telemetry.enabled:
+                telemetry.inc("shm.fallbacks")
+    executor = ResilientExecutor(
+        _chunk_worker if buffers is None else _shm_chunk_worker,
+        max_workers=max_workers,
+        policy=retry,
+        pool_factory=pool_factory,
+        telemetry=telemetry,
+    )
+    # ``on_result`` fires exactly once per task, so the aggregator sees
+    # every replicate; ``collect=False`` keeps the executor from
+    # building a second O(replicates) dict.
+    if buffers is None:
+        executor.run(
+            tasks, run_args, chunk_size=chunk_size, on_result=note, collect=False
+        )
+        return
+    try:
+        executor.run(
+            list(range(len(tasks))),
+            (buffers.task_name, buffers.result_name, buffers.task_count)
+            + run_args,
+            chunk_size=chunk_size,
+            on_result=lambda row, _: note(buffers.key_of(row), buffers.triple(row)),
+            collect=False,
+        )
+    except TaskError as error:
+        if isinstance(error.key, int):
+            raise TaskError(tasks[error.key], error.cause) from error.cause
+        raise
+    finally:
+        buffers.close()
 
 
 def _collect_points(
@@ -554,8 +556,7 @@ def latency_sweep(
     scheduler_builder: Optional[Callable[[], Scheduler]] = None,
     confidence: float = 0.95,
     seed: int = 0,
-    batched: bool = False,
-    engine: Optional[str] = None,
+    engine: str = "serial",
     burn_in: Optional[int] = None,
     crash_times: CrashTimesLike = None,
     checkpoint=None,
@@ -565,24 +566,57 @@ def latency_sweep(
     telemetry=None,
     fuse="auto",
     engine_kernel: str = "auto",
-    ensemble_workers=None,
     workload: Optional[str] = None,
+    max_workers: int = 1,
+    chunk_size: Optional[int] = None,
+    retry: Optional[RetryPolicy] = None,
+    pool_factory: Optional[Callable] = None,
+    dispatch: str = "auto",
 ) -> List[SweepPoint]:
     """Measure latencies across ``n_values`` with ``repeats`` replicates.
 
     Each replicate gets a fresh factory, memory, scheduler and seed, so
     the replicates are independent and the confidence intervals honest.
     ``engine`` selects the execution engine (see the module docstring);
-    ``engine="ensemble"`` resolves each sweep point's replicates together
-    as array operations — same seeds, same numbers, least wall-clock.
-    The legacy ``batched=True`` flag is shorthand for
-    ``engine="batched"``.  ``fuse``, ``engine_kernel`` and
-    ``ensemble_workers`` tune the ensemble engine only (fused same-shape
-    replicate stacking across the whole grid, the compiled-kernel
-    choice, and sharding the fused blocks across a worker pool over
-    shared memory — ``"auto"`` saturates every available CPU; see
-    :class:`~repro.sim.EnsembleSimulator`); every setting is
-    bit-identical, they trade wall-clock only.
+    ``engine="ensemble"`` resolves the replicates together as array
+    operations — same seeds, same numbers, least wall-clock.  ``fuse``
+    and ``engine_kernel`` tune the ensemble engine only (fused
+    same-shape replicate stacking across the whole grid and the
+    compiled-kernel choice; see :class:`~repro.sim.EnsembleSimulator`);
+    every setting is bit-identical, they trade wall-clock only.
+
+    ``max_workers`` is the number of processes.  ``1`` (the default)
+    runs every replicate in this process.  Any larger int sends the
+    missing ``(n, replicate)`` keys, in chunks of ``chunk_size``
+    (``None``: about four chunks per worker), to a fault-tolerant
+    :class:`~repro.core.runner.ResilientExecutor` pool — for every
+    engine; an ensemble chunk resolves as one fused grid.  A sweep with
+    a single missing replicate stays in process: one task cannot run in
+    parallel.  Each replicate keeps its own ``(seed, n, replicate)``
+    stream, so the worker count never changes a bit.  On a 2-CPU Xeon
+    host a 2-worker ensemble pool ran 16 replicates x 20k steps at
+    0.55-0.91x the in-process ensemble and 16 x 200k at 1.13-1.31x:
+    pool start-up only pays off on long replicates.
+
+    The pool retries failed or timed-out chunks with capped exponential
+    backoff and deterministic jitter, splits repeat offenders down to
+    single replicates (a poison replicate raises
+    :class:`~repro.core.runner.TaskError` naming its ``(n, replicate)``),
+    rebuilds a broken pool, and after ``retry.fallback_after``
+    consecutive pool failures runs the rest in this process.  ``retry``
+    tunes this (default :class:`RetryPolicy`; its ``timeout`` is the
+    per-chunk deadline).  ``pool_factory`` swaps the pool class — the
+    fault-injection hook :class:`repro.testing.chaos.ChaosPool` plugs in
+    there.  ``dispatch`` picks the transport: ``"sharedmem"`` moves task
+    keys and result triples through ``multiprocessing.shared_memory``
+    segments (:class:`repro.core.shm.SweepTaskBuffers`; chunks then
+    carry row indices, and chaos plans key faults by row), ``"pickle"``
+    through the pool's pipe, and ``"auto"`` tries shared memory and
+    falls back to pickle (counted as ``shm.fallbacks``).  The segments
+    are unlinked before this function returns, faults included.  Pooled
+    builders must be picklable (module-level functions or
+    ``functools.partial`` over them); a callable ``crash_times`` need
+    not be, because only its resolved schedule ships.
 
     ``crash_times`` turns the sweep into a halting-failure study
     (Corollary 2): a ``{pid: time}`` map applied at every sweep point, a
@@ -600,15 +634,17 @@ def latency_sweep(
     (at most one of the two); finished replicates are appended as they
     land, and ``resume=True`` skips the ones already recorded (after
     validating the log belongs to *this* sweep).  Resuming from either
-    format is bit-identical to the uninterrupted run.
-    ``on_progress(done, total, (n, replicate))`` fires after each
+    format, at any worker count, is bit-identical to the uninterrupted
+    run.  ``on_progress(done, total, (n, replicate))`` fires after each
     replicate.  None of this can change the numbers.
 
     ``telemetry`` (a :class:`~repro.core.telemetry.MetricsRegistry`)
     records per-point wall time, replicate counts and throughput, plus
-    every engine/checkpoint counter along the way.  Telemetry observes
-    the sweep and never feeds back into it — results are bit-identical
-    with it on or off.
+    every engine/checkpoint counter along the way — engine counters
+    in-process only, since registries stay in this process (a pool
+    reports its executor and ``shm.*`` counters instead).  Telemetry
+    observes the sweep and never feeds back into it — results are
+    bit-identical with it on or off.
 
     ``workload`` names the registered workload the builders came from
     (:mod:`repro.algorithms.registry`); it is folded into the checkpoint
@@ -619,25 +655,39 @@ def latency_sweep(
     if repeats < 2:
         raise ValueError("repeats must be at least 2 for confidence intervals")
     validate_burn_in(burn_in, steps)
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    validate_max_workers(max_workers)
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    if dispatch not in _DISPATCHES:
+        raise ValueError(
+            f"unknown dispatch {dispatch!r}; expected one of {_DISPATCHES}"
+        )
     if scheduler_builder is None:
         scheduler_builder = UniformStochasticScheduler
-    chosen = _resolve_engine(engine, batched)
+    if engine == "ensemble":
+        # Fail here rather than in (and again in every retry of) a worker.
+        resolve_vector_kernel(factory_builder())
+        if getattr(scheduler_builder(), "observe_pending", None) is not None:
+            raise ValueError(
+                "the ensemble engine draws whole schedules and cannot feed "
+                "a contention scheduler's observe_pending hook; use the "
+                "serial or batched engine"
+            )
     telemetry_on = telemetry is not None and telemetry.enabled
     schedule = ResolvedCrashSchedule.resolve(crash_times, n_values)
-    log = _open_result_log(
-        checkpoint,
-        store,
-        resume,
+    fingerprint = sweep_fingerprint(
         seed=seed,
         steps=steps,
-        engine=chosen,
+        engine=engine,
         n_values=n_values,
         repeats=repeats,
         burn_in=burn_in,
         crash_times=schedule,
-        telemetry=telemetry,
         workload=workload,
     )
+    log = _open_result_log(checkpoint, store, resume, fingerprint, telemetry)
     aggregator = StreamingSweepAggregator(n_values, repeats)
     recorded = set()
     if log is not None:
@@ -649,7 +699,7 @@ def latency_sweep(
     if telemetry_on and log is not None and resume:
         telemetry.inc("checkpoint.resume_misses", total - done)
     sweep_started = time.perf_counter() if telemetry_on else 0.0
-    run_replicates = 0
+    run_replicates = total - done
 
     def note(key: Tuple[int, int], triple: Tuple[float, float, float]) -> None:
         nonlocal done
@@ -660,24 +710,58 @@ def latency_sweep(
         if on_progress is not None:
             on_progress(done, total, key)
 
+    def missing() -> List[Tuple[int, int]]:
+        return [
+            (n, r)
+            for n in n_values
+            for r in range(repeats)
+            if (n, r) not in recorded
+        ]
+
     try:
-        if chosen == "ensemble":
-            run_replicates += _run_ensemble_grid(
+        if max_workers > 1 and run_replicates > 1:
+            tasks = missing()
+            _run_pooled(
+                tasks,
+                (
+                    factory_builder,
+                    memory_builder,
+                    scheduler_builder,
+                    steps,
+                    seed,
+                    engine,
+                    burn_in,
+                    schedule,
+                    fuse,
+                    engine_kernel,
+                ),
+                note,
+                max_workers=max_workers,
+                chunk_size=chunk_size,
+                retry=retry,
+                pool_factory=pool_factory,
+                dispatch=dispatch,
+                fingerprint=fingerprint,
+                telemetry=telemetry,
+            )
+            if telemetry_on:
+                _note_grid_telemetry(
+                    telemetry, tasks, time.perf_counter() - sweep_started
+                )
+        elif engine == "ensemble":
+            _run_ensemble_grid(
                 factory_builder,
                 memory_builder,
                 scheduler_builder,
-                n_values,
-                repeats,
+                missing(),
                 steps,
                 seed,
                 burn_in,
                 schedule,
-                recorded,
                 note,
                 telemetry if telemetry_on else None,
                 fuse=fuse,
                 engine_kernel=engine_kernel,
-                ensemble_workers=ensemble_workers,
             )
         else:
             for n in n_values:
@@ -694,14 +778,13 @@ def latency_sweep(
                         steps,
                         seed,
                         r,
-                        chosen == "batched",
+                        engine == "batched",
                         burn_in,
                         schedule,
                         telemetry,
                     )
                     note((n, r), triple)
                     point_replicates += 1
-                run_replicates += point_replicates
                 if telemetry_on and point_replicates:
                     _note_point_telemetry(
                         telemetry,
@@ -722,245 +805,17 @@ def latency_sweep(
 
 
 def parallel_sweep(
-    factory_builder: Callable[[], ProcessFactory],
-    memory_builder: Callable[[], Memory],
-    n_values: Sequence[int],
-    *,
-    steps: int = 100_000,
-    repeats: int = 5,
-    scheduler_builder: Optional[Callable[[], Scheduler]] = None,
-    confidence: float = 0.95,
-    seed: int = 0,
-    batched: bool = True,
-    max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    burn_in: Optional[int] = None,
-    crash_times: CrashTimesLike = None,
-    checkpoint=None,
-    store=None,
-    resume: bool = False,
-    on_progress: Optional[Callable[[int, int, Tuple[int, int]], None]] = None,
-    retry: Optional[RetryPolicy] = None,
-    pool_factory: Optional[Callable] = None,
-    dispatch: str = "auto",
-    telemetry=None,
-    workload: Optional[str] = None,
+    *args, engine: str = "batched", max_workers: Optional[int] = None, **kwargs
 ) -> List[SweepPoint]:
-    """:func:`latency_sweep` fanned out over a fault-tolerant process pool.
+    """:func:`latency_sweep` on a process pool, with the batched engine.
 
-    Every ``(n, replicate)`` pair is seeded with the same
-    ``(seed, n, replicate)`` tuple the serial sweep uses, so the result
-    is bit-identical to ``latency_sweep`` with the same arguments —
-    scheduling order across workers cannot matter because no state is
-    shared between replicates.
-
-    Replicates are shipped to workers in chunks of ``chunk_size``
-    consecutive tasks (one future per chunk, not per replicate), which
-    cuts the pickling/dispatch overhead that dominates small replicates.
-    ``chunk_size=None`` picks roughly four chunks per worker, computed
-    from ``max_workers`` (or
-    :func:`~repro.core.runner.available_cpu_count`); chunking affects
-    only scheduling, never results.
-
-    Execution rides a :class:`~repro.core.runner.ResilientExecutor`:
-    failed or timed-out chunks are retried with capped exponential
-    backoff and deterministic jitter, repeat offenders are split down to
-    single replicates to isolate the poison task (which is then named in
-    the raised :class:`~repro.core.runner.TaskError`), a broken pool is
-    rebuilt, and after ``retry.fallback_after`` consecutive pool
-    failures the remaining tasks degrade to in-process serial execution.
-    ``retry`` tunes all of this (default :class:`RetryPolicy`; its
-    ``timeout`` is the per-chunk deadline, ``None`` = no deadline).
-    Retries re-run pure deterministic work, so fault recovery cannot
-    change a single bit of the output.
-
-    ``dispatch`` picks how tasks and results move between parent and
-    workers.  ``"sharedmem"`` routes both through
-    ``multiprocessing.shared_memory`` segments
-    (:class:`repro.core.shm.SweepTaskBuffers`): task keys become row
-    indices into a shared task table and result triples are written in
-    place, so per-chunk pickle payloads shrink to a few ints and results
-    never cross the pipe.  ``"pickle"`` is the classic path;
-    ``"auto"`` (the default) tries shared memory and silently falls back
-    to pickle when the platform refuses (counted as ``shm.fallbacks``).
-    The segments are named off the sweep fingerprint and unlinked in
-    this function's ``finally`` — worker kills, poison tasks and parent
-    exceptions all leave zero orphaned ``/dev/shm`` entries (enforced
-    under chaos injection in ``tests/core/test_shm_dispatch.py``).
-    Dispatch affects transport only, never results.
-
-    ``checkpoint``/``store``/``resume``/``on_progress`` behave exactly
-    as in :func:`latency_sweep`; a checkpoint written by a
-    (serial-engine) ``latency_sweep`` with matching parameters is
-    accepted here and vice versa.  ``pool_factory`` swaps the process
-    pool implementation — the fault-injection hook
-    :class:`repro.testing.chaos.ChaosPool` plugs in there (with
-    shared-memory dispatch, chaos plans key faults by row index).
-
-    The builders must be picklable (module-level functions or
-    ``functools.partial`` over module-level functions; closures and
-    lambdas are not).  A callable ``crash_times`` need not be: it is
-    resolved once in the parent and only the resolved schedule (a
-    frozen dataclass of dicts) ships to workers.  ``batched`` defaults
-    to True here: a sweep big enough to parallelise is big enough to
-    want the fast path.  ``max_workers`` caps the pool size (``None`` =
-    one per *available* CPU — cgroup/affinity limits respected).
-
-    ``telemetry`` stays in the *parent* process (registries are not
-    shipped to pickled workers): it records the executor's recovery
-    counters, checkpoint activity, total wall time and replicates/sec.
-    Per-replicate engine counters are only available from the in-process
-    engines — use :func:`latency_sweep` for those.
+    ``max_workers=None`` means one worker per *available* CPU
+    (:func:`~repro.core.runner.available_cpu_count`); every other
+    argument passes through unchanged.
     """
-    if repeats < 2:
-        raise ValueError("repeats must be at least 2 for confidence intervals")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    if dispatch not in ("auto", "pickle", "sharedmem"):
-        raise ValueError(
-            f"unknown dispatch {dispatch!r}; expected 'auto', 'pickle' or "
-            "'sharedmem'"
-        )
-    validate_burn_in(burn_in, steps)
-    if scheduler_builder is None:
-        scheduler_builder = UniformStochasticScheduler
-    telemetry_on = telemetry is not None and telemetry.enabled
-    schedule = ResolvedCrashSchedule.resolve(crash_times, n_values)
-    log = _open_result_log(
-        checkpoint,
-        store,
-        resume,
-        seed=seed,
-        steps=steps,
-        engine="batched" if batched else "serial",
-        n_values=n_values,
-        repeats=repeats,
-        burn_in=burn_in,
-        crash_times=schedule,
-        telemetry=telemetry,
-        workload=workload,
-    )
-    aggregator = StreamingSweepAggregator(n_values, repeats)
-    recorded = set()
-    if log is not None:
-        for key, triple in log.completed.items():
-            aggregator.add(key, triple)
-            recorded.add(key)
-    total = len(n_values) * repeats
-    done = len(recorded)
-    tasks = [
-        (n, r)
-        for n in n_values
-        for r in range(repeats)
-        if (n, r) not in recorded
-    ]
-    if telemetry_on and log is not None and resume:
-        telemetry.inc("checkpoint.resume_misses", len(tasks))
-    sweep_started = time.perf_counter() if telemetry_on else 0.0
-
-    def note(key: Tuple[int, int], triple: Tuple[float, float, float]) -> None:
-        nonlocal done
-        done += 1
-        aggregator.add(key, triple)
-        if log is not None:
-            log.record(key[0], key[1], triple)
-        if on_progress is not None:
-            on_progress(done, total, key)
-
-    buffers = None
-    if tasks and dispatch != "pickle":
-        try:
-            from repro.core.shm import SweepTaskBuffers, segment_digest
-
-            buffers = SweepTaskBuffers(
-                tasks,
-                segment_digest(
-                    sweep_fingerprint(
-                        seed=seed,
-                        steps=steps,
-                        engine="batched" if batched else "serial",
-                        n_values=n_values,
-                        repeats=repeats,
-                        burn_in=burn_in,
-                        crash_times=schedule,
-                        workload=workload,
-                    )
-                ),
-                telemetry=telemetry,
-            )
-        except Exception:
-            if dispatch == "sharedmem":
-                raise
-            # auto: the platform refused (no /dev/shm, tiny rlimits, ...)
-            # — dispatch is transport only, so degrade to pickle.
-            buffers = None
-            if telemetry_on:
-                telemetry.inc("shm.fallbacks")
-
-    def note_row(row: int, _ready) -> None:
-        note(buffers.key_of(row), buffers.triple(row))
-
-    try:
-        if tasks:
-            executor = ResilientExecutor(
-                _shm_chunk_worker if buffers is not None else _chunk_worker,
-                max_workers=max_workers,  # None -> available_cpu_count()
-                policy=retry,
-                pool_factory=pool_factory,
-                telemetry=telemetry,
-            )
-            if buffers is not None:
-                worker_args: Tuple = (
-                    buffers.task_name,
-                    buffers.result_name,
-                    buffers.task_count,
-                )
-                keys: Sequence = range(len(tasks))
-            else:
-                worker_args = ()
-                keys = tasks
-            # ``on_result`` fires exactly once per task, so the
-            # aggregator sees every replicate; ``collect=False`` keeps
-            # the executor from building a second O(replicates) dict.
-            try:
-                executor.run(
-                    list(keys),
-                    args=worker_args
-                    + (
-                        factory_builder,
-                        memory_builder,
-                        scheduler_builder,
-                        steps,
-                        seed,
-                        batched,
-                        burn_in,
-                        schedule,
-                    ),
-                    chunk_size=chunk_size,
-                    on_result=note_row if buffers is not None else note,
-                    collect=False,
-                )
-            except TaskError as error:
-                # Under shared-memory dispatch the executor knows tasks
-                # only as row indices; name the real replicate.
-                if buffers is not None and isinstance(error.key, int):
-                    raise TaskError(tasks[error.key], error.cause) from error.cause
-                raise
-    finally:
-        if buffers is not None:
-            buffers.close()
-        if log is not None:
-            log.close()
-    if telemetry_on:
-        elapsed = time.perf_counter() - sweep_started
-        telemetry.inc("sweep.points", len(n_values))
-        telemetry.inc("sweep.replicates", len(tasks))
-        telemetry.observe("sweep.parallel_seconds", elapsed)
-        if tasks and elapsed > 0:
-            telemetry.set_gauge(
-                "sweep.replicates_per_sec", len(tasks) / elapsed
-            )
-    return aggregator.points(confidence)
+    if max_workers is None:
+        max_workers = available_cpu_count()
+    return latency_sweep(*args, engine=engine, max_workers=max_workers, **kwargs)
 
 
 def sweep_table(points: Sequence[SweepPoint], *, precision: int = 3) -> str:

@@ -36,12 +36,10 @@ Metric names are dotted strings grouped by component: ``sim.*`` (the
 serial/batched executor), ``ensemble.*`` (the ensemble engine —
 per-replicate counters plus ``ensemble.fused_blocks`` /
 ``ensemble.fused_replicates`` / ``ensemble.fused_steps`` from the fused
-resolution path and the ``ensemble.shard_*`` group from multicore
-sharding: ``shard_blocks`` / ``shard_replicates`` / ``shard_steps`` /
-``shard_bytes`` counters plus a ``shard_workers`` gauge), ``executor.*``
+resolution path), ``executor.*``
 (:class:`repro.core.runner.ResilientExecutor`), ``checkpoint.*``
 (:class:`repro.core.checkpoint.SweepCheckpoint`), ``sweep.*``
-(:func:`repro.core.sweep.latency_sweep` / :func:`parallel_sweep`),
+(:func:`repro.core.sweep.latency_sweep`),
 ``shm.*`` (the zero-copy dispatch buffers of :mod:`repro.core.shm` —
 ``shm.segments`` / ``shm.bytes`` created, ``shm.unlinked`` on cleanup,
 ``shm.fallbacks`` when ``dispatch="auto"`` degrades to pickle), and

@@ -104,53 +104,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _AUTO_FUSE_NUMPY_MAX_STEPS = 4096
 
 
-def _shard_block_worker(
-    block_ids: Sequence[int],
-    spec: Tuple,
-    metas: Tuple,
-    kernel_name: str,
-) -> List[int]:
-    """Resolve one chunk of fused schedule blocks in a shard worker.
-
-    Task keys are *block indices* into the shared schedule segment (see
-    :class:`repro.core.shm.ShardBlockBuffers`); ``metas[b]`` carries
-    block ``b``'s resolver shape ``(use_flat, q, s, pid_base)``.  The
-    worker attaches both segments, resolves each block with the stacked
-    resolvers, and writes the fixed-layout outcome slab in place — only
-    block indices ever cross the pickle pipe.  Retries rewrite identical
-    bytes (resolution is a pure function of the schedule bytes), so the
-    executor's retry/poison-split recovery is idempotent.
-    """
-    from repro.core.shm import ShardBlockBuffers
-
-    schedule, outcomes = ShardBlockBuffers.attach(spec)
-    _, _, sched_base, out_base, caps, ns = spec
-    kernel = get_kernel(kernel_name)
-    done: List[int] = []
-    for block in block_ids:
-        use_flat, q, s, pid_base = metas[block]
-        pid_base = np.asarray(pid_base, dtype=np.int64)
-        stacked = schedule[sched_base[block] : sched_base[block + 1]]
-        if use_flat:
-            resolved = resolve_flat_stacked(stacked, pid_base, s, kernel)
-        else:
-            resolved = resolve_heap_stacked(stacked, pid_base, q, s, kernel)
-        succ_cols, succ_pids, succ_seqs, seq, phase, counts = resolved
-        wins = int(succ_cols.shape[0])
-        views = ShardBlockBuffers.block_views(
-            outcomes, out_base[block], caps[block], ns[block]
-        )
-        views[0][0] = wins
-        views[1][:wins] = succ_cols
-        views[2][:wins] = succ_pids
-        views[3][:wins] = succ_seqs
-        views[4][:] = seq
-        views[5][:] = phase
-        views[6][:] = counts
-        done.append(block)
-    return done
-
-
 def _resolve_flat(
     sched: np.ndarray, n: int, s: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -425,7 +378,7 @@ class EnsembleSimulator:
         Backend for the sequential inner loops — one of ``"auto"``
         (fastest available, the default), ``"compiled"`` (require
         numba/C, warn and fall back to numpy when absent), ``"numpy"``,
-        ``"numba"``, ``"cc"`` or ``"numba-parallel"``.  See
+        ``"numba"`` or ``"cc"``.  See
         :mod:`repro.sim.kernels`.
     fuse_block_steps:
         Cap on the stacked schedule length per fused block.  It bounds
@@ -435,27 +388,6 @@ class EnsembleSimulator:
         amortize no further, they just stream more memory.  A single
         replicate longer than the cap still resolves (in a block of its
         own).
-    max_workers:
-        Shard fused blocks across a process pool.  ``None`` (the
-        default) and ``1`` resolve in-process; an int ``> 1`` fans the
-        stacked blocks out over that many workers through shared-memory
-        segments (:class:`repro.core.shm.ShardBlockBuffers` — array
-        payloads never cross the pickle pipe), reassembling outcomes in
-        canonical replicate order so results stay bit-identical to the
-        single-core fused path, crash segmentation included.
-        ``"auto"`` uses every available CPU — except inside an existing
-        pool worker, where it resolves to 1
-        (:func:`repro.core.runner.default_shard_workers`) so nested
-        ensembles cannot oversubscribe the machine.  Sharding requires
-        fusion: ``fuse=False`` with ``max_workers > 1`` is rejected.
-    shard_pool_factory / shard_retry:
-        Pool factory and :class:`~repro.core.runner.RetryPolicy` for
-        the shard executor — fault-injection and tuning hooks
-        (see :mod:`repro.testing.chaos`); defaults build a
-        ``ProcessPoolExecutor`` with the standard policy.  Worker
-        faults ride the executor's recovery ladder per block: retry
-        with backoff, poison isolation, pool rebuild, serial fallback.
-
     The engine is **one-shot**: :meth:`run` may be called once (the
     resolution consumes the drawn schedules; there is no incremental
     process state to resume, unlike ``Simulator.run``).  Validation and
@@ -476,9 +408,6 @@ class EnsembleSimulator:
         fuse: Union[bool, str] = "auto",
         engine_kernel: str = "auto",
         fuse_block_steps: int = 1_000_000,
-        max_workers: Union[int, str, None] = None,
-        shard_pool_factory: Optional[Any] = None,
-        shard_retry: Optional[Any] = None,
         _resolver: str = "auto",
     ) -> None:
         members = list(replicates)
@@ -491,27 +420,6 @@ class EnsembleSimulator:
         if fuse not in (True, False, "auto"):
             raise ValueError(
                 f"fuse must be True, False or 'auto', got {fuse!r}"
-            )
-        if max_workers is None:
-            workers = 1
-        elif max_workers == "auto":
-            from repro.core.runner import default_shard_workers
-
-            workers = default_shard_workers()
-        elif isinstance(max_workers, int) and not isinstance(max_workers, bool):
-            if max_workers < 1:
-                raise ValueError("max_workers must be >= 1")
-            workers = max_workers
-        else:
-            raise ValueError(
-                f"max_workers must be None, 'auto' or a positive int, "
-                f"got {max_workers!r}"
-            )
-        if fuse is False and workers > 1:
-            raise ValueError(
-                "max_workers > 1 shards fused schedule blocks, but "
-                "fuse=False resolves replicates one at a time — pass "
-                "fuse=True or fuse='auto', or drop max_workers"
             )
         for index, member in enumerate(members):
             if member.crash_times:
@@ -554,9 +462,6 @@ class EnsembleSimulator:
         self._resolver = _resolver
         self._fuse = fuse
         self._fuse_block_steps = fuse_block_steps
-        self._workers = workers
-        self._shard_pool_factory = shard_pool_factory
-        self._shard_retry = shard_retry
         self._kernel = get_kernel(engine_kernel)
         self._ran = False
 
@@ -587,12 +492,7 @@ class EnsembleSimulator:
             raise
         fuse = self._fuse
         if fuse == "auto":
-            # Sharding is only expressible over stacked blocks, so a
-            # multi-worker run always fuses; otherwise defer to the
-            # per-backend crossover.
-            fuse = self._workers > 1 or self._auto_fuse(
-                self._kernel.name, max_steps
-            )
+            fuse = self._auto_fuse(self._kernel.name, max_steps)
         if not fuse:
             return EnsembleResult(
                 [
@@ -680,14 +580,8 @@ class EnsembleSimulator:
         ]
         blocks = self._pack_blocks(plan, draws)
         outcomes: List[Optional[ReplicateOutcome]] = [None] * len(members)
-        total_steps = sum(draw[0].shape[0] for draw in draws)
-        if self._workers > 1 and len(blocks) > 1 and total_steps > 0:
-            self._run_sharded(blocks, draws, max_steps, outcomes)
-        else:
-            for indices, use_flat, q, s in blocks:
-                self._resolve_block(
-                    indices, draws, use_flat, q, s, max_steps, outcomes
-                )
+        for indices, use_flat, q, s in blocks:
+            self._resolve_block(indices, draws, use_flat, q, s, max_steps, outcomes)
         return EnsembleResult(outcomes)  # type: ignore[arg-type]
 
     def _pack_blocks(
@@ -698,16 +592,11 @@ class EnsembleSimulator:
         """Group same-shape replicates and greedy-pack them into blocks.
 
         Returns ``(indices, use_flat, q, s)`` per block, each block at
-        most ``fuse_block_steps`` stacked steps.  When sharding, the cap
-        additionally shrinks toward ~4 blocks per worker so small
-        ensembles still spread across the pool (a single replicate
-        larger than the cap still forms a block of its own — blocks
-        never split a replicate).
+        most ``fuse_block_steps`` stacked steps (a single replicate larger
+        than the cap still forms a block of its own — blocks never split
+        a replicate).
         """
         cap = self._fuse_block_steps
-        if self._workers > 1:
-            total = sum(draw[0].shape[0] for draw in draws)
-            cap = max(1, min(cap, -(-total // (self._workers * 4))))
         groups: Dict[Tuple[bool, int, int], List[int]] = {}
         for index, (member, use_flat) in enumerate(zip(self.replicates, plan)):
             key = (use_flat, int(member.kernel.q), int(member.kernel.s))
@@ -726,129 +615,6 @@ class EnsembleSimulator:
                 blocks.append((indices[start:stop], use_flat, q, s))
                 start = stop
         return blocks
-
-    def _run_sharded(
-        self,
-        blocks: List[Tuple[List[int], bool, int, int]],
-        draws: List[Tuple[np.ndarray, bool, int]],
-        max_steps: int,
-        outcomes: List[Optional[ReplicateOutcome]],
-    ) -> None:
-        """Shard fused blocks across a worker pool over shared memory.
-
-        The parent draws every schedule (so RNG/scheduler consumption is
-        identical to the in-process fused path), writes the stacked
-        blocks into a shared schedule segment, and fans block indices
-        out through the :class:`~repro.core.runner.ResilientExecutor` —
-        one block per chunk, so retry, poison isolation, pool rebuild
-        and serial fallback all apply at block granularity.  Workers
-        write fixed-layout outcome slabs in place; the parent splits and
-        commits replicates from the slabs, so results are bit-identical
-        to the single-core fused path, replicate for replicate, with
-        crash segmentation (applied at draw time) preserved.  The
-        segments are unlinked in ``finally`` — worker kills, hangs and
-        poison blocks cannot leak ``/dev/shm`` entries.
-        """
-        from repro.core.runner import ResilientExecutor
-        from repro.core.shm import ShardBlockBuffers, segment_digest
-
-        members = self.replicates
-        sizes: List[int] = []
-        ns: List[int] = []
-        caps: List[int] = []
-        metas: List[Tuple] = []
-        pid_bases: List[np.ndarray] = []
-        time_bases: List[np.ndarray] = []
-        for indices, use_flat, q, s in blocks:
-            n_values = [members[i].n_processes for i in indices]
-            pid_base = np.concatenate(([0], np.cumsum(n_values))).astype(np.int64)
-            time_base = np.concatenate(
-                ([0], np.cumsum([draws[i][0].shape[0] for i in indices]))
-            ).astype(np.int64)
-            steps = int(time_base[-1])
-            n = int(pid_base[-1])
-            sizes.append(steps)
-            ns.append(n)
-            # Upper bound on the block's successes: every completed
-            # operation costs its process q + s + 1 steps.
-            caps.append(steps // (q + s + 1) + n + 1)
-            metas.append((use_flat, q, s, tuple(int(x) for x in pid_base)))
-            pid_bases.append(pid_base)
-            time_bases.append(time_base)
-        digest = segment_digest(
-            {
-                "kind": "ensemble-shard",
-                "replicates": len(members),
-                "blocks": len(blocks),
-                "steps": int(sum(sizes)),
-                "max_steps": max_steps,
-            }
-        )
-        telemetry = self.telemetry
-        buffers = ShardBlockBuffers(
-            sizes, ns, caps, digest, telemetry=telemetry
-        )
-        try:
-            for b, (indices, _, _, _) in enumerate(blocks):
-                offset = int(buffers.sched_base[b])
-                pid_base = pid_bases[b]
-                for k, index in enumerate(indices):
-                    sched = draws[index][0]
-                    stop = offset + sched.shape[0]
-                    buffers.schedule[offset:stop] = sched + pid_base[k]
-                    offset = stop
-            executor = ResilientExecutor(
-                _shard_block_worker,
-                max_workers=self._workers,
-                policy=self._shard_retry,
-                pool_factory=self._shard_pool_factory,
-                telemetry=telemetry,
-            )
-            executor.run(
-                list(range(len(blocks))),
-                (buffers.spec(), tuple(metas), self._kernel.name),
-                chunk_size=1,
-                collect=False,
-            )
-            if telemetry is not None and telemetry.enabled:
-                telemetry.set_gauge("ensemble.shard_workers", self._workers)
-                telemetry.inc("ensemble.shard_blocks", len(blocks))
-                telemetry.inc(
-                    "ensemble.shard_replicates",
-                    sum(len(indices) for indices, _, _, _ in blocks),
-                )
-                telemetry.inc("ensemble.shard_steps", int(sum(sizes)))
-                telemetry.inc(
-                    "ensemble.shard_bytes",
-                    int(buffers._sched_shm.size + buffers._out_shm.size),
-                )
-            for b, (indices, use_flat, q, s) in enumerate(blocks):
-                views = ShardBlockBuffers.block_views(
-                    buffers.outcomes,
-                    int(buffers.out_base[b]),
-                    int(caps[b]),
-                    int(ns[b]),
-                )
-                wins = int(views[0][0])
-                resolved = (
-                    views[1][:wins].copy(),
-                    views[2][:wins].copy(),
-                    views[3][:wins].copy(),
-                    views[4].copy(),
-                    views[5].copy(),
-                    views[6].copy(),
-                )
-                self._split_block(
-                    indices,
-                    draws,
-                    resolved,
-                    pid_bases[b],
-                    time_bases[b],
-                    max_steps,
-                    outcomes,
-                )
-        finally:
-            buffers.close()
 
     def _resolve_block(
         self,
@@ -893,28 +659,9 @@ class EnsembleSimulator:
             telemetry.inc("ensemble.fused_replicates", len(indices))
             telemetry.inc("ensemble.fused_steps", int(time_base[-1]))
 
-        self._split_block(
-            indices, draws, resolved, pid_base, time_base, max_steps, outcomes
-        )
-
-    def _split_block(
-        self,
-        indices: List[int],
-        draws: List[Tuple[np.ndarray, bool, int]],
-        resolved: Tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-        ],
-        pid_base: np.ndarray,
-        time_base: np.ndarray,
-        max_steps: int,
-        outcomes: List[Optional[ReplicateOutcome]],
-    ) -> None:
-        """Split one resolved stack back into per-replicate outcomes."""
-        members = self.replicates
         succ_cols, succ_pids, succ_seqs, seq, phase, counts = resolved
         bounds = np.searchsorted(succ_cols, time_base)
         for k, index in enumerate(indices):
-            member = members[index]
             span = slice(int(bounds[k]), int(bounds[k + 1]))
             pids = slice(int(pid_base[k]), int(pid_base[k + 1]))
             local = (
@@ -927,7 +674,7 @@ class EnsembleSimulator:
             )
             schedule, stopped_early, segments = draws[index]
             outcomes[index] = self._finish_replicate(
-                member, max_steps, schedule, local, stopped_early, segments
+                members[index], max_steps, schedule, local, stopped_early, segments
             )
 
     def _finish_replicate(

@@ -195,7 +195,7 @@ class Simulator:
         self._primed = False
         # Contention hook (ContentionScheduler): when the scheduler wants
         # to see which registers the pending operations target, it is fed
-        # before every scheduling decision on both engines.
+        # before every scheduling decision (run_batched defers to run).
         self._observe_pending = getattr(scheduler, "observe_pending", None)
         self.telemetry = telemetry
         self._crashes_fired = 0
@@ -423,6 +423,10 @@ class Simulator:
         and scheduler state are rewound and only the consumed prefix is
         replayed, keeping the stream aligned with the serial path.
 
+        Schedulers with an ``observe_pending`` hook (contention
+        schedulers) must see the pending operations before every single
+        decision, so they run on :meth:`run` itself.
+
         Parameters are those of :meth:`run`, plus ``batch_size``: the
         maximum number of scheduler choices drawn at once.
         """
@@ -430,6 +434,14 @@ class Simulator:
             raise ValueError("max_steps must be non-negative")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self._observe_pending is not None:
+            # Contention state is observed before *every* decision, so a
+            # block could never grow past one step: take the serial loop.
+            return self.run(
+                max_steps,
+                stop_after_completions=stop_after_completions,
+                stop_after_completions_by=stop_after_completions_by,
+            )
         if not self._primed:
             self._prime()
         telemetry = self.telemetry
@@ -509,17 +521,6 @@ class Simulator:
                 if boundary > next_t:
                     block = min(block, boundary - next_t)
                     break
-            if self._observe_pending is not None:
-                # Contention state must be observed before *every*
-                # decision, exactly as the serial path does; clamping the
-                # block to one step keeps the two engines bit-identical.
-                block = 1
-                self._observe_pending(
-                    {
-                        pid: getattr(pendings[pid], "register", None)
-                        for pid in active
-                    }
-                )
             rng_state = bit_generator.state
             scheduler_state = (
                 snapshot_state() if snapshot_state is not None else None

@@ -26,15 +26,8 @@ interface so they can be swapped for compiled implementations:
     ``@njit``-compiled versions of the same loops, used when numba is
     importable (it is an optional dependency — CI has a dedicated job
     for it).
-``numba-parallel``
-    The numba loops plus ``parallel=True`` *stacked* entry points
-    (``chain_walk_stacked`` / ``heap_scan_stacked``): the fused
-    multi-replicate path hands them one independent walk/scan per
-    stacked replicate, resolved under ``numba.prange`` — every
-    replicate writes a disjoint output slice, so thread scheduling
-    cannot change a bit.
 
-The compiled heap scans (cc and both numba variants) store the heap as
+The compiled heap scans (cc and numba) store the heap as
 a *single* packed ``int64`` array — ``(CAS column << shift) | pid`` —
 instead of parallel key/pid arrays, and sift with a branchless child
 select.  CAS columns are unique, so packed comparisons order exactly
@@ -51,8 +44,7 @@ Selection goes through :func:`get_kernel`:
 * ``"auto"`` — fastest available backend (numba, then cc, then numpy).
 * ``"compiled"`` — require a compiled backend; warn once and fall back
   to numpy when none can be built.
-* ``"numpy"`` / ``"numba"`` / ``"cc"`` / ``"numba-parallel"`` — that
-  backend exactly (:class:`KernelUnavailable` when it cannot be
+* ``"numpy"`` / ``"numba"`` / ``"cc"`` — that backend exactly (:class:`KernelUnavailable` when it cannot be
   provided).
 
 The full resolvers (:func:`resolve_flat`, :func:`resolve_heap`) also
@@ -81,7 +73,6 @@ __all__ = [
     "NumpyKernel",
     "CcKernel",
     "NumbaKernel",
-    "NumbaParallelKernel",
     "KERNEL_NAMES",
     "get_kernel",
     "available_backends",
@@ -92,10 +83,10 @@ __all__ = [
     "resolve_heap_stacked",
 ]
 
-KERNEL_NAMES = ("auto", "compiled", "numpy", "numba", "cc", "numba-parallel")
+KERNEL_NAMES = ("auto", "compiled", "numpy", "numba", "cc")
 
 #: Explicitly selectable backends (everything but the meta names).
-_EXPLICIT_BACKENDS = ("numpy", "numba", "cc", "numba-parallel")
+_EXPLICIT_BACKENDS = ("numpy", "numba", "cc")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -554,125 +545,6 @@ def _build_numba_impls() -> Tuple[Any, Any]:
     return chain_walk, heap_scan
 
 
-def _build_numba_parallel_impls() -> Tuple[Any, Any]:
-    """The ``parallel=True`` stacked variants: one prange iteration per
-    stacked replicate, each running the very same scalar loop over its
-    own pid/rank range and writing a disjoint output slice."""
-    import numba  # noqa: F401 — optional dependency
-
-    @numba.njit(parallel=True, cache=False)
-    def chain_walk_many(
-        successor, starts, rank_base, out, counts_out
-    ):  # pragma: no cover — needs numba
-        for k in numba.prange(starts.shape[0]):
-            count = 0
-            event = starts[k]
-            stop = rank_base[k + 1]
-            base = rank_base[k]
-            while event != -1 and event < stop:
-                out[base + count] = event
-                count += 1
-                event = successor[event]
-            counts_out[k] = count
-
-    @numba.njit(parallel=True, cache=False)
-    def heap_scan_many(
-        order,
-        offsets,
-        pid_base,
-        q,
-        s,
-        shift,
-        succ_cols,
-        succ_pids,
-        succ_seqs,
-        seq,
-        next_read,
-        cap_base,
-        wins_out,
-    ):  # pragma: no cover — needs numba
-        mask = (np.int64(1) << shift) - 1
-        for k in numba.prange(pid_base.shape[0] - 1):
-            lo = pid_base[k]
-            hi = pid_base[k + 1]
-            # Replicates are time-partitioned, so a per-replicate scan
-            # starting from last = -1 pops exactly this replicate's
-            # slice of the fused pop sequence (see resolve_heap's
-            # docstring); pids pack relative to lo so `shift` only needs
-            # the widest replicate, not the whole stack.
-            heap = np.empty(hi - lo + 1, dtype=np.int64)
-            size = 0
-            for pid in range(lo, hi):
-                seq[pid] = 0
-                next_read[pid] = q
-                if offsets[pid] + q + s < offsets[pid + 1]:
-                    heap[size] = (order[offsets[pid] + q + s] << shift) | (
-                        pid - lo
-                    )
-                    size += 1
-            for root in range(size // 2 - 1, -1, -1):
-                pos = root
-                item = heap[pos]
-                while True:
-                    child = 2 * pos + 1
-                    if child >= size:
-                        break
-                    child += 1 * (
-                        (child + 1 < size) & (heap[child + 1] < heap[child])
-                    )
-                    if heap[child] >= item:
-                        break
-                    heap[pos] = heap[child]
-                    pos = child
-                heap[pos] = item
-
-            last = np.int64(-1)
-            wins = 0
-            out = cap_base[k]
-            while size > 0:
-                cas_col = heap[0] >> shift
-                pid = lo + (heap[0] & mask)
-                base = offsets[pid]
-                read_local = next_read[pid]
-                sequence = seq[pid]
-                seq[pid] = sequence + 1
-                if order[base + read_local] > last:
-                    last = cas_col
-                    succ_cols[out + wins] = cas_col
-                    succ_pids[out + wins] = pid
-                    succ_seqs[out + wins] = sequence
-                    wins += 1
-                    advanced = read_local + s + 1 + q
-                else:
-                    advanced = read_local + s + 1
-                next_read[pid] = advanced
-                if base + advanced + s < offsets[pid + 1]:
-                    heap[0] = (order[base + advanced + s] << shift) | (pid - lo)
-                else:
-                    size -= 1
-                    if size > 0:
-                        heap[0] = heap[size]
-                    else:
-                        continue
-                pos = 0
-                item = heap[0]
-                while True:
-                    child = 2 * pos + 1
-                    if child >= size:
-                        break
-                    child += 1 * (
-                        (child + 1 < size) & (heap[child + 1] < heap[child])
-                    )
-                    if heap[child] >= item:
-                        break
-                    heap[pos] = heap[child]
-                    pos = child
-                heap[pos] = item
-            wins_out[k] = wins
-
-    return chain_walk_many, heap_scan_many
-
-
 class NumbaKernel(_CompiledKernelBase):
     """``@njit`` implementations; importable only when numba is present."""
 
@@ -693,106 +565,6 @@ class NumbaKernel(_CompiledKernelBase):
 
     def _heap_scan_impl(self, *args: Any) -> int:
         return self._heap_scan_jit(*args)
-
-
-class NumbaParallelKernel(NumbaKernel):
-    """Numba backend with ``parallel=True`` stacked entry points.
-
-    The scalar ``chain_walk`` / ``heap_scan`` are inherited (the unfused
-    and single-replicate paths), while the fused resolvers detect the
-    ``*_stacked`` methods and hand over one independent walk/scan per
-    stacked replicate, executed under ``numba.prange``.  Every replicate
-    writes a disjoint slice of the preallocated outputs, so thread
-    scheduling cannot change a bit — results stay identical to the
-    sequential fused pass, which tests enforce against the numpy oracle.
-    """
-
-    name = "numba-parallel"
-
-    def __init__(self) -> None:
-        super().__init__()
-        chain_walk_many, heap_scan_many = _build_numba_parallel_impls()
-        self._chain_walk_many_jit = chain_walk_many
-        self._heap_scan_many_jit = heap_scan_many
-
-    def chain_walk_stacked(
-        self, successor: np.ndarray, starts: np.ndarray, rank_base: np.ndarray
-    ) -> np.ndarray:
-        """Per-replicate chain walks over a fused successor array.
-
-        ``starts[k]`` is replicate ``k``'s first success (or -1), and its
-        walk is cut at ``rank_base[k + 1]`` — exactly where the global
-        fused chain crosses into replicate ``k + 1`` — so concatenating
-        the per-replicate walks reproduces the global walk bit for bit.
-        """
-        successor = np.ascontiguousarray(successor, dtype=np.int64)
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        rank_base = np.ascontiguousarray(rank_base, dtype=np.int64)
-        out = np.empty(max(1, successor.shape[0]), dtype=np.int64)
-        counts = np.empty(starts.shape[0], dtype=np.int64)
-        self._chain_walk_many_jit(successor, starts, rank_base, out, counts)
-        lengths = rank_base[1:] - rank_base[:-1]
-        total = int(rank_base[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            rank_base[:-1], lengths
-        )
-        return out[:total][within < np.repeat(counts, lengths)]
-
-    def heap_scan_stacked(
-        self,
-        order: np.ndarray,
-        offsets: np.ndarray,
-        pid_base: np.ndarray,
-        q: int,
-        s: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-replicate heap scans over a fused stack, prange-parallel.
-
-        Output contract matches ``heap_scan`` on the whole stack: the
-        per-replicate success slices concatenate in replicate (= time)
-        order, which is exactly the global pop order.
-        """
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        pid_base = np.ascontiguousarray(pid_base, dtype=np.int64)
-        n = int(pid_base[-1])
-        n_of = pid_base[1:] - pid_base[:-1]
-        steps_of = offsets[pid_base[1:]] - offsets[pid_base[:-1]]
-        caps = steps_of // (q + s + 1) + n_of + 1
-        cap_base = np.concatenate(([0], np.cumsum(caps))).astype(np.int64)
-        shift = _pid_shift(int(n_of.max()), int(order.shape[0]))
-        succ_cols = np.empty(int(cap_base[-1]), dtype=np.int64)
-        succ_pids = np.empty(int(cap_base[-1]), dtype=np.int64)
-        succ_seqs = np.empty(int(cap_base[-1]), dtype=np.int64)
-        seq = np.empty(n, dtype=np.int64)
-        next_read = np.empty(n, dtype=np.int64)
-        wins = np.empty(pid_base.shape[0] - 1, dtype=np.int64)
-        self._heap_scan_many_jit(
-            order,
-            offsets,
-            pid_base,
-            q,
-            s,
-            shift,
-            succ_cols,
-            succ_pids,
-            succ_seqs,
-            seq,
-            next_read,
-            cap_base,
-            wins,
-        )
-        within = np.arange(int(cap_base[-1]), dtype=np.int64) - np.repeat(
-            cap_base[:-1], caps
-        )
-        keep = within < np.repeat(wins, caps)
-        return (
-            succ_cols[keep],
-            succ_pids[keep],
-            succ_seqs[keep],
-            seq,
-            next_read,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +588,6 @@ def _try_backend(name: str) -> Optional[Any]:
             kernel = CcKernel()
         elif name == "numba":
             kernel = NumbaKernel()
-        elif name == "numba-parallel":
-            kernel = NumbaParallelKernel()
         else:  # pragma: no cover — guarded by get_kernel
             raise ValueError(f"unknown backend {name!r}")
     except KernelUnavailable as error:
@@ -869,7 +639,7 @@ def available_backends() -> Tuple[str, ...]:
     """Names of backends that can actually be provided on this machine."""
     return tuple(
         name
-        for name in ("numpy", "cc", "numba", "numba-parallel")
+        for name in _EXPLICIT_BACKENDS
         if _try_backend(name) is not None
     )
 
@@ -877,7 +647,7 @@ def available_backends() -> Tuple[str, ...]:
 def kernel_diagnostics() -> Dict[str, str]:
     """Per-backend availability map (``"available"`` or the failure)."""
     report = {}
-    for name in ("numpy", "cc", "numba", "numba-parallel"):
+    for name in _EXPLICIT_BACKENDS:
         report[name] = (
             "available" if _try_backend(name) is not None else _FAILURES[name]
         )
@@ -890,14 +660,13 @@ def kernel_diagnostics() -> Dict[str, str]:
 
 
 def _flat_prep(sched: np.ndarray, n: int, s: int):
-    """Shared vectorized preparation for the ``q == 0`` resolvers.
+    """Vectorized preparation for the ``q == 0`` resolver.
 
     Returns ``(seq, phase, counts, pairs)`` where ``pairs`` is ``None``
     when the schedule admits no attempts, else ``(c_r, pid_r, seq_r,
-    successor, suffix_argmin, attempt_base)`` — the attempt tables in
-    read order, the successor pointers, and the per-pid attempt offsets
-    (``(n + 1,)``, int64) that locate each pid's attempts in read-rank
-    space.
+    successor, suffix_argmin)`` — the attempt tables in read order and
+    the successor pointers.  The temporaries die when this returns,
+    before the chain walk runs.
     """
     steps = sched.shape[0]
     counts = np.bincount(sched, minlength=n)
@@ -944,11 +713,7 @@ def _flat_prep(sched: np.ndarray, n: int, s: int):
     candidate = np.where(c_r == suffix_min, np.arange(total, dtype=idx), total)
     suffix_argmin = np.minimum.accumulate(candidate[::-1])[::-1]
     successor = np.concatenate((suffix_argmin, np.asarray([-1], idx)))[succ_at]
-
-    attempt_base = np.concatenate(
-        (aoff.astype(np.int64), np.asarray([total], dtype=np.int64))
-    )
-    return seq, phase, counts, (c_r, pid_r, seq_r, successor, suffix_argmin, attempt_base)
+    return seq, phase, counts, (c_r, pid_r, seq_r, successor, suffix_argmin)
 
 
 def resolve_flat(
@@ -979,7 +744,7 @@ def resolve_flat(
     seq, phase, counts, pairs = _flat_prep(sched, n, s)
     if pairs is None:
         return _EMPTY, _EMPTY, _EMPTY, seq, phase, counts
-    c_r, pid_r, seq_r, successor, suffix_argmin, _ = pairs
+    c_r, pid_r, seq_r, successor, suffix_argmin = pairs
 
     # The first success is the earliest CAS overall; after a success at
     # time L, the next is the earliest CAS among attempts that read after
@@ -1005,44 +770,11 @@ def resolve_flat_stacked(
 
     ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table the
     fused path builds (replicate ``k`` owns pids ``[pid_base[k],
-    pid_base[k + 1])``).  Bit-identical to ``resolve_flat(sched,
-    pid_base[-1], s, kernel)`` — the global successor chain is exactly
-    the per-replicate chains concatenated — but kernels exposing
-    ``chain_walk_stacked`` (the ``numba-parallel`` backend) get one
-    independent walk per replicate: replicate ``k``'s chain starts at
-    the suffix argmin of its first read rank and is cut at its rank
-    bound, where the global chain crosses into replicate ``k + 1``.
+    pid_base[k + 1])``); the stack is resolved as one schedule over
+    ``pid_base[-1]`` processes — the global successor chain is exactly
+    the per-replicate chains concatenated.
     """
-    if kernel is None:
-        kernel = NumpyKernel()
-    pid_base = np.ascontiguousarray(pid_base, dtype=np.int64)
-    n = int(pid_base[-1])
-    seq, phase, counts, pairs = _flat_prep(sched, n, s)
-    if pairs is None:
-        return _EMPTY, _EMPTY, _EMPTY, seq, phase, counts
-    c_r, pid_r, seq_r, successor, suffix_argmin, attempt_base = pairs
-
-    walk_many = getattr(kernel, "chain_walk_stacked", None)
-    if walk_many is None or pid_base.shape[0] <= 2:
-        events = kernel.chain_walk(successor, int(suffix_argmin[0]))
-    else:
-        total = int(attempt_base[-1])
-        rank_base = attempt_base[pid_base]
-        padded = np.concatenate(
-            (suffix_argmin.astype(np.int64), np.asarray([-1], dtype=np.int64))
-        )
-        starts = np.where(
-            rank_base[:-1] < rank_base[1:], padded[rank_base[:-1]], -1
-        )
-        events = walk_many(successor, starts, rank_base)
-    return (
-        c_r[events].astype(np.int64),
-        pid_r[events].astype(np.int64),
-        seq_r[events].astype(np.int64),
-        seq,
-        phase,
-        counts,
-    )
+    return resolve_flat(sched, int(pid_base[-1]), s, kernel)
 
 
 def resolve_heap(
@@ -1083,30 +815,9 @@ def resolve_heap_stacked(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`resolve_heap` on a fused replicate stack.
 
-    ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table.
-    Bit-identical to ``resolve_heap(sched, pid_base[-1], q, s, kernel)``
-    — replicates are time-partitioned, so the global pop sequence is the
-    per-replicate pop sequences concatenated — but kernels exposing
-    ``heap_scan_stacked`` (the ``numba-parallel`` backend) scan each
-    replicate's pid slice independently with a local heap.
+    ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table; the
+    stack is resolved as one schedule over ``pid_base[-1]`` processes —
+    replicates are time-partitioned, so the global pop sequence is the
+    per-replicate pop sequences concatenated.
     """
-    if kernel is None:
-        kernel = NumpyKernel()
-    pid_base = np.ascontiguousarray(pid_base, dtype=np.int64)
-    n = int(pid_base[-1])
-    counts = np.bincount(sched, minlength=n)
-    key_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    order = np.argsort(sched.astype(key_dtype), kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-
-    scan_many = getattr(kernel, "heap_scan_stacked", None)
-    if scan_many is None or pid_base.shape[0] <= 2:
-        succ_cols, succ_pids, succ_seqs, seq, next_read = kernel.heap_scan(
-            order, offsets, n, q, s
-        )
-    else:
-        succ_cols, succ_pids, succ_seqs, seq, next_read = scan_many(
-            order, offsets, pid_base, q, s
-        )
-    phase = q + counts - next_read
-    return (succ_cols, succ_pids, succ_seqs, seq, phase, counts)
+    return resolve_heap(sched, int(pid_base[-1]), q, s, kernel)

@@ -168,7 +168,7 @@ class TestEveryWorkloadMeasures:
         from repro.core.sweep import parallel_sweep
 
         workload = get_workload("msqueue")
-        kwargs = dict(steps=300, repeats=2, seed=5, batched=True)
+        kwargs = dict(steps=300, repeats=2, seed=5, engine="batched")
         serial = latency_sweep(
             workload.factory_builder, workload.memory_builder, [2, 3], **kwargs
         )

@@ -31,7 +31,7 @@ FAST_RETRY = RetryPolicy(max_retries=3, base_delay=0.01, max_delay=0.1)
 def reference():
     """The fault-free serial-process sweep every chaos run must match."""
     return latency_sweep(
-        cas_counter, make_counter_memory, N_VALUES, batched=True, **SWEEP
+        cas_counter, make_counter_memory, N_VALUES, engine="batched", **SWEEP
     )
 
 
@@ -196,7 +196,7 @@ class TestCheckpointResume:
                 cas_counter,
                 make_counter_memory,
                 N_VALUES,
-                batched=True,
+                engine="batched",
                 checkpoint=path,
                 on_progress=_Interrupter(after=3),
                 **SWEEP,

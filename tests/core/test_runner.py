@@ -91,6 +91,19 @@ class TestHappyPath:
         assert executor.default_chunk_size(100) == 7
         assert executor.default_chunk_size(1) == 1
 
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True])
+    def test_bad_max_workers_rejected_naming_the_value(self, bad):
+        # 0 once died in default_chunk_size with ZeroDivisionError; -1
+        # once failed three pool builds and silently ran serially.
+        with pytest.raises(ValueError, match=f"max_workers.*{bad!r}"):
+            ResilientExecutor(square_worker, max_workers=bad)
+
+    def test_none_max_workers_means_available_cpus(self):
+        from repro.core.runner import available_cpu_count
+
+        executor = ResilientExecutor(square_worker)
+        assert executor.max_workers == available_cpu_count()
+
 
 class TestRecovery:
     def test_transient_raise_is_retried(self, tmp_path):

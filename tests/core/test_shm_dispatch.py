@@ -59,7 +59,7 @@ def no_leaked_segments():
 @pytest.fixture(scope="module")
 def reference():
     return latency_sweep(
-        cas_counter, make_counter_memory, N_VALUES, batched=True, **SWEEP
+        cas_counter, make_counter_memory, N_VALUES, engine="batched", **SWEEP
     )
 
 

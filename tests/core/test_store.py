@@ -331,7 +331,7 @@ class TestSweepIntegration:
             cas_counter,
             make_counter_memory,
             [2, 4],
-            batched=True,
+            engine="batched",
             **self.KWARGS,
         )
         parallel = parallel_sweep(
@@ -431,7 +431,7 @@ class TestDegradedCompaction:
         def refuse(*args, **kwargs):
             raise OSError(errno.EPERM, "read-only filesystem")
 
-        sweep_kwargs = dict(steps=400, repeats=2, seed=1, batched=True)
+        sweep_kwargs = dict(steps=400, repeats=2, seed=1, engine="batched")
         sweep_fp = fingerprint(
             seed=1, steps=400, n_values=[2], repeats=2
         )

@@ -63,7 +63,7 @@ class TestLatencySweep:
             cas_counter, make_counter_memory, [2, 4], **kwargs
         )
         batched = latency_sweep(
-            cas_counter, make_counter_memory, [2, 4], batched=True, **kwargs
+            cas_counter, make_counter_memory, [2, 4], engine="batched", **kwargs
         )
         assert serial == batched
 
@@ -72,7 +72,7 @@ class TestLatencySweep:
         # operations; the sweep points must still be bit-identical.
         kwargs = dict(steps=20_000, repeats=3, seed=11)
         batched = latency_sweep(
-            cas_counter, make_counter_memory, [2, 4], batched=True, **kwargs
+            cas_counter, make_counter_memory, [2, 4], engine="batched", **kwargs
         )
         ensemble = latency_sweep(
             cas_counter,
@@ -84,9 +84,9 @@ class TestLatencySweep:
         assert batched == ensemble
 
     def test_sharded_ensemble_sweep_matches_single_core(self):
-        # ensemble_workers shards the fused blocks across a process
-        # pool over shared memory; the sweep points must stay
-        # bit-identical to the in-process fused path.
+        # max_workers=2 shards the replicate grid across a process pool,
+        # each chunk resolved as one fused grid; the sweep points must
+        # stay bit-identical to the in-process fused path.
         kwargs = dict(steps=3_000, repeats=4, seed=11, engine="ensemble")
         single = latency_sweep(
             cas_counter, make_counter_memory, [2, 4], **kwargs
@@ -95,7 +95,7 @@ class TestLatencySweep:
             cas_counter,
             make_counter_memory,
             [2, 4],
-            ensemble_workers=2,
+            max_workers=2,
             **kwargs,
         )
         assert single == sharded
@@ -111,35 +111,6 @@ class TestLatencySweep:
                 engine="turbo",
             )
 
-    def test_contradictory_engine_and_batched_flag_rejected(self):
-        # engine= used to silently win over a contradictory legacy
-        # batched=True; now the combination is an error naming both.
-        kwargs = dict(steps=10_000, repeats=2, seed=4)
-        with pytest.raises(ValueError, match="engine='serial' with batched=True"):
-            latency_sweep(
-                cas_counter,
-                make_counter_memory,
-                [3],
-                engine="serial",
-                batched=True,
-                **kwargs,
-            )
-
-    def test_agreeing_engine_and_batched_flag_accepted(self):
-        kwargs = dict(steps=10_000, repeats=2, seed=4)
-        explicit = latency_sweep(
-            cas_counter,
-            make_counter_memory,
-            [3],
-            engine="batched",
-            batched=True,
-            **kwargs,
-        )
-        batched = latency_sweep(
-            cas_counter, make_counter_memory, [3], batched=True, **kwargs
-        )
-        assert explicit == batched
-
 
 class TestParallelSweep:
     def test_bit_identical_to_serial(self):
@@ -147,7 +118,7 @@ class TestParallelSweep:
         # scheduling cannot influence the numbers.
         kwargs = dict(steps=20_000, repeats=3, seed=5)
         serial = latency_sweep(
-            cas_counter, make_counter_memory, [2, 4], batched=True, **kwargs
+            cas_counter, make_counter_memory, [2, 4], engine="batched", **kwargs
         )
         parallel = parallel_sweep(
             cas_counter, make_counter_memory, [2, 4], max_workers=2, **kwargs
@@ -163,7 +134,7 @@ class TestParallelSweep:
         # every chunk size must give the serial sweep's exact numbers.
         kwargs = dict(steps=20_000, repeats=3, seed=5)
         serial = latency_sweep(
-            cas_counter, make_counter_memory, [2, 4], batched=True, **kwargs
+            cas_counter, make_counter_memory, [2, 4], engine="batched", **kwargs
         )
         for chunk_size in (1, 3, None):
             chunked = parallel_sweep(
@@ -185,6 +156,104 @@ class TestParallelSweep:
                 repeats=2,
                 chunk_size=0,
             )
+
+
+class _Interrupt(Exception):
+    pass
+
+
+class TestPooledSweep:
+    """``latency_sweep(max_workers=k)`` sends the missing replicates
+    through the resilient pool for every engine; the worker count,
+    the crash schedule and the transport never change a bit."""
+
+    KWARGS = dict(steps=2_000, repeats=3, seed=7)
+
+    @pytest.mark.parametrize("dispatch", ["pickle", "sharedmem"])
+    @pytest.mark.parametrize("crash_times", [None, {0: 400}], ids=["clean", "crash"])
+    @pytest.mark.parametrize("engine", ["serial", "batched", "ensemble"])
+    def test_worker_count_never_changes_the_triples(
+        self, engine, crash_times, dispatch
+    ):
+        kwargs = dict(self.KWARGS, engine=engine, crash_times=crash_times)
+        reference = latency_sweep(
+            cas_counter, make_counter_memory, [2, 4], **kwargs
+        )
+        for workers in (2, 4):
+            pooled = latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                max_workers=workers,
+                dispatch=dispatch,
+                **kwargs,
+            )
+            assert pooled == reference, workers
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (2, 4), (4, 1)])
+    @pytest.mark.parametrize("engine", ["serial", "batched", "ensemble"])
+    def test_resume_from_store_written_at_another_worker_count(
+        self, tmp_path, engine, first, second
+    ):
+        kwargs = dict(self.KWARGS, engine=engine)
+        reference = latency_sweep(
+            cas_counter, make_counter_memory, [2, 4], **kwargs
+        )
+
+        def interrupt(done, total, key):
+            if done == 2:
+                raise _Interrupt
+
+        store = tmp_path / "store"
+        with pytest.raises(_Interrupt):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                max_workers=first,
+                store=store,
+                on_progress=interrupt,
+                **kwargs,
+            )
+        resumed = latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            [2, 4],
+            max_workers=second,
+            store=store,
+            resume=True,
+            **kwargs,
+        )
+        assert resumed == reference
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "two", True, None])
+    def test_bad_max_workers_rejected_naming_the_value(self, bad):
+        with pytest.raises(ValueError, match=f"max_workers.*{bad!r}"):
+            latency_sweep(
+                cas_counter, make_counter_memory, [2], max_workers=bad
+            )
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_parallel_sweep_rejects_non_positive_workers(self, bad):
+        # Once a ZeroDivisionError (0) and a silent serial fallback (-1).
+        with pytest.raises(ValueError, match=f"max_workers.*{bad!r}"):
+            parallel_sweep(
+                cas_counter, make_counter_memory, [2], max_workers=bad
+            )
+
+    def test_parallel_sweep_forwards_with_batched_defaults(self, monkeypatch):
+        from repro.core import sweep as sweep_mod
+
+        seen = {}
+
+        def fake(*args, **kwargs):
+            seen.update(kwargs)
+            return "points"
+
+        monkeypatch.setattr(sweep_mod, "latency_sweep", fake)
+        assert parallel_sweep(cas_counter, make_counter_memory, [2]) == "points"
+        assert seen["engine"] == "batched"
+        assert seen["max_workers"] == sweep_mod.available_cpu_count()
 
 
 class TestSweepTable:

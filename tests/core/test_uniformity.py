@@ -164,6 +164,40 @@ class TestExecutorContentionHook:
         assert recorders[0].completion_times == recorders[1].completion_times
         assert recorders[0].completion_pids == recorders[1].completion_pids
 
+    @pytest.mark.parametrize("name", ["msqueue", "rtas-lock"])
+    def test_run_batched_leaves_rng_and_scheduler_state_where_run_does(
+        self, name
+    ):
+        """Contention schedulers take the serial loop under run_batched,
+        so both calls leave the RNG stream, the scheduler's contending
+        set and the clock in the same place — and can interleave."""
+        workload = get_workload(name)
+        ends = []
+        for batched in (False, True):
+            scheduler = ContentionScheduler(focus=8.0)
+            sim = Simulator(
+                workload.factory_builder(),
+                scheduler,
+                n_processes=4,
+                memory=workload.memory_builder(),
+                rng=np.random.default_rng(3),
+            )
+            if batched:
+                sim.run_batched(700)
+                sim.run(300)
+                sim.run_batched(500, batch_size=64)
+            else:
+                sim.run(1_500)
+            ends.append(
+                (
+                    sim.rng.bit_generator.state,
+                    scheduler.state_snapshot(),
+                    sim.time,
+                    sim.recorder.total_completions,
+                )
+            )
+        assert ends[0] == ends[1]
+
     def test_ensemble_engine_rejects_contention_schedulers(self):
         workload = get_workload("cas-counter")
         with pytest.raises(ValueError, match="observe_pending"):

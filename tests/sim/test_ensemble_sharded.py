@@ -1,44 +1,36 @@
-"""Multicore sharded fused resolution must be invisible in results.
+"""Ensemble sweeps sharded across the replicate pool stay bit-identical.
 
-``EnsembleSimulator(max_workers=N)`` fans the fused schedule blocks out
-across a process pool through shared-memory segments; this suite pins
-the contract that sharding changes wall-clock only:
+``latency_sweep(engine="ensemble", max_workers=N)`` splits the missing
+``(n, replicate)`` keys into chunks, and each pool worker resolves its
+chunk as one fused grid; this suite pins the contract that the pool
+changes wall-clock only:
 
 * worker-count invariance — ``max_workers`` 1/2/4 produce bit-identical
-  outcomes, with and without crash schedules, across resolver families;
+  sweep points, with and without crash schedules, across resolver
+  families (a mixed CAS-counter / ``SCU(2, 1)`` grid);
 * chaos — injected worker kill/hang/raise faults are absorbed by the
   executor's recovery ladder without changing a bit, persistent poison
-  ends in :class:`~repro.core.runner.TaskError`, and in every case the
-  block-shard ``/dev/shm`` segments are unlinked (autouse assertion);
-* the nested-pool guard — shard workers default to 1 inside an existing
-  pool worker, so ensembles nested under ``parallel_sweep`` cannot
-  oversubscribe the machine;
-* the ``ensemble.shard_*`` telemetry group and the construction-time
-  validation of ``max_workers`` / ``fuse`` combinations.
+  ends in :class:`~repro.core.runner.TaskError` naming the replicate,
+  and in every case the dispatch ``/dev/shm`` segments are unlinked
+  (autouse assertion);
+* the pool's telemetry and the validation of ``max_workers``.
 """
 
 import glob
 import os
-from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
-from repro.algorithms.counter import CounterStepKernel, make_counter_memory
-from repro.algorithms.scu import ScuStepKernel, make_scu_memory
+from repro.algorithms.counter import cas_counter, make_counter_memory
+from repro.algorithms.scu import make_scu_memory, scu_algorithm
 from repro.core import shm
-from repro.core.runner import (
-    RetryPolicy,
-    TaskError,
-    available_cpu_count,
-    default_shard_workers,
-)
-from repro.core.scheduler import UniformStochasticScheduler
+from repro.core.runner import RetryPolicy, TaskError
+from repro.core.sweep import latency_sweep
 from repro.core.telemetry import MetricsRegistry
-from repro.sim import EnsembleReplicate, EnsembleSimulator
 from repro.testing.chaos import ChaosPlan, ChaosPool, FlakyPoolFactory
 
 STEPS = 400
+N_VALUES = [3, 4, 5]
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay=0.01, max_delay=0.1)
 
 pytestmark = pytest.mark.skipif(
@@ -55,189 +47,196 @@ def leaked_segments():
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test in this file ends with a clean /dev/shm — worker
-    kills, hangs and poison blocks included."""
+    kills, hangs and poison replicates included."""
     assert leaked_segments() == []
     yield
     assert leaked_segments() == []
 
 
-def build_members(*, crashes=False, seed=5):
-    """A mixed ensemble: flat and heap resolver groups, varying n,
-    optionally a sprinkling of crash schedules."""
-    members = []
-    for r in range(10):
-        if r % 2:
-            kernel, memory = ScuStepKernel(2, 1), make_scu_memory(1)
-        else:
-            kernel, memory = CounterStepKernel(), make_counter_memory()
-        n = 3 + (r % 3)
-        crash = {0: 40 + r, 1: 90} if (crashes and r % 3 == 0) else None
-        members.append(
-            EnsembleReplicate(
-                kernel,
-                n,
-                UniformStochasticScheduler(),
-                memory,
-                rng=(seed, n, r),
-                crash_times=crash,
-            )
-        )
-    return members
+def scu21():
+    return scu_algorithm(2, 1)
 
 
-def run_sharded(workers=None, *, crashes=False, **kwargs):
-    return EnsembleSimulator(
-        build_members(crashes=crashes),
+def scu21_memory():
+    return make_scu_memory(1)
+
+
+def crash_schedule(n):
+    return {0: 40 + n, 1: 90}
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def run_grid(workers=1, *, crashes=False, **kwargs):
+    """Both resolver families (flat and heap), several n, optionally
+    with crash schedules — one sweep per family."""
+    common = dict(
+        steps=STEPS,
+        repeats=4,
+        seed=5,
+        engine="ensemble",
         fuse=True,
-        fuse_block_steps=600,  # force many blocks at STEPS=400
+        crash_times=crash_schedule if crashes else None,
         max_workers=workers,
         **kwargs,
-    ).run(STEPS)
-
-
-def assert_results_identical(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.n_processes == b.n_processes
-        assert a.steps_executed == b.steps_executed
-        assert a.stopped_early == b.stopped_early
-        assert np.array_equal(a.completion_times, b.completion_times)
-        assert np.array_equal(a.completion_pids, b.completion_pids)
-        assert np.array_equal(a.step_counts, b.step_counts)
-        assert vars(a.memory) == vars(b.memory)
+    )
+    return [
+        latency_sweep(cas_counter, make_counter_memory, N_VALUES, **common),
+        latency_sweep(scu21, scu21_memory, N_VALUES, **common),
+    ]
 
 
 class TestWorkerCountInvariance:
     @pytest.mark.parametrize("crashes", [False, True], ids=["clean", "crashing"])
     def test_1_2_4_workers_bit_identical(self, crashes):
-        reference = run_sharded(None, crashes=crashes)
+        reference = run_grid(crashes=crashes)
         for workers in (1, 2, 4):
-            assert_results_identical(
-                reference,
-                run_sharded(workers, crashes=crashes, shard_retry=FAST_RETRY),
-            )
+            assert run_grid(workers, crashes=crashes, retry=FAST_RETRY) == reference
 
-    def test_single_block_stays_in_process(self):
-        """One block (huge cap) resolves without any shard segments —
-        and still matches the many-block sharded run."""
-        reference = run_sharded(None)
-        one_block = EnsembleSimulator(
-            build_members(),
-            fuse=True,
-            fuse_block_steps=10**9,
+    def test_single_block_stays_in_process(self, tmp_path):
+        """One missing replicate is one fused block: no pool starts, no
+        segments are made, and the resumed sweep still matches."""
+        common = dict(steps=STEPS, repeats=4, seed=5, engine="ensemble")
+        reference = latency_sweep(
+            cas_counter, make_counter_memory, N_VALUES, **common
+        )
+        path = tmp_path / "sweep.jsonl"
+
+        def stop_before_last(done, total, key):
+            if done == total - 1:
+                raise _Interrupt
+
+        with pytest.raises(_Interrupt):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                N_VALUES,
+                checkpoint=path,
+                on_progress=stop_before_last,
+                **common,
+            )
+        telemetry = MetricsRegistry()
+        resumed = latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            N_VALUES,
             max_workers=2,
-        ).run(STEPS)
-        assert_results_identical(reference, one_block)
+            pool_factory=FlakyPoolFactory(fail_creations=10**9),
+            checkpoint=path,
+            resume=True,
+            telemetry=telemetry,
+            **common,
+        )
+        assert resumed == reference
+        assert "executor.runs" not in telemetry.counters
+        assert "shm.segments" not in telemetry.counters
 
 
 class TestChaos:
     def test_kill_hang_and_raise_leave_results_bit_identical(self, tmp_path):
-        reference = run_sharded(None)
+        reference = run_grid()[0]
         plan = ChaosPlan(
             state_dir=tmp_path,
-            faults={0: "kill", 2: "raise", 5: "hang"},
+            faults={(3, 0): "kill", (4, 1): "raise", (5, 3): "hang"},
             hang_seconds=5.0,
         )
-        chaotic = EnsembleSimulator(
-            build_members(),
+        chaotic = latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            N_VALUES,
+            steps=STEPS,
+            repeats=4,
+            seed=5,
+            engine="ensemble",
             fuse=True,
-            fuse_block_steps=600,
             max_workers=2,
-            shard_pool_factory=lambda max_workers=None: ChaosPool(
+            dispatch="pickle",
+            pool_factory=lambda max_workers=None: ChaosPool(
                 max_workers=max_workers, plan=plan
             ),
-            shard_retry=RetryPolicy(
+            retry=RetryPolicy(
                 max_retries=3, base_delay=0.01, max_delay=0.1, timeout=1.5
             ),
-        ).run(STEPS)
-        assert_results_identical(reference, chaotic)
+        )
+        assert chaotic == reference
 
-    def test_persistent_poison_block_raises_task_error(self, tmp_path):
-        plan = ChaosPlan(state_dir=tmp_path, faults={1: "raise"}, once=False)
+    def poison(self, tmp_path, dispatch, fault_key):
+        plan = ChaosPlan(state_dir=tmp_path, faults={fault_key: "raise"}, once=False)
         with pytest.raises(TaskError) as excinfo:
-            EnsembleSimulator(
-                build_members(),
-                fuse=True,
-                fuse_block_steps=600,
-                max_workers=2,
-                shard_pool_factory=lambda max_workers=None: ChaosPool(
+            run_grid(
+                2,
+                dispatch=dispatch,
+                pool_factory=lambda max_workers=None: ChaosPool(
                     max_workers=max_workers, plan=plan
                 ),
-                shard_retry=RetryPolicy(
-                    max_retries=1, base_delay=0.01, max_delay=0.02
-                ),
-            ).run(STEPS)
-        assert excinfo.value.key == 1
+                retry=RetryPolicy(max_retries=1, base_delay=0.01, max_delay=0.02),
+            )
         # The autouse fixture re-checks, but the leak-free contract
-        # under poison is the point of this test.
+        # under poison is the point of these tests.
         assert leaked_segments() == []
+        return excinfo.value.key
+
+    def test_persistent_poison_block_raises_task_error(self, tmp_path):
+        assert self.poison(tmp_path, "pickle", (4, 1)) == (4, 1)
+
+    def test_persistent_poison_row_is_named_by_its_replicate(self, tmp_path):
+        # Shared-memory chaos plans key faults by row; row 5 of the
+        # n-major task table is (4, 1), and the error names the pair.
+        assert self.poison(tmp_path, "sharedmem", 5) == (4, 1)
 
     def test_serial_fallback_reuses_the_segments(self):
         """Pool creation failing forever degrades to in-parent serial
-        resolution through the same shared buffers — bit-identical."""
-        reference = run_sharded(None)
-        fallback = EnsembleSimulator(
-            build_members(),
-            fuse=True,
-            fuse_block_steps=600,
-            max_workers=2,
-            shard_pool_factory=FlakyPoolFactory(fail_creations=10**9),
-            shard_retry=FAST_RETRY,
-        ).run(STEPS)
-        assert_results_identical(reference, fallback)
-
-
-def _nested_probe(_):
-    return default_shard_workers()
-
-
-class TestNestedPoolGuard:
-    def test_defaults_to_one_inside_a_pool_worker(self):
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(_nested_probe, None).result() == 1
-
-    def test_defaults_to_cpu_allowance_at_top_level(self):
-        assert default_shard_workers() == available_cpu_count()
-
-    def test_auto_resolves_through_the_guard(self):
-        simulator = EnsembleSimulator(build_members(), max_workers="auto")
-        assert simulator._workers == default_shard_workers()
+        execution through the same shared buffers — bit-identical."""
+        reference = run_grid()
+        telemetry = MetricsRegistry()
+        fallback = run_grid(
+            2,
+            dispatch="sharedmem",
+            pool_factory=FlakyPoolFactory(fail_creations=10**9),
+            retry=FAST_RETRY,
+            telemetry=telemetry,
+        )
+        assert fallback == reference
+        assert telemetry.counters["executor.serial_fallbacks"] == 2
+        assert telemetry.counters["shm.segments"] == 4
 
 
 class TestValidationAndTelemetry:
-    def test_fuse_false_with_workers_rejected(self):
-        with pytest.raises(ValueError, match="shards fused schedule blocks"):
-            EnsembleSimulator(build_members(), fuse=False, max_workers=2)
-
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "three", True])
     def test_bad_max_workers_rejected(self, bad):
         with pytest.raises(ValueError, match="max_workers"):
-            EnsembleSimulator(build_members(), max_workers=bad)
+            run_grid(bad)
 
     def test_shard_metric_group(self):
+        """A pooled ensemble sweep reports the executor and ``shm.*``
+        groups from the parent: every replicate completed, both
+        dispatch segments created and unlinked."""
         telemetry = MetricsRegistry()
-        EnsembleSimulator(
-            build_members(),
-            fuse=True,
-            fuse_block_steps=600,
+        latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            N_VALUES,
+            steps=STEPS,
+            repeats=4,
+            seed=5,
+            engine="ensemble",
             max_workers=2,
-            shard_retry=FAST_RETRY,
+            dispatch="sharedmem",
+            retry=FAST_RETRY,
             telemetry=telemetry,
-        ).run(STEPS)
-        assert telemetry.gauges["ensemble.shard_workers"] == 2
-        assert telemetry.counters["ensemble.shard_blocks"] > 1
-        assert telemetry.counters["ensemble.shard_replicates"] == 10
-        assert telemetry.counters["ensemble.shard_steps"] > 0
-        assert telemetry.counters["ensemble.shard_bytes"] > 0
-        # The shared segments were created and unlinked through the
-        # shm.* group as well.
+        )
+        assert telemetry.counters["executor.runs"] == 1
+        assert telemetry.counters["executor.tasks_completed"] == 12
+        assert telemetry.counters["sweep.replicates"] == 12
+        assert telemetry.counters["sweep.points"] == len(N_VALUES)
         assert telemetry.counters["shm.segments"] == 2
         assert telemetry.counters["shm.unlinked"] == 2
 
     def test_in_process_run_emits_no_shard_metrics(self):
         telemetry = MetricsRegistry()
-        EnsembleSimulator(
-            build_members(), fuse=True, telemetry=telemetry
-        ).run(STEPS)
-        assert "ensemble.shard_blocks" not in telemetry.counters
-        assert "ensemble.shard_workers" not in telemetry.gauges
+        run_grid(telemetry=telemetry)
+        assert "executor.runs" not in telemetry.counters
+        assert "shm.segments" not in telemetry.counters
+        assert telemetry.counters["ensemble.fused_blocks"] >= 2

@@ -161,14 +161,11 @@ def test_stacked_resolvers_match_single_pass_oracle(q, s):
         assert_resolution_equal(expected, actual)
 
 
-@pytest.mark.parametrize(
-    "backend_name", ["cc", "numba", "numba-parallel"]
-)
+@pytest.mark.parametrize("backend_name", ["cc", "numba"])
 @pytest.mark.parametrize("q,s", SHAPES, ids=[f"q{q}s{s}" for q, s in SHAPES])
 def test_stacked_resolvers_match_oracle_on_backends(backend_name, q, s):
-    """Backends without stacked entry points fall through to the single
-    pass; ``numba-parallel`` takes its prange-per-replicate path — both
-    must match the numpy oracle bit for bit."""
+    """Compiled backends resolve fused stacks bit-identically to the
+    numpy oracle."""
     backend = compiled_backend(backend_name)
     rng = np.random.default_rng(41)
     for trial in range(8):
@@ -184,35 +181,6 @@ def test_stacked_resolvers_match_oracle_on_backends(backend_name, q, s):
             expected = resolve_heap(stacked, n, q, s, ORACLE)
             actual = resolve_heap_stacked(stacked, pid_base, q, s, backend)
         assert_resolution_equal(expected, actual)
-
-
-class _PythonStackedKernel(NumpyKernel):
-    """A pure-python stand-in for the parallel stacked entry points, so
-    the per-replicate chain-cut and local-heap protocol is pinned even
-    on machines without numba."""
-
-    def chain_walk_stacked(self, successor, starts, rank_base):
-        events = []
-        for k in range(len(rank_base) - 1):
-            event, stop = int(starts[k]), int(rank_base[k + 1])
-            while event != -1 and event < stop:
-                events.append(event)
-                event = int(successor[event])
-        return np.asarray(events, dtype=np.int64)
-
-
-def test_stacked_chain_walk_protocol_pinned():
-    """Replicate k's chain starts at its first read rank's suffix argmin
-    and is cut at its rank bound — the contract the numba-parallel
-    backend implements."""
-    rng = np.random.default_rng(7)
-    stacked, pid_base = fused_stack(rng, (4, 6, 3, 5), 500)
-    n = int(pid_base[-1])
-    for s in (1, 3):
-        assert_resolution_equal(
-            resolve_flat(stacked, n, s, ORACLE),
-            resolve_flat_stacked(stacked, pid_base, s, _PythonStackedKernel()),
-        )
 
 
 # -- selection semantics -------------------------------------------------------
@@ -233,7 +201,7 @@ def test_unknown_kernel_name_rejected():
 def test_explicit_unavailable_backend_raises():
     missing = [
         name
-        for name in ("numba", "cc", "numba-parallel")
+        for name in ("numba", "cc")
         if name not in available_backends()
     ]
     if not missing:
@@ -249,22 +217,6 @@ def test_auto_prefers_compiled_when_available():
         assert kernel.name in compiled
     else:
         assert kernel.name == "numpy"
-
-
-def test_numba_parallel_is_explicit_only():
-    """The prange backend is opt-in: auto/compiled never select it
-    implicitly (thread scheduling cannot change bits, but small blocks
-    can lose to it — the caller decides), and its name is addressable."""
-    assert "numba-parallel" in KERNEL_NAMES
-    assert get_kernel("auto").name != "numba-parallel"
-    if "numba-parallel" in available_backends():
-        kernel = get_kernel("numba-parallel")
-        assert kernel.name == "numba-parallel"
-        assert hasattr(kernel, "chain_walk_stacked")
-        assert hasattr(kernel, "heap_scan_stacked")
-    else:
-        with pytest.raises(KernelUnavailable):
-            get_kernel("numba-parallel")
 
 
 def test_compiled_falls_back_to_numpy_with_one_warning(monkeypatch):

@@ -2,7 +2,7 @@
 
 Times the same seeded workloads on the serial, batched, and ensemble
 engines and writes a machine-readable JSON report (``BENCH_PR10.json``
-by default).  Thirteen workloads:
+by default).  Twelve workloads:
 
 * ``fig5_sweep`` — a FIG5-style multi-replicate latency sweep (the
   ensemble engine's target shape: many replicates, one sweep), timed on
@@ -14,13 +14,7 @@ by default).  Thirteen workloads:
   compiled inner-loop kernels (``engine_kernel``), plus the
   ``fuse="auto"`` crossover arm that skips fusion for the numpy kernel
   above the measured per-backend boundary, all bit-identical,
-* ``sharded_fused`` — multicore fused resolution: the same ensemble
-  sweep with the fused schedule blocks kept in-process
-  (``ensemble_workers=1``) vs. sharded across a worker pool through
-  shared-memory segments, bit-identical with the CPU allowance
-  recorded so a single-core container's numbers read as sharding
-  overhead, not a multicore verdict,
-* ``sharedmem_dispatch`` — ``parallel_sweep`` with pickle vs.
+* ``sharedmem_dispatch`` — a pooled ``latency_sweep`` with pickle vs.
   zero-copy shared-memory transport: wall-clock parity on interleaved
   rounds plus the deterministic per-chunk pipe payload (submit out,
   results back) each transport pickles — the dispatch overhead the
@@ -34,7 +28,7 @@ by default).  Thirteen workloads:
   crash-aware ensemble vs. per-replicate batched runs,
 * ``chain_assembly`` — exact-chain transition-matrix builds: the
   vectorized COO assembly vs. the per-state BFS enumeration,
-* ``chaos_sweep`` — the fault-tolerant ``parallel_sweep`` path
+* ``chaos_sweep`` — the fault-tolerant pooled ``latency_sweep`` path
   (ResilientExecutor + checkpoint) vs. a bare process pool at zero
   injected faults (the resilience tax, target < 5%), plus one run with
   injected worker kill/raise faults to price recovery,
@@ -270,85 +264,8 @@ def bench_fused_sweep(quick):
     }
 
 
-def bench_sharded_fused(quick):
-    """Multicore sharded fused resolution vs. the single-core fused path.
-
-    The same ensemble-engine sweep with the fused schedule blocks
-    resolved in-process (``ensemble_workers=1``) vs. sharded across a
-    process pool through shared-memory segments (2 workers, plus the
-    full CPU allowance when that is more).  Sharding must change
-    wall-clock only — every pool arm is bit-identity-checked against
-    the single-core points and /dev/shm must end clean — and the
-    report records the CPU allowance: with one usable core the pool
-    arms price pure sharding overhead, not a multicore speedup.
-    """
-    import glob
-
-    from repro.core.runner import available_cpu_count
-    from repro.core.shm import sharedmem_available
-
-    if not sharedmem_available():  # pragma: no cover — non-POSIX
-        return {
-            "workload": "sharded_fused",
-            "params": {"skipped": "no multiprocessing.shared_memory"},
-            "seconds": {"workers_1": 1.0},
-            "speedup_sharded_vs_single_core": 1.0,
-            "orphaned_segments": 0,
-            "bit_identical": True,
-        }
-
-    n_values = [4, 8]
-    steps = 2_000 if quick else 3_500
-    repeats = 16 if quick else 64
-    cpus = available_cpu_count()
-
-    def sweep(workers):
-        return lambda: latency_sweep(
-            cas_counter,
-            make_counter_memory,
-            n_values,
-            steps=steps,
-            repeats=repeats,
-            seed=9,
-            engine="ensemble",
-            fuse=True,
-            ensemble_workers=workers,
-        )
-
-    worker_arms = [1, 2]
-    if cpus > 2:
-        worker_arms.append(cpus)
-
-    seconds = {}
-    points = {}
-    for workers in worker_arms:
-        label = f"workers_{workers}"
-        seconds[label], points[label] = timed(sweep(workers))
-    orphans = glob.glob("/dev/shm/repro-*")
-    widest = max(worker_arms)
-    return {
-        "workload": "sharded_fused",
-        "params": {
-            "n_values": n_values,
-            "steps": steps,
-            "repeats": repeats,
-            "worker_arms": worker_arms,
-            "cpu_allowance": cpus,
-        },
-        "seconds": seconds,
-        "speedup_sharded_vs_single_core": (
-            seconds["workers_1"] / seconds[f"workers_{widest}"]
-        ),
-        "orphaned_segments": len(orphans),
-        "bit_identical": (
-            all(p == points["workers_1"] for p in points.values())
-            and not orphans
-        ),
-    }
-
-
 def bench_sharedmem_dispatch(quick):
-    """Pickle vs. zero-copy shared-memory transport in parallel_sweep.
+    """Pickle vs. zero-copy shared-memory transport in a pooled sweep.
 
     Two measurements.  *Wall clock* interleaves repeated rounds of the
     same sweep under each transport and keeps per-mode minima, like the
@@ -383,20 +300,14 @@ def bench_sharedmem_dispatch(quick):
     n_chunks = -(-len(task_list) // chunk)
 
     def sweep(dispatch):
-        return lambda: parallel_sweep_for_bench(
-            dispatch, n_values, steps, repeats, max_workers
-        )
-
-    def parallel_sweep_for_bench(dispatch, n_values, steps, repeats, max_workers):
-        from repro.core.sweep import parallel_sweep
-
-        return parallel_sweep(
+        return lambda: latency_sweep(
             cas_counter,
             make_counter_memory,
             n_values,
             steps=steps,
             repeats=repeats,
             seed=6,
+            engine="batched",
             max_workers=max_workers,
             dispatch=dispatch,
         )
@@ -410,10 +321,21 @@ def bench_sharedmem_dispatch(quick):
         }
 
     # The per-chunk pipe payload, byte-for-byte.  Shared args (builders,
-    # steps, seed, ...) mirror parallel_sweep's executor wiring; result
+    # steps, seed, ...) mirror latency_sweep's executor wiring; result
     # triples are synthetic but distinct floats, which pickle at the
     # same fixed width as real ones.
-    shared_args = (cas_counter, make_counter_memory, None, steps, 6, True, None, None)
+    shared_args = (
+        cas_counter,
+        make_counter_memory,
+        UniformStochasticScheduler,
+        steps,
+        6,
+        "batched",
+        None,
+        None,
+        "auto",
+        "auto",
+    )
     pairs = task_list[:chunk]
     rows = list(range(chunk))
     task_name = f"repro-{'0' * 8}-{os.getpid()}-0-t"
@@ -687,17 +609,13 @@ def bench_chain_assembly(quick):
 
 
 def bench_chaos_sweep(quick):
-    """The resilience tax: resilient parallel_sweep vs. a bare pool."""
+    """The resilience tax: a resilient pooled sweep vs. a bare pool."""
     import functools
     import tempfile
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.core.runner import RetryPolicy
-    from repro.core.sweep import (
-        _collect_points,
-        _run_replicate_chunk,
-        parallel_sweep,
-    )
+    from repro.core.sweep import _chunk_worker, _collect_points
     from repro.testing.chaos import ChaosPlan, ChaosPool
 
     n_values = [4, 8]
@@ -719,14 +637,14 @@ def bench_chaos_sweep(quick):
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = [
                 pool.submit(
-                    _run_replicate_chunk,
+                    _chunk_worker,
+                    chunk,
                     cas_counter,
                     make_counter_memory,
                     UniformStochasticScheduler,
-                    chunk,
                     steps,
                     seed,
-                    True,
+                    "batched",
                     None,
                     None,
                 )
@@ -738,13 +656,14 @@ def bench_chaos_sweep(quick):
         return _collect_points(n_values, repeats, results, 0.95)
 
     def resilient_sweep(pool_factory=None, retry=None):
-        return parallel_sweep(
+        return latency_sweep(
             cas_counter,
             make_counter_memory,
             n_values,
             steps=steps,
             repeats=repeats,
             seed=seed,
+            engine="batched",
             max_workers=max_workers,
             retry=retry,
             pool_factory=pool_factory,
@@ -1067,7 +986,6 @@ def bench_zoo_uniformity(quick):
 BENCHES = {
     "fig5_sweep": bench_fig5_sweep,
     "fused_sweep": bench_fused_sweep,
-    "sharded_fused": bench_sharded_fused,
     "sharedmem_dispatch": bench_sharedmem_dispatch,
     "thm4_cells": bench_thm4_cells,
     "single_run_100k": bench_single_run,
@@ -1133,19 +1051,6 @@ def main(argv=None):
                 f"  unfused_numpy {result['seconds']['unfused_numpy']:8.3f}s"
                 f"  speedup "
                 f"{result['speedup_fused_auto_vs_unfused_numpy']:5.2f}x"
-            )
-        elif "workers_1" in result["seconds"]:
-            widest = max(
-                int(key.rsplit("_", 1)[1]) for key in result["seconds"]
-            )
-            summary = (
-                f"workers_1 {result['seconds']['workers_1']:8.3f}s"
-                f"  workers_{widest}"
-                f" {result['seconds'][f'workers_{widest}']:8.3f}s"
-                f"  speedup"
-                f" {result['speedup_sharded_vs_single_core']:5.2f}x"
-                f"  cpus={result['params'].get('cpu_allowance', '?')}"
-                f"  orphans={result['orphaned_segments']}"
             )
         elif "sharedmem" in result["seconds"]:
             summary = (

@@ -76,10 +76,8 @@ def main(out_path: str = "docs/API.md") -> int:
         "sequential inner loops (successor chain walk, heap-driven CAS",
         "scan) to pluggable kernels (`repro.sim.kernels`): `numpy` (the",
         "always-available oracle), `cc` (a tiny C library built with the",
-        "system compiler at first use, loaded via ctypes), `numba`",
-        "(optional), and `numba-parallel` (explicit opt-in: prange over",
-        "stacked replicates via the per-replicate chain-cut/local-heap",
-        "entry points `resolve_flat_stacked`/`resolve_heap_stacked`).",
+        "system compiler at first use, loaded via ctypes) and `numba`",
+        "(optional).",
         "Select with `engine_kernel=` (`\"auto\"` default, `\"compiled\"`",
         "to require one, warn-once fallback) and",
         "`fuse=`/`fuse_block_steps=` on `EnsembleSimulator`,",
@@ -90,24 +88,15 @@ def main(out_path: str = "docs/API.md") -> int:
         "bit-identical — these knobs trade wall clock only",
         "(`tools/bench_perf.py`, `fused_sweep` workload).",
         "",
-        "Fused resolution also goes multicore: `max_workers=` on",
-        "`EnsembleSimulator` (`ensemble_workers=` on `latency_sweep`,",
-        "`max_workers=` on `measure_latencies_ensemble`) shards the",
-        "fused schedule blocks across a `ResilientExecutor` process pool",
-        "through fingerprint-named shared-memory segments",
-        "(`repro.core.shm.ShardBlockBuffers`) — schedules written once",
-        "by the parent, outcome slabs written in place by workers, no",
-        "array payload ever pickled — and reassembles per-replicate",
-        "outcomes in canonical order, bit-identical to the single-core",
-        "fused path for every worker count, crash schedules included.",
-        "`max_workers=\"auto\"` takes the available-CPU allowance but",
-        "defaults to 1 inside an existing pool worker, so ensembles",
-        "nested under `parallel_sweep` cannot oversubscribe the machine",
-        "(`default_shard_workers`).  Worker kills, hangs and poison",
-        "blocks are absorbed by the executor's recovery ladder and the",
-        "parent unlinks the segments in a `finally`, so chaos leaves",
-        "zero orphaned `/dev/shm` entries (`tools/bench_perf.py`,",
-        "`sharded_fused` workload).",
+        "Sweeps have one multicore mechanism: `max_workers=` on",
+        "`latency_sweep`.  At 1 (the default) every replicate runs in",
+        "process; above 1 the missing `(n, replicate)` keys go in chunks",
+        "to a `ResilientExecutor` process pool for every engine, and an",
+        "ensemble chunk resolves as one fused grid in its worker.",
+        "Replicates keep their `(seed, n, replicate)` streams, so every",
+        "worker count is bit-identical.  `parallel_sweep` survives as a",
+        "forwarder with the batched engine and one worker per available",
+        "CPU.",
         "",
         "Long sweeps are fault tolerant: `SweepCheckpoint` journals each",
         "completed `(n, replicate)` point to an append-only JSONL file",
@@ -120,10 +109,10 @@ def main(out_path: str = "docs/API.md") -> int:
         "without changing results, because replicates are seeded by",
         "`(seed, n, replicate)` and are bit-identical however and",
         "wherever they run.  `repro.testing.chaos` injects worker",
-        "kill/hang/raise faults to prove it.  `parallel_sweep` worker",
-        "counts default to the *available* CPUs",
-        "(`os.sched_getaffinity`, honoring cgroup/taskset limits), and",
-        "its task/result transport defaults to zero-copy",
+        "kill/hang/raise faults to prove it.  `available_cpu_count`",
+        "reports the *available* CPUs (`os.sched_getaffinity`, honoring",
+        "cgroup/taskset limits), and the pool's task/result transport",
+        "defaults to zero-copy",
         "`multiprocessing.shared_memory` segments (`repro.core.shm`,",
         "`dispatch=\"auto\"|\"sharedmem\"|\"pickle\"`): tasks are int64",
         "rows written once, results land in a float64 column the parent",

@@ -84,11 +84,11 @@ missing:
 
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
-from repro.core.sweep import parallel_sweep
+from repro.core.sweep import latency_sweep
 
-points = parallel_sweep(
+points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
-    steps=200_000, repeats=32, seed=0,
+    steps=200_000, repeats=32, seed=0, engine="batched",
     checkpoint="fig5.ckpt.jsonl",
 )
 ```
@@ -104,11 +104,13 @@ engine, crash schedule, ...) is rejected with a loud mismatch error
 naming the differing fields.  A hard kill (SIGKILL, power loss) can
 tear the journal's final line mid-append; resume repairs the tail —
 the torn fragment is dropped (or its lost newline restored) before
-appending — so repeated crash/resume cycles never corrupt the journal.  The same journal works across entry
-points: `repro figure5 --checkpoint fig5.jsonl --resume` on the CLI,
-and a `latency_sweep` checkpoint warm-starts `parallel_sweep`.
+appending — so repeated crash/resume cycles never corrupt the journal.
+The same journal works across entry points and worker counts:
+`repro figure5 --checkpoint fig5.jsonl --resume` on the CLI, and a
+checkpoint written in process resumes under `max_workers=4` (or the
+other way round) to the same bits.
 
-Worker faults need no babysitting: `parallel_sweep` retries failed
+Worker faults need no babysitting: a pooled sweep retries failed
 chunks with capped exponential backoff, isolates a poison replicate by
 name, rebuilds crashed pools, and falls back to in-process serial
 execution if pools keep dying — at under 5% overhead when nothing goes
@@ -122,18 +124,16 @@ thread counts — into stacked schedules resolved in one vectorized
 pass, and delegates its two sequential inner loops (the successor
 chain walk and the heap-driven CAS scan) to pluggable kernels:
 `numpy` (always available, the bit-identity oracle), `cc` (a small C
-library compiled by the system compiler at first use), `numba`
-(optional), and the opt-in `numba-parallel` (a prange over the stacked
-replicates' chain walks and heap scans).  Both are on by default —
-`fuse="auto"` skips fusion only where the stacked pass would lose to
-per-replicate resolution (the numpy kernel above its measured
-step-count crossover); `parallel_sweep` additionally
-moves tasks and results through zero-copy shared-memory segments
-instead of the pickle pipe:
+library compiled by the system compiler at first use) and `numba`
+(optional).  Both are on by default — `fuse="auto"` skips fusion only
+where the stacked pass would lose to per-replicate resolution (the
+numpy kernel above its measured step-count crossover); a pooled sweep
+additionally moves tasks and results through zero-copy shared-memory
+segments instead of the pickle pipe:
 
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
-from repro.core.sweep import latency_sweep, parallel_sweep
+from repro.core.sweep import latency_sweep
 
 # One process: fused resolution, fastest available kernel.
 points = latency_sweep(
@@ -143,10 +143,10 @@ points = latency_sweep(
 )
 
 # Worker pool: zero-copy shared-memory dispatch.
-points = parallel_sweep(
+points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0,
-    dispatch="sharedmem",
+    engine="batched", max_workers=4, dispatch="sharedmem",
 )
 ```
 
@@ -164,41 +164,39 @@ workload) — and the parent unlinks both segments in a `finally`, so
 worker kills, hangs and poison tasks leave zero orphaned `/dev/shm`
 entries (chaos-enforced by `tests/core/test_shm_dispatch.py`).
 
-## Saturating all cores: sharded fused resolution
+## Saturating all cores: one replicate pool for every engine
 
-Fused resolution itself goes multicore: `max_workers=` on
-`EnsembleSimulator` (`ensemble_workers=` on `latency_sweep` and the
-CLI's `--ensemble-workers`) shards the stacked schedule blocks across
-a `ResilientExecutor` process pool through fingerprint-named
-shared-memory segments — the parent writes each block's schedule once,
-workers resolve in place and write outcome slabs back, and no array
-payload ever crosses the pickle pipe:
+There is one multicore mechanism: `max_workers=` on `latency_sweep`.
+At `1` (the default) the sweep runs in this process; at `k > 1` the
+missing `(n, replicate)` keys go, in chunks, to a `ResilientExecutor`
+pool of `k` processes, for every engine.  An ensemble chunk resolves as
+one fused grid inside its worker, so the ensemble engine keeps its
+fused kernels and gains the cores:
 
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
+from repro.core.runner import available_cpu_count
 from repro.core.sweep import latency_sweep
 
-# Every core: fused schedule blocks sharded across a process pool.
+# Every core: chunks of the replicate grid, each a fused ensemble.
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0,
-    engine="ensemble", ensemble_workers="auto",
+    engine="ensemble", max_workers=available_cpu_count(),
 )
 ```
 
-`ensemble_workers="auto"` takes the available-CPU allowance
-(`os.sched_getaffinity`) but defaults to 1 inside an existing pool
-worker, so an ensemble nested under `parallel_sweep` cannot
-oversubscribe the machine.  Outcomes reassemble in canonical replicate
-order and are bit-identical to the single-core fused path at every
-worker count, crash schedules included; worker kills, hangs and poison
-blocks are absorbed by the same recovery ladder as `parallel_sweep`,
-and the parent unlinks the segments in a `finally`, so chaos leaves
-zero orphaned `/dev/shm` entries
-(`tests/sim/test_ensemble_sharded.py`; `tools/bench_perf.py`,
-`sharded_fused` workload — which also records the machine's CPU
-allowance, so numbers from a single-core container read as sharding
-overhead rather than a multicore verdict).
+Each replicate keeps its own `(seed, n, replicate)` stream, so every
+worker count gives the same bits, crash schedules and resumed stores
+included (`tests/sim/test_ensemble_sharded.py`,
+`tests/core/test_sweep.py`).  Worker kills, hangs and poison replicates
+ride the executor's recovery ladder, and the dispatch segments are
+unlinked in a `finally`.  The pool pays for its start-up, so it only
+wins on long replicates: on a 2-CPU Xeon host, a 2-worker ensemble pool
+ran a 16-replicate grid at 0.55-0.91x the in-process ensemble with 20k
+steps per replicate and at 1.13-1.31x with 200k steps (medians of seven
+alternating trials, two runs).  Short grids, such as the FIG5
+benchmark's, belong in one process.
 
 ## Million-replicate sweeps: the columnar store and the disk memo
 
@@ -214,13 +212,13 @@ chain solves reused across runs warm start from an on-disk memo:
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
 from repro.core.memo import configure_memo
-from repro.core.sweep import parallel_sweep
+from repro.core.sweep import latency_sweep
 
 configure_memo("~/.cache/repro-memo")   # or REPRO_MEMO_DIR=...
-points = parallel_sweep(
+points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=1_000_000, seed=0,
-    store="fig5.store",
+    engine="ensemble", max_workers=4, store="fig5.store",
 )
 ```
 
