@@ -12,7 +12,7 @@ experiment.
 
 import numpy as np
 
-from repro.algorithms.counter import cas_counter, make_counter_memory
+from repro.algorithms.counter import cas_counter
 from repro.bench.harness import Experiment
 from repro.chains.scu import scu_system_latency_exact
 from repro.core.latency import resolve_vector_kernel, system_latency
@@ -32,7 +32,6 @@ def reproduce_corollary2():
                 resolve_vector_kernel(cas_counter()),
                 N,
                 UniformStochasticScheduler(),
-                make_counter_memory(),
                 rng=k,
                 crash_times={pid: CRASH_AT for pid in range(k, N)},
             )

@@ -14,7 +14,7 @@ batched runs this benchmark used previously, with the same seeds.
 
 import numpy as np
 
-from repro.algorithms.counter import cas_counter, make_counter_memory
+from repro.algorithms.counter import cas_counter
 from repro.bench.harness import Experiment
 from repro.chains.scu import scu_system_latency_exact
 from repro.core.analysis import (
@@ -38,7 +38,6 @@ def reproduce_figure5():
                 kernel,
                 n,
                 UniformStochasticScheduler(),
-                make_counter_memory(),
                 rng=n,
             )
             for n in THREAD_COUNTS

@@ -52,7 +52,6 @@ def reproduce_theorem4():
                 resolve_vector_kernel(spec.factory()),
                 n,
                 UniformStochasticScheduler(),
-                spec.memory(),
                 rng=(q, s, n),
             )
             for spec, (q, s, n) in zip(specs, SWEEP)

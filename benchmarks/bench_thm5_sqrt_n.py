@@ -33,7 +33,6 @@ def reproduce_theorem5():
                 resolve_vector_kernel(spec.factory()),
                 n,
                 UniformStochasticScheduler(),
-                spec.memory(),
                 rng=n,
             )
             for n in spot

@@ -37,6 +37,8 @@ class CounterStepKernel:
     access counters) in closed form from the per-process end state:
     every attempt contributes one read and one CAS attempt, plus one
     dangling read when a process ends mid-attempt (``phase == 1``).
+    A replicate without a memory has nothing to rebuild, and ``commit``
+    returns at once.
     """
 
     register: str = DEFAULT_REGISTER
@@ -46,13 +48,15 @@ class CounterStepKernel:
 
     def commit(
         self,
-        memory: Memory,
+        memory: Optional[Memory],
         *,
         seq: np.ndarray,
         phase: np.ndarray,
         success_pids: np.ndarray,
         success_seqs: np.ndarray,
     ) -> None:
+        if memory is None:
+            return
         reg = memory[self.register]
         attempts = int(seq.sum())
         reg.reads += attempts + int(np.count_nonzero(phase > 0))

@@ -61,6 +61,8 @@ class ScuStepKernel:
     and of each auxiliary register plus one CAS attempt, plus the partial
     reads of an unfinished attempt (``phase`` past the register's scan
     position).  Preamble steps are ``Nop``s and touch no register.
+    A replicate without a memory has nothing to rebuild, and ``commit``
+    returns at once.
     """
 
     q: int
@@ -76,13 +78,15 @@ class ScuStepKernel:
 
     def commit(
         self,
-        memory: Memory,
+        memory: Optional[Memory],
         *,
         seq: np.ndarray,
         phase: np.ndarray,
         success_pids: np.ndarray,
         success_seqs: np.ndarray,
     ) -> None:
+        if memory is None:
+            return
         attempts = int(seq.sum())
         reg = memory[self.decision]
         reg.reads += attempts + int(np.count_nonzero(phase > self.q))

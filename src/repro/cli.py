@@ -492,7 +492,6 @@ def cmd_figure5(args: argparse.Namespace) -> int:
                     n_processes=n,
                     steps=args.steps,
                     seeds=[n],
-                    memory_factory=workload.memory_builder,
                     telemetry=telemetry,
                 )[0]
             else:

@@ -263,7 +263,6 @@ def measure_latencies_ensemble(
     seeds: Sequence[RngLike],
     *,
     burn_in: Optional[int] = None,
-    memory_factory: Optional[Callable[[], Memory]] = None,
     crash_times: Optional[Dict[int, int]] = None,
     telemetry=None,
     fuse="auto",
@@ -273,19 +272,19 @@ def measure_latencies_ensemble(
 
     One :class:`LatencyMeasurement` per seed, each bit-identical to
     ``measure_latencies(factory, scheduler_builder(), n_processes, steps,
-    memory=memory_factory(), rng=seed, crash_times=crash_times,
-    batched=True)`` — the replicates are resolved together as array
-    operations instead of one simulation at a time (see
-    :class:`repro.sim.EnsembleSimulator`).
+    rng=seed, crash_times=crash_times, batched=True)`` — the replicates
+    are resolved together as array operations instead of one simulation
+    at a time (see :class:`repro.sim.EnsembleSimulator`).  No final
+    shared memory is rebuilt: measurements never read it.
 
-    ``scheduler_builder`` and ``memory_factory`` are zero-argument
-    builders because every replicate needs its *own* scheduler instance
-    (stateful schedulers) and memory.  ``crash_times`` is the executor's
-    ``{pid: time}`` halting-failure map, applied to every replicate
-    (Corollary 2 experiments crash the same processes in each replicate
-    and vary only the seed).  ``fuse`` and ``engine_kernel`` tune the
-    resolution path (fused replicate stacking, compiled inner loops —
-    see :class:`~repro.sim.EnsembleSimulator`); results are bit-identical
+    ``scheduler_builder`` is a zero-argument builder because every
+    replicate needs its *own* scheduler instance (stateful schedulers).
+    ``crash_times`` is the executor's ``{pid: time}`` halting-failure
+    map, applied to every replicate (Corollary 2 experiments crash the
+    same processes in each replicate and vary only the seed).  ``fuse``
+    and ``engine_kernel`` tune the resolution path (fused replicate
+    stacking, compiled inner loops — see
+    :class:`~repro.sim.EnsembleSimulator`); results are bit-identical
     for every setting.
     """
     from repro.sim.ensemble import EnsembleReplicate, EnsembleSimulator
@@ -297,7 +296,6 @@ def measure_latencies_ensemble(
             kernel=kernel,
             n_processes=n_processes,
             scheduler=scheduler_builder(),
-            memory=memory_factory() if memory_factory is not None else None,
             rng=seed,
             crash_times=dict(crash_times) if crash_times else None,
         )

@@ -175,7 +175,6 @@ def _chunk_worker(
         results: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         _run_ensemble_grid(
             factory_builder,
-            memory_builder,
             scheduler_builder,
             pairs,
             steps,
@@ -388,7 +387,6 @@ _GRID_FUSE_STEPS = 32_000_000  # upfront-drawn schedule budget per grid chunk
 
 def _run_ensemble_grid(
     factory_builder: Callable[[], ProcessFactory],
-    memory_builder: Callable[[], Memory],
     scheduler_builder: Callable[[], Scheduler],
     pending: Sequence[Tuple[int, int]],
     steps: int,
@@ -407,9 +405,10 @@ def _run_ensemble_grid(
     front per chunk), and the fused resolver stacks same-shape
     replicates regardless of ``n`` — one vectorized pass covers the
     whole n-grid, not just one point's replicate block.  Replicates keep
-    their ``(seed, n, r)`` seeds and dedicated scheduler/memory
-    instances, so results are bit-identical to the per-point path.
-    ``note`` fires in ``pending`` order.
+    their ``(seed, n, r)`` seeds and dedicated scheduler instances, so
+    results are bit-identical to the per-point path.  They carry no
+    memory, so no final memory is rebuilt: only the measurement triples
+    are kept.  ``note`` fires in ``pending`` order.
     """
     from repro.sim.ensemble import EnsembleReplicate, EnsembleSimulator
 
@@ -430,7 +429,6 @@ def _run_ensemble_grid(
                 kernel=kernel,
                 n_processes=n,
                 scheduler=scheduler_builder(),
-                memory=memory_builder(),
                 rng=(seed, n, r),
                 crash_times=dict(crash_of[n]) if crash_of[n] else None,
             )
@@ -576,7 +574,9 @@ def latency_sweep(
     """Measure latencies across ``n_values`` with ``repeats`` replicates.
 
     Each replicate gets a fresh factory, memory, scheduler and seed, so
-    the replicates are independent and the confidence intervals honest.
+    the replicates are independent and the confidence intervals honest
+    (the ensemble engine never calls ``memory_builder``: it measures
+    without rebuilding final memory).
     ``engine`` selects the execution engine (see the module docstring);
     ``engine="ensemble"`` resolves the replicates together as array
     operations — same seeds, same numbers, least wall-clock.  ``fuse``
@@ -751,7 +751,6 @@ def latency_sweep(
         elif engine == "ensemble":
             _run_ensemble_grid(
                 factory_builder,
-                memory_builder,
                 scheduler_builder,
                 missing(),
                 steps,

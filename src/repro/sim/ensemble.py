@@ -35,10 +35,11 @@ reduces to a greedy scan over (read, CAS) event pairs:
   attempt.  Same greedy, same results, linear in the number of CAS events.
 
 Both paths reconstruct the final shared memory (values *and* access
-counters) in closed form from the per-process end state, so each
-replicate's schedule, completion times and final memory are **bit-identical**
-to what ``Simulator.run_batched`` produces for the same seed — enforced
-replicate-by-replicate in ``tests/sim/test_ensemble_equivalence.py``.
+counters) in closed form from the per-process end state, for replicates
+that carry one, so each replicate's schedule, completion times and final
+memory are **bit-identical** to what ``Simulator.run_batched`` produces
+for the same seed — enforced replicate-by-replicate in
+``tests/sim/test_ensemble_equivalence.py``.
 
 Resolution runs **fused** by default: replicates with the same resolver
 shape (same ``q``, ``s``, resolver kind — process counts may differ) are
@@ -127,7 +128,8 @@ class EnsembleReplicate:
 
     ``kernel`` is an array-encodable step kernel — an object exposing
     ``q`` (preamble steps), ``s`` (scan steps) and ``commit(memory, *,
-    seq, phase, success_pids, success_seqs)`` — see
+    seq, phase, success_pids, success_seqs)``, where ``memory`` may be
+    ``None`` — see
     :class:`repro.algorithms.counter.CounterStepKernel` and
     :class:`repro.algorithms.scu.ScuStepKernel`.  Factories built with
     ``cas_counter()`` / ``scu_algorithm()`` carry their kernel as a
@@ -137,6 +139,9 @@ class EnsembleReplicate:
     scheduler instance (stateful schedulers must not be shared), memory
     and RNG seed, so heterogeneous ensembles (mixed ``n``, mixed
     ``(q, s)``, crashing next to crash-free) are just lists of these.
+    The final memory is rebuilt into ``memory`` only when one is given;
+    without it the outcome's ``memory`` is ``None`` and the kernel's
+    ``commit`` has nothing to rebuild (measurements do not need it).
     ``crash_times`` is the executor's ``{pid: time}`` halting-failure map:
     the process crashes just before the step at that time would be taken
     (times outside ``[1, max_steps]`` never fire, exactly as in
@@ -161,7 +166,7 @@ class ReplicateOutcome:
     completion_times: np.ndarray  # int64, 1-based step times, ascending
     completion_pids: np.ndarray  # int64, aligned with completion_times
     step_counts: np.ndarray  # (n,) steps taken per process
-    memory: Memory
+    memory: Optional[Memory]  # None when the replicate brought none
     schedule: Optional[np.ndarray] = None  # int32 pid sequence, if recorded
     #: True when the run ended before its step budget because every
     #: process crashed (the executor's no-active-process early stop).
@@ -346,6 +351,8 @@ class EnsembleResult:
 class EnsembleSimulator:
     """Runs R independent replicates of SCU-shaped workloads as array
     operations, bit-identical to ``Simulator.run_batched`` per replicate.
+
+    Final memory is rebuilt only for replicates that carry one.
 
     Parameters
     ----------
@@ -688,11 +695,11 @@ class EnsembleSimulator:
         stopped_early: bool,
         segments: int,
     ) -> ReplicateOutcome:
-        """Commit a resolved replicate: memory, telemetry, outcome."""
+        """Finish a resolved replicate: memory (if any), telemetry, outcome."""
         n = member.n_processes
         executed = int(schedule.shape[0])
         succ_cols, succ_pids, succ_seqs, seq, phase, counts = resolved
-        memory = member.memory if member.memory is not None else Memory()
+        memory = member.memory
         member.kernel.commit(
             memory,
             seq=seq,
@@ -700,7 +707,8 @@ class EnsembleSimulator:
             success_pids=succ_pids,
             success_seqs=succ_seqs,
         )
-        memory.total_operations += executed
+        if memory is not None:
+            memory.total_operations += executed
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
             wins = int(succ_cols.shape[0])

@@ -66,7 +66,8 @@ class SimulationResult:
     recorder:
         The trace recorder with schedules / completion records.
     memory:
-        The shared memory in its final state.
+        The shared memory in its final state; ``None`` when repackaged
+        from an ensemble replicate that carried none.
     history:
         Invocation/response history, when recorded.
     stopped_early:
@@ -81,7 +82,7 @@ class SimulationResult:
 
     steps_executed: int
     recorder: TraceRecorder
-    memory: Memory
+    memory: Optional[Memory]
     history: Optional[History]
     stopped_early: bool
     steps_this_run: int = 0

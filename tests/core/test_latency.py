@@ -220,7 +220,6 @@ class TestEnsembleLatencies:
             3,
             8_000,
             seeds,
-            memory_factory=make_counter_memory,
         )
         assert len(measurements) == 4
         for seed, measurement in zip(seeds, measurements):
@@ -285,7 +284,6 @@ class TestBurnInValidation:
                 5_000,
                 [(0, 2, 0)],
                 burn_in=6_000,
-                memory_factory=make_counter_memory,
             )
 
     def test_default_burn_in_still_valid(self):

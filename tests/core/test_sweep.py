@@ -4,8 +4,16 @@ import random
 
 import pytest
 
-from repro.algorithms.counter import cas_counter, make_counter_memory
+from repro.algorithms.counter import (
+    CounterStepKernel,
+    cas_counter,
+    make_counter_memory,
+)
+from repro.algorithms.scu import ScuStepKernel
 from repro.chains.scu import scu_system_latency_exact
+from repro.core.latency import measure_latencies_ensemble
+from repro.core.scheduler import UniformStochasticScheduler
+from repro.core.scu import SCU
 from repro.core.sweep import (
     StreamingSweepAggregator,
     latency_sweep,
@@ -110,6 +118,41 @@ class TestLatencySweep:
                 repeats=2,
                 engine="turbo",
             )
+
+
+class TestEnsembleMemoryNotRebuilt:
+    """Measurement-only ensemble runs never rebuild the final memory.
+
+    The step kernels' ``commit`` is the only consumer of a replicate's
+    memory; the sweep and ``measure_latencies_ensemble`` read only the
+    measurement triples, so every replicate they run must reach
+    ``commit`` without a memory, leaving nothing (no ``Proposal`` chain,
+    no counter) to rebuild.
+    """
+
+    @pytest.fixture
+    def committed_memories(self, monkeypatch):
+        memories = []
+        for kernel_class in (CounterStepKernel, ScuStepKernel):
+            original = kernel_class.commit
+
+            def counted(self, memory, *, _original=original, **arrays):
+                memories.append(memory)
+                return _original(self, memory, **arrays)
+
+            monkeypatch.setattr(kernel_class, "commit", counted)
+        return memories
+
+    def test_ensemble_sweeps_commit_without_memory(self, committed_memories):
+        scu22 = SCU(2, 2)
+        kwargs = dict(steps=2_000, repeats=2, seed=3, engine="ensemble")
+        latency_sweep(cas_counter, make_counter_memory, [2, 4], **kwargs)
+        latency_sweep(scu22.factory, scu22.memory, [2, 4], **kwargs)
+        measure_latencies_ensemble(
+            scu22.factory(), UniformStochasticScheduler, 3, 2_000, [0, 1]
+        )
+        # 2 sweeps x 2 n x 2 repeats, plus 2 seeds: one commit each.
+        assert committed_memories == [None] * 10
 
 
 class TestParallelSweep:

@@ -233,7 +233,6 @@ class TestEngineCounters:
             4,
             20_000,
             [7],
-            memory_factory=make_counter_memory,
             telemetry=ensemble_registry,
         )
         counters = ensemble_registry.counters
@@ -261,7 +260,6 @@ class TestEngineCounters:
             4,
             10_000,
             [7],
-            memory_factory=make_counter_memory,
             crash_times={0: 50, 1: 100},
             telemetry=registry,
         )
@@ -304,7 +302,6 @@ class TestBitIdentity:
             4,
             20_000,
             seeds,
-            memory_factory=make_counter_memory,
         )
         observed = measure_latencies_ensemble(
             cas_counter(),
@@ -312,7 +309,6 @@ class TestBitIdentity:
             4,
             20_000,
             seeds,
-            memory_factory=make_counter_memory,
             telemetry=MetricsRegistry(),
         )
         assert observed == baseline

@@ -320,7 +320,6 @@ class TestCrashMeasurementPlumbing:
             6,
             6000,
             seeds,
-            memory_factory=make_counter_memory,
             crash_times=crash_times,
         )
         for seed, measurement in zip(seeds, ensemble_measurements):

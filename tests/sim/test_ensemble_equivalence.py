@@ -291,6 +291,23 @@ class TestEnsembleContract:
         with pytest.raises(ValueError, match="at least one replicate"):
             EnsembleSimulator([])
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [CounterStepKernel(), ScuStepKernel(2, 2)],
+        ids=["counter", "scu22"],
+    )
+    def test_memoryless_replicate_skips_final_memory(self, kernel):
+        # Without a memory there is nothing to rebuild into, and a fresh
+        # register holds ``None``, which the counter cannot add to.
+        replicate = EnsembleReplicate(
+            kernel, 4, UniformStochasticScheduler(), rng=1
+        )
+        outcome = EnsembleSimulator([replicate]).run(1000)[0]
+        assert outcome.memory is None
+        assert outcome.to_simulation_result().memory is None
+        assert outcome.total_completions > 0
+        assert outcome.measurement().system_latency > 0
+
     def test_rejects_non_kernel(self):
         replicate = EnsembleReplicate(
             object(), 4, UniformStochasticScheduler()
@@ -353,7 +370,6 @@ class TestEnsembleMeasurements:
             4,
             6000,
             seeds,
-            memory_factory=make_counter_memory,
         )
         for seed, measurement in zip(seeds, ensemble_measurements):
             reference = measure_latencies(
