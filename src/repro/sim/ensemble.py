@@ -18,23 +18,26 @@ steps.  A CAS by process ``p`` at time ``c`` whose decision-register read
 happened at time ``r`` succeeds **iff no other CAS succeeded in the open
 interval** ``(r, c)`` — proposals are globally unique (timestamped), so
 the decision register acts as a version counter.  Resolution therefore
-reduces to a greedy scan over (read, CAS) event pairs:
+reduces to one greedy pass over the schedule in time order: a CAS
+succeeds iff its process's pending read came after the last successful
+CAS, and a success makes the process take ``q`` preamble steps before
+its next read.  The compiled kernels (:mod:`repro.sim.kernels`) run
+exactly that pass, keeping a few integers of state per process, for
+every ``SCU(q, s)`` shape.  The numpy kernel, the no-compiler fallback
+and the bit-identity oracle, keeps two independent algorithms:
 
 * ``q == 0`` (the counter, scan-validate, and every ``SCU(0, s)`` member):
   attempt boundaries are schedule-deterministic — every ``s + 1`` local
   steps regardless of outcomes — so all event pairs are precomputed with
-  counting-sort passes (times are unique integers, so sorting is O(steps)
-  scatter/cumsum work, not a comparison sort), and the successes are
-  extracted by following a vectorized-precomputed successor pointer:
-  after a success at time ``L``, the next success is the attempt with the
-  smallest CAS time among attempts whose read happened after ``L`` — a
-  suffix-argmin over CAS times in read order, looked up in O(1).
-* ``q > 0``: a success inserts ``q`` preamble steps before the process's
-  next attempt, so event times are outcome-dependent; a heap-driven scan
-  pops CAS events in time order and lazily schedules each process's next
-  attempt.  Same greedy, same results, linear in the number of CAS events.
+  counting-sort passes, and the successes are extracted by following a
+  precomputed successor pointer: after a success at time ``L``, the next
+  success is the attempt with the smallest CAS time among attempts whose
+  read happened after ``L``.
+* ``q > 0``: event times are outcome-dependent, so a heap pops each
+  process's pending CAS in time order and lazily schedules its next
+  attempt.
 
-Both paths reconstruct the final shared memory (values *and* access
+The engine reconstructs the final shared memory (values *and* access
 counters) in closed form from the per-process end state, for replicates
 that carry one, so each replicate's schedule, completion times and final
 memory are **bit-identical** to what ``Simulator.run_batched`` produces
@@ -47,12 +50,11 @@ stacked into one long schedule, with each replicate's pids offset into a
 private range and its steps occupying a private time window, and the
 whole stack is resolved in a single pass of the very same resolvers.
 Concatenation preserves the greedy semantics exactly — reads in a later
-replicate are strictly after every earlier CAS, so the successor chain
-(and the heap pop order) cross replicate boundaries precisely at each
-replicate's first success — making the fused outputs the per-replicate
-outputs concatenated, bit for bit (``tests/sim/test_ensemble_fused.py``).
-The two sequential inner loops (chain walk, heap scan) are delegated to
-pluggable kernels (:mod:`repro.sim.kernels`): a compiled C/numba backend
+replicate are strictly after every earlier CAS, so each replicate's first
+attempt sees a fresh register — making the fused outputs the
+per-replicate outputs concatenated, bit for bit
+(``tests/sim/test_ensemble_fused.py``).  The resolve pass runs on a
+pluggable kernel (:mod:`repro.sim.kernels`): a compiled C/numba backend
 when available, the pure-numpy oracle otherwise.
 
 Crash schedules (halting failures, Corollary 2) are handled by **segmented
@@ -81,7 +83,6 @@ import numpy as np
 
 from repro.sim.executor import SimulationResult, validate_crash_times
 from repro.sim.kernels import (
-    NumpyKernel,
     get_kernel,
     resolve_flat,
     resolve_flat_stacked,
@@ -103,23 +104,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: fused_sweep regression).  Compiled backends always profit from fusion
 #: — their per-pass overhead is a single ctypes/jit call.
 _AUTO_FUSE_NUMPY_MAX_STEPS = 4096
-
-
-def _resolve_flat(
-    sched: np.ndarray, n: int, s: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Back-compat wrapper: :func:`repro.sim.kernels.resolve_flat` on the
-    numpy oracle kernel (the resolvers moved to :mod:`repro.sim.kernels`
-    so the fused path and the compiled backends can share them)."""
-    return resolve_flat(sched, n, s, NumpyKernel())
-
-
-def _resolve_heap(
-    sched: np.ndarray, n: int, q: int, s: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Back-compat wrapper: :func:`repro.sim.kernels.resolve_heap` on the
-    numpy oracle kernel."""
-    return resolve_heap(sched, n, q, s, NumpyKernel())
 
 
 @dataclass
@@ -382,7 +366,7 @@ class EnsembleSimulator:
         baseline.  Results are bit-identical in every mode (see the
         module docstring).
     engine_kernel:
-        Backend for the sequential inner loops — one of ``"auto"``
+        Backend for the resolve pass — one of ``"auto"``
         (fastest available, the default), ``"compiled"`` (require
         numba/C, warn and fall back to numpy when absent), ``"numpy"``,
         ``"numba"`` or ``"cc"``.  See
@@ -652,9 +636,13 @@ class EnsembleSimulator:
         if len(indices) == 1:
             stacked = scheds[0]
         else:
-            stacked = np.concatenate(
-                [sched + base for sched, base in zip(scheds, pid_base[:-1])]
-            )
+            stacked = np.empty(int(time_base[-1]), dtype=np.int64)
+            for k, sched in enumerate(scheds):
+                np.add(
+                    sched,
+                    pid_base[k],
+                    out=stacked[time_base[k] : time_base[k + 1]],
+                )
         if use_flat:
             resolved = resolve_flat_stacked(stacked, pid_base, s, self._kernel)
         else:

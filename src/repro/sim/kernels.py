@@ -1,43 +1,46 @@
 """Pluggable CAS-resolution kernels for the ensemble engine.
 
-The ensemble engine (:mod:`repro.sim.ensemble`) reduces a replicate to a
-greedy scan over (read, CAS) event pairs.  Almost all of that work is
-numpy array passes, but two inner loops are inherently sequential:
-
-* the ``q == 0`` successor-pointer **chain walk** (each success is found
-  by one pointer lookup from the previous success — pure pointer
-  chasing, no SIMD formulation beats a tight scalar loop), and
-* the ``q > 0`` **heap scan** (a success inserts ``q`` preamble steps
-  before the process's next attempt, so event times are outcome
-  dependent and must be scheduled lazily).
-
-This module isolates exactly those two loops behind a small kernel
-interface so they can be swapped for compiled implementations:
+The ensemble engine (:mod:`repro.sim.ensemble`) draws a replicate's
+whole schedule up front; what remains is deciding which CAS steps
+succeed.  Once the schedule is fixed the greedy has a simple rule: a
+CAS succeeds iff its process's pending read came after the last
+successful CAS, and a success makes the process take ``q`` preamble
+steps before its next read.  This module resolves schedules under that
+rule behind a small kernel interface (``resolve_flat`` /
+``resolve_heap`` methods), with three backends:
 
 ``numpy``
-    The pure-Python reference loops (list-based walk, ``heapq`` scan).
-    Always available; serves as the bit-identity *oracle* in tests.
+    Pure numpy and Python, always available, and the bit-identity
+    *oracle*.  It keeps two algorithms that share nothing with the
+    compiled scan: for ``q == 0`` vectorized passes precompute every
+    (read, CAS) pair and a successor pointer per attempt, and a list
+    walk follows the chain of successes; for ``q > 0`` a ``heapq`` scan
+    pops each process's pending CAS in time order and lazily schedules
+    its next attempt.
 ``cc``
     A tiny C library compiled on first use with the system C compiler
     (``cc``/``gcc``) and loaded through :mod:`ctypes`.  No third-party
     packages required; the shared object is cached on disk keyed by a
     hash of the C source.
 ``numba``
-    ``@njit``-compiled versions of the same loops, used when numba is
+    ``@njit``-compiled version of the same pass, used when numba is
     importable (it is an optional dependency — CI has a dedicated job
     for it).
 
-The compiled heap scans (cc and numba) store the heap as
-a *single* packed ``int64`` array — ``(CAS column << shift) | pid`` —
-instead of parallel key/pid arrays, and sift with a branchless child
-select.  CAS columns are unique, so packed comparisons order exactly
-like ``(key, pid)`` tuples and the numpy ``heapq`` oracle.
+Both compiled backends run **one time-ordered scan** over the schedule
+for every ``SCU(q, s)`` shape, ``q == 0`` included.  It keeps four
+``int64`` words per process — local step count, next read index,
+pending read time and CAS attempts — and decides each CAS the moment
+it is reached, so there is no sort, no successor table and no heap.
 
-Every backend implements the *same* greedy scan: CAS keys are unique
-schedule positions, so pop order — and therefore every output array —
-is deterministic and bit-identical across backends.  Equivalence is
-enforced in ``tests/sim/test_kernels.py`` with the numpy backend as
-oracle.
+Every backend produces the same arrays, dtypes included: CAS columns
+are unique schedule positions, so the successes come out in one
+deterministic order.  Equivalence is enforced in
+``tests/sim/test_kernels.py`` and ``tests/property/test_kernel_properties.py``
+with the numpy backend as oracle.  Misuse fails loudly on every
+backend: a schedule pid outside ``[0, n)`` raises :class:`ValueError`
+naming the pid and its position (the compiled scan stops at that step
+and writes nothing out of bounds).
 
 Selection goes through :func:`get_kernel`:
 
@@ -90,9 +93,20 @@ _EXPLICIT_BACKENDS = ("numpy", "numba", "cc")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+Resolution = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
+]
+
 
 class KernelUnavailable(RuntimeError):
     """Raised when an explicitly requested backend cannot be provided."""
+
+
+def _bad_pid(sched: np.ndarray, n: int, position: int) -> ValueError:
+    return ValueError(
+        f"schedule pid {int(sched[position])} at position {position} is "
+        f"outside [0, {n})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +115,63 @@ class KernelUnavailable(RuntimeError):
 
 
 class NumpyKernel:
-    """Reference implementation of the two sequential loops.
+    """Reference resolvers, the bit-identity oracle for compiled backends.
 
-    ``chain_walk`` follows successor pointers through a Python list (a
-    ``tolist`` round-trip beats repeated array indexing at these sizes);
-    ``heap_scan`` is the original ``heapq``-driven greedy.  Both are the
-    bit-identity oracle for the compiled backends.
+    ``resolve_flat`` is the vectorized ``q == 0`` path (:func:`_flat_prep`
+    plus ``chain_walk``, which follows successor pointers through a
+    Python list — a ``tolist`` round-trip beats repeated array indexing
+    at these sizes); ``resolve_heap`` is the original ``heapq``-driven
+    greedy (``heap_scan``).
     """
 
     name = "numpy"
 
     @staticmethod
+    def _check_pids(sched: np.ndarray, n: int) -> None:
+        if sched.shape[0] and (sched.min() < 0 or sched.max() >= n):
+            position = int(np.flatnonzero((sched < 0) | (sched >= n))[0])
+            raise _bad_pid(sched, n, position)
+
+    def resolve_flat(self, sched: np.ndarray, n: int, s: int) -> Resolution:
+        """The vectorized ``q == 0`` resolver (see :func:`resolve_flat`)."""
+        self._check_pids(sched, n)
+        seq, phase, counts, pairs = _flat_prep(sched, n, s)
+        if pairs is None:
+            return _EMPTY, _EMPTY, _EMPTY, seq, phase, counts
+        c_r, pid_r, seq_r, successor, suffix_argmin = pairs
+
+        # The first success is the earliest CAS overall; after a success at
+        # time L, the next is the earliest CAS among attempts that read after
+        # L.  Walking the successor pointers visits exactly the successes.
+        events = self.chain_walk(successor, int(suffix_argmin[0]))
+        return (
+            c_r[events].astype(np.int64),
+            pid_r[events].astype(np.int64),
+            seq_r[events].astype(np.int64),
+            seq,
+            phase,
+            counts,
+        )
+
+    def resolve_heap(
+        self, sched: np.ndarray, n: int, q: int, s: int
+    ) -> Resolution:
+        """The ``heapq`` resolver, any ``SCU(q, s)`` (see :func:`resolve_heap`)."""
+        self._check_pids(sched, n)
+        counts = np.bincount(sched, minlength=n)
+        key_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+        order = np.argsort(sched.astype(key_dtype), kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+        succ_cols, succ_pids, succ_seqs, seq, next_read = self.heap_scan(
+            order, offsets, n, q, s
+        )
+        phase = q + counts - next_read
+        return (succ_cols, succ_pids, succ_seqs, seq, phase, counts)
+
+    @staticmethod
     def chain_walk(successor: np.ndarray, start: int) -> np.ndarray:
+        """Follow successor pointers from ``start`` until ``-1``."""
         successor_list = successor.tolist()
         chain: List[int] = []
         append = chain.append
@@ -126,6 +185,7 @@ class NumpyKernel:
     def heap_scan(
         order: np.ndarray, offsets: np.ndarray, n: int, q: int, s: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pop each process's pending CAS in time order; schedule its next."""
         order_list = order.tolist()
         bounds = offsets.tolist()
         next_read = [q] * n  # local index of the pending attempt's first read
@@ -168,101 +228,53 @@ class NumpyKernel:
 
 
 # ---------------------------------------------------------------------------
-# cc backend — build a tiny C library with the system compiler at first use
+# compiled backends — one time-ordered scan
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
 #include <stdint.h>
 
-/* Follow successor pointers from `start`; -1 terminates.  Returns the
- * number of events written to `out` (caller sizes it to len(successor)). */
-int64_t repro_chain_walk(const int64_t *successor, int64_t start,
-                         int64_t *out) {
-    int64_t count = 0;
-    int64_t event = start;
-    while (event != -1) {
-        out[count++] = event;
-        event = successor[event];
+/* Resolve an SCU(q, s) schedule in one pass in time order.  Process p's
+ * pending attempt reads at local step next_read[p] and CASes s local
+ * steps later; the CAS succeeds iff that read came after the last
+ * successful CAS, and a success makes p take q preamble steps before
+ * its next read.  `state` holds four n-long rows: local step counts,
+ * next read index, pending read time, CAS attempts.  Returns the number
+ * of successes written, or -1 - t when sched[t] is not a pid in
+ * [0, n); nothing is written out of bounds either way. */
+int64_t repro_scu_scan(const int64_t *sched, int64_t steps, int64_t n,
+                       int64_t q, int64_t s, int64_t *state,
+                       int64_t *succ_cols, int64_t *succ_pids,
+                       int64_t *succ_seqs) {
+    int64_t *counts = state, *next_read = state + n;
+    int64_t *read_time = state + 2 * n, *seq = state + 3 * n;
+    for (int64_t p = 0; p < n; p++) {
+        counts[p] = 0;
+        next_read[p] = q;
+        read_time[p] = -1;
+        seq[p] = 0;
     }
-    return count;
-}
-
-/* Array binary min-heap over packed (key << shift) | pid entries — one
- * contiguous int64 array instead of parallel key/pid arrays, so the
- * sift touches a single cache stream.  Keys are unique schedule
- * positions, so packed comparisons order exactly like (key, pid) and
- * pop order matches any other correct heap (Python's heapq included).
- * The child select is branchless: the buffer is sized size + 1, so
- * heap[child + 1] is always a readable (if logically dead) slot and
- * the comparison folds into an unpredictable-branch-free index bump. */
-static void sift_down(int64_t *heap, int64_t size, int64_t pos) {
-    int64_t item = heap[pos];
-    for (;;) {
-        int64_t child = 2 * pos + 1;
-        if (child >= size)
-            break;
-        child += (int64_t)((child + 1 < size) & (heap[child + 1] < heap[child]));
-        if (heap[child] >= item)
-            break;
-        heap[pos] = heap[child];
-        pos = child;
-    }
-    heap[pos] = item;
-}
-
-/* Heap-driven greedy CAS resolution; mirrors the heapq reference loop
- * exactly (success iff the pending read position exceeds the last
- * success; a success costs q extra preamble steps).  `shift` is the
- * pid bit width of the packed heap entries.  Returns the number of
- * successes written. */
-int64_t repro_heap_scan(const int64_t *order, const int64_t *offsets,
-                        int64_t n, int64_t q, int64_t s, int64_t shift,
-                        int64_t *succ_cols, int64_t *succ_pids,
-                        int64_t *succ_seqs, int64_t *seq, int64_t *next_read,
-                        int64_t *heap) {
-    const int64_t mask = ((int64_t)1 << shift) - 1;
-    int64_t size = 0;
-    for (int64_t pid = 0; pid < n; pid++) {
-        seq[pid] = 0;
-        next_read[pid] = q;
-        if (offsets[pid] + q + s < offsets[pid + 1]) {
-            heap[size] = (order[offsets[pid] + q + s] << shift) | pid;
-            size++;
-        }
-    }
-    for (int64_t i = size / 2 - 1; i >= 0; i--)
-        sift_down(heap, size, i);
-
     int64_t last = -1;
     int64_t wins = 0;
-    while (size > 0) {
-        int64_t cas_col = heap[0] >> shift;
-        int64_t pid = heap[0] & mask;
-        int64_t base = offsets[pid];
-        int64_t read_local = next_read[pid];
-        int64_t sequence = seq[pid];
-        seq[pid] = sequence + 1;
-        int64_t advanced;
-        if (order[base + read_local] > last) {
-            last = cas_col;
-            succ_cols[wins] = cas_col;
-            succ_pids[wins] = pid;
-            succ_seqs[wins] = sequence;
-            wins++;
-            advanced = read_local + s + 1 + q;
-        } else {
-            advanced = read_local + s + 1;
-        }
-        next_read[pid] = advanced;
-        if (base + advanced + s < offsets[pid + 1]) {
-            /* pop + push fused: replace the root, sift down */
-            heap[0] = (order[base + advanced + s] << shift) | pid;
-            sift_down(heap, size, 0);
-        } else {
-            size--;
-            if (size > 0) {
-                heap[0] = heap[size];
-                sift_down(heap, size, 0);
+    for (int64_t t = 0; t < steps; t++) {
+        int64_t p = sched[t];
+        if ((uint64_t)p >= (uint64_t)n)
+            return -1 - t;
+        int64_t local = counts[p]++;
+        int64_t read = next_read[p];
+        if (local == read)
+            read_time[p] = t;
+        if (local == read + s) {
+            int64_t attempt = seq[p]++;
+            if (read_time[p] > last) {
+                last = t;
+                succ_cols[wins] = t;
+                succ_pids[wins] = p;
+                succ_seqs[wins] = attempt;
+                wins++;
+                next_read[p] = read + s + 1 + q;
+            } else {
+                next_read[p] = read + s + 1;
             }
         }
     }
@@ -334,237 +346,105 @@ def _build_cc_library() -> ctypes.CDLL:
         library = ctypes.CDLL(so_path)
     except OSError as error:
         raise KernelUnavailable(f"cannot load {so_path}: {error}") from None
-    library.repro_chain_walk.argtypes = [_I64, ctypes.c_int64, _I64]
-    library.repro_chain_walk.restype = ctypes.c_int64
-    library.repro_heap_scan.argtypes = [
-        _I64,
-        _I64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        _I64,
-        _I64,
-        _I64,
-        _I64,
-        _I64,
-        _I64,
-    ]
-    library.repro_heap_scan.restype = ctypes.c_int64
+    library.repro_scu_scan.argtypes = [_I64] + [ctypes.c_int64] * 4 + [_I64] * 4
+    library.repro_scu_scan.restype = ctypes.c_int64
     return library
 
 
-def _pid_shift(n_pids: int, max_key: int) -> int:
-    """Bit width reserved for the pid in a packed ``(key << shift) | pid``
-    heap entry, validated against int64 overflow.
-
-    Keys are schedule columns, so ``max_key`` is the stacked schedule
-    length; overflow would need ``steps * pids`` beyond ``2**62`` —
-    unreachable for any storable schedule, but checked loudly anyway.
-    """
-    shift = max(1, (n_pids - 1).bit_length()) if n_pids > 1 else 1
-    if max_key > 0 and max_key.bit_length() + shift > 62:
-        raise ValueError(
-            f"schedule of {max_key} steps over {n_pids} processes cannot "
-            "pack into int64 heap entries"
-        )
-    return shift
-
-
 class _CompiledKernelBase:
-    """Shared buffer management for compiled backends.
+    """Buffer management around the compiled scan.
 
-    Subclasses provide ``_chain_walk_impl`` / ``_heap_scan_impl`` with
-    the fill-the-caller's-buffers signature; this base allocates exactly
-    sized outputs.  Success counts are bounded a priori: every success
-    consumes ``q + s + 1`` local steps of its process, so a schedule of
-    ``T`` steps over ``n`` processes yields at most ``T // (q + s + 1) + n``
-    successes.
+    Subclasses provide ``_scan_impl`` with the C signature of
+    ``repro_scu_scan``; this base allocates its buffers and serves both
+    resolvers from it (``q == 0`` is just the scan with no preamble).
+    Success counts are bounded a priori: every success consumes
+    ``q + s + 1`` local steps of its process, so a schedule of ``T``
+    steps yields at most ``T // (q + s + 1)`` successes.
     """
 
     name = "compiled"
 
-    def chain_walk(self, successor: np.ndarray, start: int) -> np.ndarray:
-        successor = np.ascontiguousarray(successor, dtype=np.int64)
-        out = np.empty(successor.shape[0], dtype=np.int64)
-        count = self._chain_walk_impl(successor, start, out)
-        return out[: int(count)]
+    def resolve_flat(self, sched: np.ndarray, n: int, s: int) -> Resolution:
+        return self.resolve_heap(sched, n, 0, s)
 
-    def heap_scan(
-        self, order: np.ndarray, offsets: np.ndarray, n: int, q: int, s: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        cap = order.shape[0] // (q + s + 1) + n + 1
-        succ_cols = np.empty(cap, dtype=np.int64)
-        succ_pids = np.empty(cap, dtype=np.int64)
-        succ_seqs = np.empty(cap, dtype=np.int64)
-        seq = np.empty(n, dtype=np.int64)
-        next_read = np.empty(n, dtype=np.int64)
-        # One packed entry per pid, plus a readable slot past the end for
-        # the branchless child select.
-        heap = np.empty(n + 1, dtype=np.int64)
-        shift = _pid_shift(n, int(order.shape[0]))
-        wins = int(
-            self._heap_scan_impl(
-                order,
-                offsets,
-                n,
-                q,
-                s,
-                shift,
-                succ_cols,
-                succ_pids,
-                succ_seqs,
-                seq,
-                next_read,
-                heap,
-            )
-        )
-        return (
-            succ_cols[:wins].copy(),
-            succ_pids[:wins].copy(),
-            succ_seqs[:wins].copy(),
-            seq,
-            next_read,
-        )
+    def resolve_heap(
+        self, sched: np.ndarray, n: int, q: int, s: int
+    ) -> Resolution:
+        if q < 0 or s < 0:
+            raise ValueError(f"the scan needs q >= 0 and s >= 0, got q={q}, s={s}")
+        sched = np.ascontiguousarray(sched, dtype=np.int64)
+        steps = int(sched.shape[0])
+        succ = np.empty((3, steps // (q + s + 1) + 1), dtype=np.int64)
+        state = np.empty((4, n), dtype=np.int64)
+        wins = int(self._scan_impl(sched, steps, n, q, s, state, *succ))
+        if wins < 0:
+            raise _bad_pid(sched, n, -1 - wins)
+        succ_cols, succ_pids, succ_seqs = succ[:, :wins].copy()
+        counts, next_read, _, seq = state
+        return succ_cols, succ_pids, succ_seqs, seq, q + counts - next_read, counts
 
 
 class CcKernel(_CompiledKernelBase):
-    """C implementations built with the system compiler, via ctypes."""
+    """The scan in C, built with the system compiler, via ctypes."""
 
     name = "cc"
 
     def __init__(self, library: Optional[ctypes.CDLL] = None) -> None:
         self._library = library if library is not None else _build_cc_library()
-
-    def _chain_walk_impl(
-        self, successor: np.ndarray, start: int, out: np.ndarray
-    ) -> int:
-        return self._library.repro_chain_walk(successor, start, out)
-
-    def _heap_scan_impl(self, *args: Any) -> int:
-        return self._library.repro_heap_scan(*args)
+        self._scan_impl = self._library.repro_scu_scan
 
 
-def _build_numba_impls() -> Tuple[Any, Any]:
+def _build_numba_scan() -> Any:
     import numba  # noqa: F401 — optional dependency
 
     @numba.njit(cache=False)
-    def chain_walk(successor, start, out):  # pragma: no cover — needs numba
-        count = 0
-        event = start
-        while event != -1:
-            out[count] = event
-            count += 1
-            event = successor[event]
-        return count
-
-    @numba.njit(cache=False)
-    def heap_scan(
-        order,
-        offsets,
-        n,
-        q,
-        s,
-        shift,
-        succ_cols,
-        succ_pids,
-        succ_seqs,
-        seq,
-        next_read,
-        heap,
+    def scan(
+        sched, steps, n, q, s, state, succ_cols, succ_pids, succ_seqs
     ):  # pragma: no cover — needs numba
-        # Packed (key << shift) | pid heap with a branchless child
-        # select — mirrors the C implementation entry for entry.  The
-        # heap buffer holds n + 1 slots, so heap[child + 1] is always a
-        # readable (if logically dead) slot.
-        mask = (np.int64(1) << shift) - 1
-        size = 0
-        for pid in range(n):
-            seq[pid] = 0
-            next_read[pid] = q
-            if offsets[pid] + q + s < offsets[pid + 1]:
-                heap[size] = (order[offsets[pid] + q + s] << shift) | pid
-                size += 1
-        for root in range(size // 2 - 1, -1, -1):
-            pos = root
-            item = heap[pos]
-            while True:
-                child = 2 * pos + 1
-                if child >= size:
-                    break
-                child += 1 * ((child + 1 < size) & (heap[child + 1] < heap[child]))
-                if heap[child] >= item:
-                    break
-                heap[pos] = heap[child]
-                pos = child
-            heap[pos] = item
-
-        last = np.int64(-1)
+        # Mirrors repro_scu_scan in the C source line for line.
+        for p in range(n):
+            state[0, p] = 0
+            state[1, p] = q
+            state[2, p] = -1
+            state[3, p] = 0
+        last = -1
         wins = 0
-        while size > 0:
-            cas_col = heap[0] >> shift
-            pid = heap[0] & mask
-            base = offsets[pid]
-            read_local = next_read[pid]
-            sequence = seq[pid]
-            seq[pid] = sequence + 1
-            if order[base + read_local] > last:
-                last = cas_col
-                succ_cols[wins] = cas_col
-                succ_pids[wins] = pid
-                succ_seqs[wins] = sequence
-                wins += 1
-                advanced = read_local + s + 1 + q
-            else:
-                advanced = read_local + s + 1
-            next_read[pid] = advanced
-            if base + advanced + s < offsets[pid + 1]:
-                heap[0] = (order[base + advanced + s] << shift) | pid
-            else:
-                size -= 1
-                if size > 0:
-                    heap[0] = heap[size]
+        for t in range(steps):
+            p = sched[t]
+            if p < 0 or p >= n:
+                return -1 - t
+            local = state[0, p]
+            state[0, p] = local + 1
+            read = state[1, p]
+            if local == read:
+                state[2, p] = t
+            if local == read + s:
+                attempt = state[3, p]
+                state[3, p] = attempt + 1
+                if state[2, p] > last:
+                    last = t
+                    succ_cols[wins] = t
+                    succ_pids[wins] = p
+                    succ_seqs[wins] = attempt
+                    wins += 1
+                    state[1, p] = read + s + 1 + q
                 else:
-                    continue
-            pos = 0
-            item = heap[0]
-            while True:
-                child = 2 * pos + 1
-                if child >= size:
-                    break
-                child += 1 * ((child + 1 < size) & (heap[child + 1] < heap[child]))
-                if heap[child] >= item:
-                    break
-                heap[pos] = heap[child]
-                pos = child
-            heap[pos] = item
+                    state[1, p] = read + s + 1
         return wins
 
-    return chain_walk, heap_scan
+    return scan
 
 
 class NumbaKernel(_CompiledKernelBase):
-    """``@njit`` implementations; importable only when numba is present."""
+    """The scan under ``@njit``; importable only when numba is present."""
 
     name = "numba"
 
     def __init__(self) -> None:
         try:
-            chain_walk, heap_scan = _build_numba_impls()
+            self._scan_impl = _build_numba_scan()
         except ImportError:
             raise KernelUnavailable("numba is not installed") from None
-        self._chain_walk_jit = chain_walk
-        self._heap_scan_jit = heap_scan
-
-    def _chain_walk_impl(
-        self, successor: np.ndarray, start: int, out: np.ndarray
-    ) -> int:
-        return self._chain_walk_jit(successor, start, out)
-
-    def _heap_scan_impl(self, *args: Any) -> int:
-        return self._heap_scan_jit(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +540,7 @@ def kernel_diagnostics() -> Dict[str, str]:
 
 
 def _flat_prep(sched: np.ndarray, n: int, s: int):
-    """Vectorized preparation for the ``q == 0`` resolver.
+    """Vectorized preparation for the numpy ``q == 0`` resolver.
 
     Returns ``(seq, phase, counts, pairs)`` where ``pairs`` is ``None``
     when the schedule admits no attempts, else ``(c_r, pid_r, seq_r,
@@ -718,15 +598,15 @@ def _flat_prep(sched: np.ndarray, n: int, s: int):
 
 def resolve_flat(
     sched: np.ndarray, n: int, s: int, kernel: Optional[Any] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve a ``q == 0`` schedule, fully vectorized.
+) -> Resolution:
+    """Resolve a ``q == 0`` schedule (``kernel`` defaults to numpy).
 
     With no preamble, process ``p``'s ``k``-th attempt always occupies its
-    local steps ``[k(s+1), k(s+1)+s]`` — read first, CAS last — so every
-    (read time, CAS time) pair is a gather from the schedule grouped by
-    pid.  The greedy success scan then reduces to following a precomputed
-    successor pointer (the only sequential part — delegated to
-    ``kernel.chain_walk``).
+    local steps ``[k(s+1), k(s+1)+s]`` — read first, CAS last.  The numpy
+    backend exploits that: every (read time, CAS time) pair is a gather
+    from the schedule grouped by pid, and the greedy reduces to following
+    a precomputed successor pointer.  Compiled backends run their one
+    time-ordered scan with ``q = 0``.
 
     Returns ``(success_cols, success_pids, success_seqs, seq, phase,
     counts)`` where columns are 0-based schedule positions, ``seq[p]`` is
@@ -734,30 +614,12 @@ def resolve_flat(
     ``[0, s]`` is its position within the current attempt and ``counts[p]``
     its local step count.  The same function resolves a *fused* stack of
     replicates: concatenating schedules in time with per-replicate pid
-    offsets makes the successor chain cross replicate boundaries exactly
-    at each replicate's first success (reads in later replicates are
-    strictly after every earlier CAS), so the output is the per-replicate
-    outputs concatenated.
+    offsets keeps the greedy per replicate (reads in later replicates are
+    strictly after every earlier CAS, so each replicate's first attempt
+    sees a fresh register), so the output is the per-replicate outputs
+    concatenated.  A pid outside ``[0, n)`` raises :class:`ValueError`.
     """
-    if kernel is None:
-        kernel = NumpyKernel()
-    seq, phase, counts, pairs = _flat_prep(sched, n, s)
-    if pairs is None:
-        return _EMPTY, _EMPTY, _EMPTY, seq, phase, counts
-    c_r, pid_r, seq_r, successor, suffix_argmin = pairs
-
-    # The first success is the earliest CAS overall; after a success at
-    # time L, the next is the earliest CAS among attempts that read after
-    # L.  Walking the successor pointers visits exactly the successes.
-    events = kernel.chain_walk(successor, int(suffix_argmin[0]))
-    return (
-        c_r[events].astype(np.int64),
-        pid_r[events].astype(np.int64),
-        seq_r[events].astype(np.int64),
-        seq,
-        phase,
-        counts,
-    )
+    return (NumpyKernel() if kernel is None else kernel).resolve_flat(sched, n, s)
 
 
 def resolve_flat_stacked(
@@ -765,45 +627,36 @@ def resolve_flat_stacked(
     pid_base: np.ndarray,
     s: int,
     kernel: Optional[Any] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Resolution:
     """:func:`resolve_flat` on a fused replicate stack.
 
     ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table the
     fused path builds (replicate ``k`` owns pids ``[pid_base[k],
     pid_base[k + 1])``); the stack is resolved as one schedule over
-    ``pid_base[-1]`` processes — the global successor chain is exactly
-    the per-replicate chains concatenated.
+    ``pid_base[-1]`` processes — the global successes are exactly the
+    per-replicate successes concatenated.
     """
     return resolve_flat(sched, int(pid_base[-1]), s, kernel)
 
 
 def resolve_heap(
     sched: np.ndarray, n: int, q: int, s: int, kernel: Optional[Any] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve a general ``SCU(q, s)`` schedule with a heap-driven scan.
+) -> Resolution:
+    """Resolve a general ``SCU(q, s)`` schedule (``kernel`` defaults to numpy).
 
     Every call starts with ``q`` preamble steps, so a success shifts the
-    process's subsequent event times — attempts must be scheduled lazily.
-    The heap holds one pending CAS event per process, popped in time
-    order (delegated to ``kernel.heap_scan``); the greedy success
-    condition is identical to the ``q == 0`` path.  Return contract
-    matches :func:`resolve_flat` (``phase`` in ``[0, q + s]``).  Fused
-    stacks resolve correctly for the same reason as the flat path: CAS
-    keys are globally ordered replicate-major, so the pop sequence is the
-    per-replicate pop sequences concatenated.
+    process's subsequent event times — attempts are found as the scan
+    reaches them.  The numpy backend keeps one pending CAS event per
+    process in a heap, popped in time order; compiled backends run their
+    time-ordered scan.  The greedy success condition is identical to the
+    ``q == 0`` path.  Return contract matches :func:`resolve_flat`
+    (``phase`` in ``[0, q + s]``), and fused stacks resolve correctly for
+    the same reason: replicates are time-partitioned, so the global CAS
+    order is the per-replicate orders concatenated.
     """
-    if kernel is None:
-        kernel = NumpyKernel()
-    counts = np.bincount(sched, minlength=n)
-    key_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    order = np.argsort(sched.astype(key_dtype), kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-
-    succ_cols, succ_pids, succ_seqs, seq, next_read = kernel.heap_scan(
-        order, offsets, n, q, s
+    return (NumpyKernel() if kernel is None else kernel).resolve_heap(
+        sched, n, q, s
     )
-    phase = q + counts - next_read
-    return (succ_cols, succ_pids, succ_seqs, seq, phase, counts)
 
 
 def resolve_heap_stacked(
@@ -812,12 +665,12 @@ def resolve_heap_stacked(
     q: int,
     s: int,
     kernel: Optional[Any] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Resolution:
     """:func:`resolve_heap` on a fused replicate stack.
 
     ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table; the
     stack is resolved as one schedule over ``pid_base[-1]`` processes —
-    replicates are time-partitioned, so the global pop sequence is the
-    per-replicate pop sequences concatenated.
+    replicates are time-partitioned, so the global CAS sequence is the
+    per-replicate sequences concatenated.
     """
     return resolve_heap(sched, int(pid_base[-1]), q, s, kernel)

@@ -102,6 +102,26 @@ def test_backend_heap_scan_on_fused_stack(backend_name):
     )
 
 
+@pytest.mark.parametrize("backend_name", ["numpy", "cc", "numba"])
+@pytest.mark.parametrize("bad_pid", [3, -1, 2**40])
+def test_out_of_range_pid_raises(backend_name, bad_pid):
+    """A pid outside ``[0, n)`` fails loudly, naming the pid and its
+    position, through every public resolver on every backend."""
+    backend = ORACLE if backend_name == "numpy" else compiled_backend(backend_name)
+    sched = np.asarray([0, 1, 2, 1, bad_pid, 0], dtype=np.int64)
+    pid_base = np.asarray([0, 1, 3], dtype=np.int64)
+    calls = [
+        lambda: resolve_flat(sched, 3, 1, backend),
+        lambda: resolve_heap(sched, 3, 2, 1, backend),
+        lambda: resolve_flat_stacked(sched, pid_base, 1, backend),
+        lambda: resolve_heap_stacked(sched, pid_base, 2, 1, backend),
+    ]
+    message = rf"pid {bad_pid} at position 4 is outside \[0, 3\)"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_ensemble_engine_kernel_equivalence():
     """End to end: an EnsembleSimulator run is identical under every
     available backend name."""

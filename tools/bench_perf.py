@@ -103,7 +103,7 @@ def timed(fn):
 def _per_replicate_ensemble_points(n_values, steps, repeats, seed, confidence=0.95):
     """The pre-fusion ensemble path, reconstructed as a baseline.
 
-    Per-replicate resolution (``fuse=False``, numpy inner loops) and
+    Per-replicate resolution (``fuse=False``, numpy kernel) and
     recorder-based measurement — exactly what ``engine="ensemble"`` did
     before fused resolution and the vectorized measurement fast path.
     Returns the same :class:`SweepPoint` list as ``latency_sweep``.
@@ -203,7 +203,7 @@ def bench_fused_sweep(quick):
     One ensemble-engine sweep timed under every combination of ``fuse``
     and ``engine_kernel`` that exists on this machine.  All arms share
     the vectorized measurement path, so the deltas isolate fusion and
-    the compiled inner loops; ``fig5_sweep`` prices the full default
+    the compiled resolve scan; ``fig5_sweep`` prices the full default
     against the original per-replicate path.  The ``auto_fuse_numpy``
     arm shows the ``fuse="auto"`` crossover: at this workload's step
     count the numpy kernel is faster unfused, so auto must match the

@@ -121,11 +121,12 @@ wrong (`tools/bench_perf.py`, `chaos_sweep` workload).
 The ensemble engine *fuses* same-shape replicates — same `(q, s)` and
 resolver kind, across a point's replicate block and across the grid's
 thread counts — into stacked schedules resolved in one vectorized
-pass, and delegates its two sequential inner loops (the successor
-chain walk and the heap-driven CAS scan) to pluggable kernels:
-`numpy` (always available, the bit-identity oracle), `cc` (a small C
-library compiled by the system compiler at first use) and `numba`
-(optional).  Both are on by default — `fuse="auto"` skips fusion only
+pass on pluggable kernels: `cc` (a small C library compiled by the
+system compiler at first use) and `numba` (optional) run one
+time-ordered scan for every `SCU(q, s)` shape, and `numpy` (always
+available, the bit-identity oracle) keeps its successor-chain walk
+and `heapq` scan.  Fusion and the fastest kernel are on by default —
+`fuse="auto"` skips fusion only
 where the stacked pass would lose to per-replicate resolution (the
 numpy kernel above its measured step-count crossover); a pooled sweep
 additionally moves tasks and results through zero-copy shared-memory
