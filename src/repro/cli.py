@@ -835,7 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["serial", "batched"],
         default="batched",
         help="execution engine (bit-identical by the trace-equivalence "
-        "contract; contention schedulers clamp the batch internally)",
+        "contract; contention schedulers are observed and drawn once per "
+        "step on both)",
     )
     p.add_argument(
         "--epsilons",

@@ -143,8 +143,10 @@ def measure_departure_point(
     Seeding follows the sweep convention — the run RNG is
     ``default_rng((seed, n_processes))`` — so a departure point is
     reproducible independently of which curve it belongs to.  ``batched``
-    selects the fast engine (bit-identical to serial by the PR 1
-    contract; contention schedulers clamp the block size internally).
+    selects the fast engine, bit-identical to serial for every scheduler:
+    contention schedulers run its block loop with the ``observe_pending``
+    hook and one ``select`` per step, so both engines consume the same
+    draws and leave the RNG and scheduler in the same state.
     """
     if steps < 1:
         raise ValueError("steps must be positive")

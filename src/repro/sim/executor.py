@@ -37,6 +37,15 @@ def _cas_totals(memory: Memory) -> Tuple[int, int]:
     return attempts, successes
 
 
+def _inactive_selection(pid, time: int, active: Sequence[int]) -> RuntimeError:
+    """The error both engines raise when a scheduler picks a pid outside
+    the active set."""
+    return RuntimeError(
+        f"scheduler selected inactive process {pid} at t={time} "
+        f"(active: {active[:10]}{'...' if len(active) > 10 else ''})"
+    )
+
+
 def validate_crash_times(
     crash_times: Optional[Dict[int, int]], n_processes: int
 ) -> Dict[int, int]:
@@ -196,7 +205,8 @@ class Simulator:
         self._primed = False
         # Contention hook (ContentionScheduler): when the scheduler wants
         # to see which registers the pending operations target, it is fed
-        # before every scheduling decision (run_batched defers to run).
+        # before every scheduling decision, on both engines (run_batched
+        # then asks the scheduler once per step instead of once per block).
         self._observe_pending = getattr(scheduler, "observe_pending", None)
         self.telemetry = telemetry
         self._crashes_fired = 0
@@ -309,10 +319,7 @@ class Simulator:
             )
         pid = self.scheduler.select(time, active, self.rng)
         if pid not in active:
-            raise RuntimeError(
-                f"scheduler selected inactive process {pid} at t={time} "
-                f"(active: {active[:10]}{'...' if len(active) > 10 else ''})"
-            )
+            raise _inactive_selection(pid, time, active)
         self.time = time
         process = self.processes[pid]
         process.take_step(self.memory.apply)
@@ -426,25 +433,22 @@ class Simulator:
 
         Schedulers with an ``observe_pending`` hook (contention
         schedulers) must see the pending operations before every single
-        decision, so they run on :meth:`run` itself.
+        decision, so they run through the same blocks and the same inline
+        dispatch but are asked once per step: the hook fires on a
+        pid -> register map of the block's active set (one map per block,
+        only the stepped pid's entry refreshed after a step, so a hook
+        must read it, not keep it), then ``select`` picks.
+        Nothing is drawn ahead, so no block needs a rewind, and the RNG,
+        scheduler and clock end exactly where :meth:`run` leaves them.
 
         Parameters are those of :meth:`run`, plus ``batch_size``: the
-        maximum number of scheduler choices drawn at once.
+        maximum number of steps per block (scheduler choices drawn at
+        once, for schedulers without the hook).
         """
         if max_steps < 0:
             raise ValueError("max_steps must be non-negative")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self._observe_pending is not None:
-            # Contention state is observed before *every* decision, so a
-            # block could never grow past one step: take the serial loop.
-            return self.run(
-                max_steps,
-                stop_after_completions=stop_after_completions,
-                stop_after_completions_by=stop_after_completions_by,
-            )
-        if not self._primed:
-            self._prime()
         telemetry = self.telemetry
         telemetry_on = telemetry is not None and telemetry.enabled
         if telemetry_on:
@@ -470,6 +474,9 @@ class Simulator:
         step_counts = recorder.steps
         schedule = recorder.schedule
 
+        observe = self._observe_pending
+        observed = observe is not None
+        select = scheduler.select
         select_batch = getattr(scheduler, "select_batch", None)
         snapshot_state = getattr(scheduler, "state_snapshot", None)
         restore_state = getattr(scheduler, "state_restore", None)
@@ -511,6 +518,11 @@ class Simulator:
             if target_pid is not None and target_count > baseline:
                 stopped_early = True
                 break
+            if not self._primed:
+                # Primed where step() primes: after the stop checks, so a
+                # call that takes no step leaves the processes unstarted.
+                self._prime()
+                pendings = [process.pending for process in processes]
             next_t = time + 1
             self._apply_crashes(next_t)
             active = self.active_pids()
@@ -522,22 +534,32 @@ class Simulator:
                 if boundary > next_t:
                     block = min(block, boundary - next_t)
                     break
-            rng_state = bit_generator.state
-            scheduler_state = (
-                snapshot_state() if snapshot_state is not None else None
-            )
-            pids = select_batch(next_t, active, rng, block)
-            # Validate the whole block at once instead of one membership
-            # test per step; an invalid selection truncates the iterated
-            # prefix so the error surfaces at the exact offending step,
-            # after the valid prefix has executed (as the serial path
-            # would have).
-            valid = np.isin(pids, np.asarray(active, dtype=np.int64))
-            invalid_at = -1 if valid.all() else int(np.argmax(~valid))
-            iterated = pids if invalid_at < 0 else pids[:invalid_at]
+            if not observed:
+                rng_state = bit_generator.state
+                scheduler_state = (
+                    snapshot_state() if snapshot_state is not None else None
+                )
+                pids = select_batch(next_t, active, rng, block)
+                # Validate the whole block at once instead of one
+                # membership test per step; an invalid selection truncates
+                # the iterated prefix so the error surfaces at the exact
+                # offending step, after the valid prefix has executed (as
+                # the serial path would have).
+                valid = np.isin(pids, np.asarray(active, dtype=np.int64))
+                invalid_at = -1 if valid.all() else int(np.argmax(~valid))
+                picks = (pids if invalid_at < 0 else pids[:invalid_at]).tolist()
+            else:
+                # Observed scheduler: one hook + select per step below.
+                # The register map's keys are the block's active set.
+                invalid_at = -1
+                registers = {
+                    pid: getattr(pendings[pid], "register", None)
+                    for pid in active
+                }
+                picks = []
             executed = 0
             try:
-                for pid in iterated.tolist():
+                for pid in range(block) if observed else picks:
                     if check_stops and executed:
                         if (
                             stop_after_completions is not None
@@ -548,6 +570,17 @@ class Simulator:
                         if target_pid is not None and target_count > baseline:
                             stopped_early = True
                             break
+                    if observed:
+                        if executed:
+                            last = picks[-1]
+                            registers[last] = getattr(
+                                pendings[last], "register", None
+                            )
+                        observe(registers)
+                        pid = select(time + 1, active, rng)
+                        if pid not in registers:
+                            raise _inactive_selection(pid, time + 1, active)
+                        picks.append(pid)
                     time += 1
                     executed += 1
                     # Inlined Process.take_step + refill, with markers
@@ -609,12 +642,8 @@ class Simulator:
                         ):
                             stopped_early = True
                         else:
-                            bad_pid = int(pids[invalid_at])
-                            raise RuntimeError(
-                                f"scheduler selected inactive process "
-                                f"{bad_pid} at t={time + 1} (active: "
-                                f"{active[:10]}"
-                                f"{'...' if len(active) > 10 else ''})"
+                            raise _inactive_selection(
+                                int(pids[invalid_at]), time + 1, active
                             )
             finally:
                 for synced_pid, pending in enumerate(pendings):
@@ -622,19 +651,22 @@ class Simulator:
                 memory.total_operations += executed
                 recorder.total_steps += executed
                 if executed:
-                    counts = np.bincount(
-                        pids[: executed], minlength=self.n_processes
+                    stepped = (
+                        np.array(picks, dtype=np.int64)
+                        if observed
+                        else pids[:executed]
                     )
+                    counts = np.bincount(stepped, minlength=self.n_processes)
                     for counted_pid in np.nonzero(counts)[0].tolist():
                         step_count = int(counts[counted_pid])
                         step_counts[counted_pid] += step_count
                         processes[counted_pid].steps += step_count
                     if schedule is not None:
-                        schedule.extend(pids[:executed])
+                        schedule.extend(stepped)
                 self.time = time
             if executed:
                 blocks_executed += 1
-            if executed < block:
+            if executed < block and not observed:
                 # The block was cut short: rewind RNG and scheduler state,
                 # then replay exactly the consumed prefix so both end up
                 # where the step-by-step path would be.

@@ -19,6 +19,7 @@ from repro.core.scheduler import (
     LotteryScheduler,
     MarkovModulatedScheduler,
     SkewedStochasticScheduler,
+    _CDF_CACHE_LIMIT,
 )
 
 
@@ -115,6 +116,23 @@ class TestContention:
         assert sched.distribution(0, [0, 1, 2]) != before
         sched.state_restore(snapshot)
         assert sched.distribution(0, [0, 1, 2]) == before
+
+
+    def test_cdf_cache_stays_within_its_limit(self):
+        """Random pending maps at n = 64 make nearly every contending set
+        new; the cdf cache must drop old entries, not grow without bound."""
+        n = 64
+        sched = ContentionScheduler(focus=4.0)
+        rng = np.random.default_rng(17)
+        names = [f"r{k}" for k in range(24)] + [None]
+        draws = np.random.default_rng(18).integers(len(names), size=(50_000, n))
+        active = list(range(n))
+        largest = 0
+        for row in draws.tolist():
+            sched.observe_pending({pid: names[k] for pid, k in enumerate(row)})
+            sched.select(0, active, rng)
+            largest = max(largest, len(sched._cdfs))
+        assert largest == _CDF_CACHE_LIMIT
 
 
 class TestThresholdLengthChecks:

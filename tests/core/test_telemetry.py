@@ -16,7 +16,11 @@ import pytest
 from repro.algorithms.counter import cas_counter, make_counter_memory
 from repro.core.latency import measure_latencies, measure_latencies_ensemble
 from repro.core.runner import ResilientExecutor, RetryPolicy
-from repro.core.scheduler import AdversarialScheduler, UniformStochasticScheduler
+from repro.core.scheduler import (
+    AdversarialScheduler,
+    ContentionScheduler,
+    UniformStochasticScheduler,
+)
 from repro.core.sweep import latency_sweep, parallel_sweep
 from repro.core.telemetry import (
     EVENT_RUN,
@@ -191,6 +195,43 @@ class TestEngineCounters:
         blocks = batched_registry.counters.pop("sim.blocks")
         assert blocks >= 1
         assert batched_registry.counters == serial_registry.counters
+
+    def test_contention_batched_run_reports_the_batched_engine(self):
+        """An observed (contention) scheduler runs run_batched's own block
+        loop: the event says ``batched`` and blocks are counted, while
+        steps, completions and per-process step counts match run()."""
+
+        def contention_run(batched):
+            registry = MetricsRegistry()
+            events = []
+            registry.subscribe(EVENT_RUN, events.append)
+            simulator = Simulator(
+                cas_counter(),
+                ContentionScheduler(focus=4.0),
+                n_processes=4,
+                memory=make_counter_memory(),
+                rng=5,
+                crash_times={2: 700},
+                telemetry=registry,
+            )
+            if batched:
+                simulator.run_batched(3_000, batch_size=512)
+            else:
+                simulator.run(3_000)
+            return registry.counters, events
+
+        serial_counters, serial_events = contention_run(False)
+        batched_counters, batched_events = contention_run(True)
+        assert [event["engine"] for event in serial_events] == ["serial"]
+        assert [event["engine"] for event in batched_events] == ["batched"]
+        # 700 - 1 steps up to the crash (two 512-step blocks), then the
+        # rest of the budget in 512-step blocks.
+        assert batched_counters.pop("sim.blocks") == 2 + 5
+        assert "sim.blocks" not in serial_counters
+        assert batched_counters == serial_counters
+        assert batched_counters["sim.steps"] == 3_000
+        for key in ("steps", "completions", "step_counts"):
+            assert batched_events[0][key] == serial_events[0][key]
 
     def test_crash_events_counted(self):
         registry = MetricsRegistry()

@@ -168,9 +168,10 @@ class TestExecutorContentionHook:
     def test_run_batched_leaves_rng_and_scheduler_state_where_run_does(
         self, name
     ):
-        """Contention schedulers take the serial loop under run_batched,
-        so both calls leave the RNG stream, the scheduler's contending
-        set and the clock in the same place — and can interleave."""
+        """Under run_batched a contention scheduler is observed and asked
+        once per step, nothing drawn ahead, so both calls leave the RNG
+        stream, the scheduler's contending set and the clock in the same
+        place — and can interleave."""
         workload = get_workload(name)
         ends = []
         for batched in (False, True):
