@@ -24,7 +24,7 @@ Commands
     recovery, content-addressed dedupe) behind a local HTTP or
     unix-socket API.
 
-Every command treats ``SIGTERM`` like Ctrl-C: active checkpoints are
+Every command treats ``SIGTERM`` like Ctrl-C: active sweep stores are
 flushed and the process exits with the conventional code 143 (``serve``
 instead drains and exits 0 — its shutdown *is* the graceful path), so
 ``kill <pid>`` never drops the fsync batch of a long sweep.
@@ -405,7 +405,7 @@ def cmd_figure5(args: argparse.Namespace) -> int:
         completion_rate_prediction,
         worst_case_completion_rate,
     )
-    from repro.core.checkpoint import SweepCheckpoint, sweep_fingerprint
+    from repro.core.checkpoint import sweep_fingerprint
     from repro.core.latency import measure_latencies
 
     try:
@@ -439,18 +439,12 @@ def cmd_figure5(args: argparse.Namespace) -> int:
         getattr(args, "telemetry", None)
     )
     _configure_memo(args, telemetry)
-    store = getattr(args, "store", None)
-    if args.checkpoint is not None and store is not None:
-        print(
-            "--checkpoint and --store are two formats of the same result "
-            "log; pass one or the other",
-            file=sys.stderr,
-        )
-        return 2
-    checkpoint = None
-    if args.checkpoint is not None or store is not None:
+    store = None
+    if args.store is not None:
+        from repro.core.store import ColumnarSweepStore
+
         # Each thread count is one deterministic measurement (seeded
-        # rng=n), so the sweep checkpoints per (n, replicate=0) and a
+        # rng=n), so the sweep records per (n, replicate=0) and a
         # resumed run re-measures only the missing thread counts.
         fingerprint = sweep_fingerprint(
             seed=0,
@@ -461,24 +455,14 @@ def cmd_figure5(args: argparse.Namespace) -> int:
             burn_in=None,
             workload=workload.fingerprint,
         )
-        if store is not None:
-            from repro.core.store import ColumnarSweepStore
-
-            checkpoint = ColumnarSweepStore.open(
-                store, fingerprint, resume=args.resume, telemetry=telemetry
-            )
-        else:
-            checkpoint = SweepCheckpoint.open(
-                args.checkpoint,
-                fingerprint,
-                resume=args.resume,
-                telemetry=telemetry,
-            )
+        store = ColumnarSweepStore.open(
+            args.store, fingerprint, resume=args.resume, telemetry=telemetry
+        )
     measured = []
     try:
         for n in thread_counts:
-            if checkpoint is not None and (n, 0) in checkpoint.completed:
-                measured.append(checkpoint.completed[(n, 0)][1])
+            if store is not None and (n, 0) in store.completed:
+                measured.append(store.completed[(n, 0)][1])
                 continue
             if args.engine == "ensemble":
                 # One replicate per thread count, same rng=n seed — the
@@ -506,13 +490,13 @@ def cmd_figure5(args: argparse.Namespace) -> int:
                     telemetry=telemetry,
                 )
             measured.append(m.completion_rate)
-            if checkpoint is not None:
-                checkpoint.record(
+            if store is not None:
+                store.record(
                     n, 0, (m.system_latency, m.completion_rate, m.fairness_ratio)
                 )
     finally:
-        if checkpoint is not None:
-            checkpoint.close()
+        if store is not None:
+            store.close()
     predicted = completion_rate_prediction(thread_counts, measured_first=measured[0])
     worst = worst_case_completion_rate(thread_counts)
     # The exact chain models SCU(0,1); other zoo members get NaN here.
@@ -762,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         default="cas-counter",
         help="which registered zoo workload to sweep (the workload name "
-        "is folded into the checkpoint fingerprint)",
+        "is folded into the store fingerprint)",
     )
     p.add_argument(
         "--engine",
@@ -772,22 +756,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(trace-equivalence contract); ensemble is fastest",
     )
     p.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="append finished thread counts to this JSONL checkpoint",
-    )
-    p.add_argument(
         "--store",
+        "--checkpoint",
+        dest="store",
         metavar="DIR",
         default=None,
         help="append finished thread counts to this columnar sweep "
-        "store directory (mutually exclusive with --checkpoint)",
+        "store directory (--checkpoint is another spelling)",
     )
     p.add_argument(
         "--resume",
         action="store_true",
-        help="skip thread counts already in --checkpoint/--store "
+        help="skip thread counts already in --store "
         "(parameters must match the stored fingerprint)",
     )
     p.add_argument(
@@ -949,7 +929,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Ctrl-C exits with the conventional code 130, ``SIGTERM`` (a plain
     ``kill <pid>``) with 143 — both after flushing any active sweep
-    checkpoint, so an interrupted long run can be resumed instead of
+    store, so an interrupted long run can be resumed instead of
     losing its fsync batch to a traceback.  ``serve`` installs its own
     graceful-drain handlers and exits 0.
     """
@@ -968,19 +948,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KeyboardInterrupt, _Terminated) as exc:
         from repro.core.checkpoint import flush_active_checkpoints
 
-        # Checkpoints opened by a sweep are usually already closed by the
+        # Stores opened by a sweep are usually already closed by the
         # time the interrupt unwinds to here (the sweep's finally block
         # runs first), so "nothing left to flush" does NOT mean "nothing
-        # was saved" — if the command was given a checkpoint path and the
-        # file exists, it is resumable.
+        # was saved" — if the command was given a store path and it
+        # exists, it is resumable.
         flushed = flush_active_checkpoints()
-        checkpoint = getattr(args, "checkpoint", None)
         store = getattr(args, "store", None)
-        saved = (
-            flushed > 0
-            or (checkpoint is not None and Path(checkpoint).exists())
-            or (store is not None and Path(store).exists())
-        )
+        saved = flushed > 0 or (store is not None and Path(store).exists())
         note = " (checkpoint saved; rerun with --resume)" if saved else ""
         if isinstance(exc, _Terminated):
             print(f"terminated{note}", file=sys.stderr)

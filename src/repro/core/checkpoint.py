@@ -1,26 +1,27 @@
-"""Append-only JSONL checkpoints for long-running sweeps.
+"""Shared pieces of the durable sweep journals.
 
-A :class:`SweepCheckpoint` makes a sweep *resumable*: the first line of
-the file is a schema-versioned header carrying the sweep's full
-fingerprint (seed, steps, engine, ``n_values``, repeats, burn-in and a
-hash of the resolved crash configuration), and every completed
-``(n, replicate)`` triple is appended as its own JSON line.  Because
-every replicate is pure deterministic work keyed by
-``(seed, n, replicate)``, a resumed sweep that re-runs only the missing
-replicates is bit-identical to an uninterrupted one — the checkpoint
-never has to store partial simulator state, only finished numbers.
+Every replicate is pure deterministic work keyed by
+``(seed, n, replicate)``, so a sweep becomes *resumable* by journaling
+its finished triples under a fingerprint of the sweep
+(:func:`sweep_fingerprint`: seed, steps, engine, ``n_values``,
+repeats, burn-in, workload and a hash of the resolved crash
+configuration).  A resumed sweep that re-runs only the missing
+replicates is bit-identical to an uninterrupted one; the journal never
+stores partial simulator state, only finished numbers.  The one result
+journal is :class:`repro.core.store.ColumnarSweepStore`; the service's
+:class:`repro.service.ledger.JobLedger` journals job events the same
+way.
 
-Durability model: each record is written as one line and flushed
-immediately, with an ``fsync`` every ``fsync_every`` records (and on
-:meth:`SweepCheckpoint.flush`/:meth:`SweepCheckpoint.close`).  A crash
-can therefore lose at most the tail of the file, and a torn final line
-is tolerated on load — and truncated before the resumed sweep appends,
-so the next record starts a fresh line rather than gluing onto the
-partial one; a corrupt line anywhere *else* is an error.
-Resuming against a header whose fingerprint does not match the
+This module holds what those journals share: the fingerprint and the
+crash-configuration hash, the point-record validator
+(:func:`parse_point_record`), torn-tail repair for JSONL files
+(:func:`repair_jsonl_tail`), the single-writer lock, the registry of
+open journals that ``repro.cli`` flushes on Ctrl-C/SIGTERM
+(:func:`flush_active_checkpoints`) and the two error classes.
+Resuming against a journal whose fingerprint does not match the
 requested sweep raises :class:`CheckpointMismatchError` naming every
-differing field — silently mixing results from two different sweeps is
-the one failure mode a checkpoint must never have.
+differing field: silently mixing results from two different sweeps is
+the one failure mode a journal must never have.
 """
 
 from __future__ import annotations
@@ -31,25 +32,22 @@ import os
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 try:  # advisory file locking is POSIX-only; degrade gracefully elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-#: Bumped whenever the on-disk layout changes incompatibly.
-SCHEMA_VERSION = 1
-
 Triple = Tuple[float, float, float]
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file cannot be created, read, or appended to."""
+    """A sweep journal cannot be created, read, or appended to."""
 
 
 class CheckpointMismatchError(CheckpointError):
-    """Resume was attempted against a checkpoint of a *different* sweep."""
+    """Resume was attempted against a journal of a *different* sweep."""
 
 
 @dataclass(frozen=True)
@@ -152,16 +150,16 @@ def sweep_fingerprint(
     crash_times: CrashTimesLike = None,
     workload: Optional[str] = None,
 ) -> Dict[str, object]:
-    """The identity of one sweep, as stored in the checkpoint header.
+    """The identity of one sweep, as stored in the journal header.
 
     Two sweeps with equal fingerprints produce bit-identical
-    ``(n, replicate)`` triples, so their checkpoints are interchangeable;
+    ``(n, replicate)`` triples, so their journals are interchangeable;
     anything else must be rejected on resume.
 
     ``workload`` names the registered workload being swept
     (:mod:`repro.algorithms.registry`); ``None`` is the historical CAS
     counter default.  Folding the name in means a msqueue sweep can
-    never resume from (or dedupe against) a counter checkpoint.
+    never resume from (or dedupe against) a counter store.
     """
     return {
         "seed": int(seed),
@@ -175,9 +173,9 @@ def sweep_fingerprint(
     }
 
 
-#: Open checkpoints/stores, so ``repro.cli`` can flush them on
-#: KeyboardInterrupt.  :class:`repro.core.store.ColumnarSweepStore`
-#: registers here too — anything with ``closed``/``flush`` qualifies.
+#: Open journals, so ``repro.cli`` can flush them on KeyboardInterrupt.
+#: :class:`repro.core.store.ColumnarSweepStore` registers here; anything
+#: with ``closed``/``flush`` qualifies.
 _ACTIVE: "weakref.WeakSet" = weakref.WeakSet()
 
 
@@ -190,13 +188,13 @@ def parse_point_record(
     missing field, a short ``v`` list, a non-numeric entry.  Every such
     shape raises :class:`CheckpointError` naming the line, consistent
     with the other corruption paths; nothing escapes as a raw
-    ``KeyError``/``IndexError``/``TypeError``.  Shared by the JSONL
-    checkpoint and the columnar store's write-ahead tail.
+    ``KeyError``/``IndexError``/``TypeError``.  The columnar store's
+    write-ahead tail holds these records.
     """
 
     def invalid(why: str) -> CheckpointError:
         return CheckpointError(
-            f"checkpoint {path} line {line_no} is structurally invalid "
+            f"journal {path} line {line_no} is structurally invalid "
             f"({why}); the record parsed as JSON but is not a point record"
         )
 
@@ -204,7 +202,7 @@ def parse_point_record(
         raise invalid(f"expected an object, got {type(record).__name__}")
     if record.get("kind") != "point":
         raise CheckpointError(
-            f"checkpoint {path} line {line_no} has unknown kind "
+            f"journal {path} line {line_no} has unknown kind "
             f"{record.get('kind')!r}"
         )
     for fld in ("n", "r", "v"):
@@ -357,271 +355,10 @@ def acquire_writer_lock(target: Union[str, Path]) -> Optional[WriterLock]:
 
 
 def flush_active_checkpoints() -> int:
-    """Flush every open checkpoint; returns how many were flushed."""
+    """Flush every open journal; returns how many were flushed."""
     count = 0
-    for checkpoint in list(_ACTIVE):
-        if not checkpoint.closed:
-            checkpoint.flush()
+    for journal in list(_ACTIVE):
+        if not journal.closed:
+            journal.flush()
             count += 1
     return count
-
-
-class SweepCheckpoint:
-    """Append-only record of the finished ``(n, replicate)`` triples.
-
-    Use :meth:`open` — it creates a fresh file (writing the header) or,
-    with ``resume=True``, validates the existing header against the
-    requested fingerprint and loads the completed triples into
-    :attr:`completed`.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        fingerprint: Dict[str, object],
-        completed: Dict[Tuple[int, int], Triple],
-        handle,
-        *,
-        fsync_every: int = 16,
-        telemetry=None,
-        lock: Optional[WriterLock] = None,
-    ):
-        self.path = Path(path)
-        self.fingerprint = fingerprint
-        self.completed = completed
-        self._handle = handle
-        self._fsync_every = max(1, int(fsync_every))
-        self._since_sync = 0
-        self.telemetry = telemetry
-        self._lock = lock
-        _ACTIVE.add(self)
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def open(
-        cls,
-        path: Union[str, Path],
-        fingerprint: Dict[str, object],
-        *,
-        resume: bool = False,
-        fsync_every: int = 16,
-        telemetry=None,
-    ) -> "SweepCheckpoint":
-        """Create a fresh checkpoint, or resume an existing one.
-
-        ``resume=False`` refuses to touch an existing non-empty file —
-        clobbering a checkpoint silently would defeat its purpose.
-        ``resume=True`` accepts a missing file (starts fresh, so a
-        ``--resume`` invocation is idempotent) and otherwise validates
-        the stored fingerprint, raising :class:`CheckpointMismatchError`
-        on any difference.
-
-        Opening takes the advisory single-writer lock (a sidecar
-        ``<path>.lock``): a second concurrent open fails loudly with a
-        :class:`CheckpointError` naming the holder's PID instead of
-        silently interleaving appends.  The lock is released by
-        :meth:`close` and evaporates with the process on a crash.
-        """
-        path = Path(path)
-        exists = path.exists() and path.stat().st_size > 0
-        if exists and not resume:
-            raise CheckpointError(
-                f"checkpoint {path} already exists; pass resume=True to "
-                "continue it, or remove the file to start over"
-            )
-        lock = acquire_writer_lock(path)
-        try:
-            if exists:
-                stored, completed = cls._read(path)
-                if stored != fingerprint:
-                    differing = sorted(
-                        key
-                        for key in set(stored) | set(fingerprint)
-                        if stored.get(key) != fingerprint.get(key)
-                    )
-                    raise CheckpointMismatchError(
-                        f"checkpoint {path} belongs to a different sweep: "
-                        f"fields {differing} differ "
-                        f"(stored {[stored.get(k) for k in differing]}, "
-                        f"requested {[fingerprint.get(k) for k in differing]})"
-                    )
-                cls._repair_tail(path)
-                handle = path.open("a", encoding="utf-8")
-                if telemetry is not None and telemetry.enabled:
-                    telemetry.inc("checkpoint.resume_hits", len(completed))
-                return cls(
-                    path,
-                    fingerprint,
-                    completed,
-                    handle,
-                    fsync_every=fsync_every,
-                    telemetry=telemetry,
-                    lock=lock,
-                )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = path.open("w", encoding="utf-8")
-            header = {
-                "kind": "header",
-                "version": SCHEMA_VERSION,
-                "fingerprint": fingerprint,
-            }
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-            return cls(
-                path,
-                fingerprint,
-                {},
-                handle,
-                fsync_every=fsync_every,
-                telemetry=telemetry,
-                lock=lock,
-            )
-        except BaseException:
-            if lock is not None:
-                lock.release()
-            raise
-
-    @staticmethod
-    def _repair_tail(path: Path) -> None:
-        """Make the file end with a newline before appending to it.
-
-        See :func:`repair_jsonl_tail` (shared with the columnar store's
-        write-ahead tail).
-        """
-        repair_jsonl_tail(path)
-
-    @staticmethod
-    def _read(
-        path: Path,
-    ) -> Tuple[Dict[str, object], Dict[Tuple[int, int], Triple]]:
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path} is unreadable: {exc}"
-            ) from exc
-        if not lines:
-            raise CheckpointError(f"checkpoint {path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"checkpoint {path} has an unreadable header: {exc}"
-            ) from exc
-        if not isinstance(header, dict) or header.get("kind") != "header":
-            raise CheckpointError(
-                f"checkpoint {path} does not start with a header record"
-            )
-        if header.get("version") != SCHEMA_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has schema version "
-                f"{header.get('version')!r}; this build reads "
-                f"version {SCHEMA_VERSION}"
-            )
-        fingerprint = header.get("fingerprint")
-        if not isinstance(fingerprint, dict):
-            raise CheckpointError(f"checkpoint {path} header has no fingerprint")
-        completed: Dict[Tuple[int, int], Triple] = {}
-        for index, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines):
-                    # A torn final line is the expected shape of a crash
-                    # mid-append; everything before it is intact.
-                    break
-                raise CheckpointError(
-                    f"checkpoint {path} line {index} is corrupt "
-                    "(not the final line, so this is not a torn tail)"
-                )
-            key, triple = parse_point_record(record, path, index)
-            completed[key] = triple
-        return fingerprint, completed
-
-    @classmethod
-    def load_completed(
-        cls, path: Union[str, Path]
-    ) -> Dict[Tuple[int, int], Triple]:
-        """Read a checkpoint's completed triples without opening it."""
-        return cls._read(Path(path))[1]
-
-    @classmethod
-    def load_fingerprint(cls, path: Union[str, Path]) -> Dict[str, object]:
-        """Read a checkpoint's stored fingerprint without opening it."""
-        return cls._read(Path(path))[0]
-
-    # -- appending ---------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
-
-    def record(self, n: int, replicate: int, triple: Sequence[float]) -> None:
-        """Append one finished ``(n, replicate)`` triple.
-
-        The line is written with a single ``write`` call and flushed so a
-        crash tears at most this line; an ``fsync`` lands every
-        ``fsync_every`` records.  Re-recording a key overwrites it on
-        load (last wins) — harmless, since retries re-run pure work.
-        """
-        if self._handle is None:
-            raise CheckpointError(f"checkpoint {self.path} is closed")
-        triple = (float(triple[0]), float(triple[1]), float(triple[2]))
-        line = json.dumps(
-            {"kind": "point", "n": int(n), "r": int(replicate), "v": list(triple)}
-        )
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        self.completed[(int(n), int(replicate))] = triple
-        self._since_sync += 1
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.inc("checkpoint.records")
-        if self._since_sync >= self._fsync_every:
-            os.fsync(self._handle.fileno())
-            self._since_sync = 0
-            if telemetry is not None and telemetry.enabled:
-                telemetry.inc("checkpoint.fsync_batches")
-
-    def flush(self) -> None:
-        """Flush and fsync everything recorded so far."""
-        if self._handle is None:
-            return
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._since_sync = 0
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.inc("checkpoint.fsync_batches")
-
-    def close(self) -> None:
-        """Flush, fsync, and release the file handle (idempotent)."""
-        if self._handle is None:
-            return
-        self.flush()
-        self._handle.close()
-        self._handle = None
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
-        _ACTIVE.discard(self)
-
-    def missing(
-        self, n_values: Sequence[int], repeats: int
-    ) -> List[Tuple[int, int]]:
-        """The ``(n, replicate)`` pairs not yet recorded, in sweep order."""
-        return [
-            (n, r)
-            for n in n_values
-            for r in range(repeats)
-            if (n, r) not in self.completed
-        ]
-
-    def __enter__(self) -> "SweepCheckpoint":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

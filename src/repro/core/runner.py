@@ -254,7 +254,7 @@ class ResilientExecutor:
         """Execute every task, retrying/rebuilding/degrading as needed.
 
         ``on_result(key, result)`` fires once per task as soon as its
-        chunk completes — the checkpoint hook.  Raises
+        chunk completes — where a sweep records to its store.  Raises
         :class:`TaskError` if a single task exhausts its retries.
 
         ``collect=False`` returns an empty dict instead of accumulating

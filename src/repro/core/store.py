@@ -1,41 +1,42 @@
-"""Chunked columnar result store for million-replicate sweeps.
+"""Chunked columnar result store: the one durable sweep journal.
 
-The JSONL :class:`~repro.core.checkpoint.SweepCheckpoint` journal is
-per-record and text-based — ideal for durability (append one line,
-flush, done) but a bottleneck at million-replicate scale, where loading
-a resume state means parsing a million JSON lines.  A
-:class:`ColumnarSweepStore` keeps the journal's durability story while
-storing the bulk of the results columnar:
+Every replicate is pure work keyed by ``(seed, n, replicate)``, so a
+sweep resumes from a journal of finished triples (see
+:mod:`repro.core.checkpoint`).  A :class:`ColumnarSweepStore` is that
+journal: appends are per-record and durable at once, while the bulk of
+the results is stored columnar, so loading a million-replicate resume
+state does not mean parsing a million JSON lines.  A store is a
+directory:
 
-* ``header.json`` — the same schema-versioned sweep fingerprint the
-  JSONL checkpoint stores on its first line, written atomically.
+* ``header.json`` — the schema-versioned sweep fingerprint, written
+  atomically before anything else.
 * ``chunk-00000.npz``, ``chunk-00001.npz``, ... — compacted results,
   one int64 column for ``n`` and ``r`` and one float64 column per
   metric (``system_latency``, ``completion_rate``, ``fairness_ratio``),
   in append order.
 * ``tail.jsonl`` — the write-ahead tail: every :meth:`record` appends
-  one JSON point line (the exact record format the JSONL checkpoint
-  uses, flushed immediately, fsync-batched).  When the tail reaches
-  ``compact_every`` records it is compacted into a fresh columnar
-  chunk and truncated.
+  one JSON point line (flushed immediately, fsync-batched).  When the
+  tail reaches ``compact_every`` records it is compacted into a fresh
+  columnar chunk and truncated.
 
-Durability: a record is durable once its tail line is flushed — exactly
-the JSONL checkpoint's guarantee.  Compaction writes the chunk to a
-temp file, fsyncs, atomically renames it into place, and only then
-truncates the tail; a crash between those steps leaves the compacted
-records in *both* places, which load-time last-wins deduplication makes
-harmless (the values are identical).  A torn final tail line is
-repaired on resume exactly like the JSONL journal's; a corrupt chunk or
-a corrupt non-final tail line is an error, because only the final line
-can legitimately tear.
+Durability: a record is durable once its tail line is flushed.
+Compaction writes the chunk to a temp file, fsyncs, atomically renames
+it into place, and only then truncates the tail; a crash between those
+steps leaves the compacted records in *both* places, which load-time
+last-wins deduplication makes harmless (the values are identical).  A
+torn final tail line is repaired on resume; a corrupt chunk or a
+corrupt non-final tail line is an error, because only the final line
+can legitimately tear.  A directory holding chunks or tail records but
+no header is refused rather than reused, since nothing says which sweep
+wrote them.
 
-Resume is bit-identical to the JSONL-only path: the store loads chunks
-then tail (last wins), producing the same ``completed`` mapping a
-:class:`SweepCheckpoint` would, so a sweep resumed from either journal
-re-runs the same missing replicates and aggregates the same bytes.
-Unlike the JSONL checkpoint, :meth:`record` does not grow an in-memory
-dict of every triple — a fresh million-replicate sweep holds at most
-``compact_every`` pending records plus the completed-key set.
+Resume loads chunks then tail (last wins) into :attr:`completed`, so a
+resumed sweep re-runs exactly the missing replicates and aggregates the
+same bytes as an uninterrupted one.  :meth:`record` does not grow an
+in-memory dict of every triple — a fresh million-replicate sweep holds
+at most ``compact_every`` pending records plus the completed-key set.
+The JSONL-only checkpoint format that preceded the store is not read:
+a file passed where a store directory belongs fails loudly.
 """
 
 from __future__ import annotations
@@ -95,11 +96,8 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 class ColumnarSweepStore:
     """Columnar sweep results with a JSONL write-ahead tail.
 
-    Interface-compatible with :class:`SweepCheckpoint` where sweeps
-    need it (``open``/``record``/``flush``/``close``/``missing``/
-    ``completed``/``fingerprint``/context manager), so
-    :func:`repro.core.sweep.latency_sweep` accepts either through its
-    ``checkpoint=``/``store=`` arguments.
+    Use :meth:`open`; :func:`repro.core.sweep.latency_sweep` opens one
+    for its ``store=`` argument.
     """
 
     def __init__(
@@ -148,11 +146,15 @@ class ColumnarSweepStore:
     ) -> "ColumnarSweepStore":
         """Create a fresh store directory, or resume an existing one.
 
-        Semantics mirror :meth:`SweepCheckpoint.open`: ``resume=False``
-        refuses an existing non-empty store, ``resume=True`` accepts a
-        missing directory (starts fresh) and otherwise validates the
-        stored fingerprint, raising :class:`CheckpointMismatchError`
-        naming every differing field.
+        ``resume=False`` refuses an existing store — clobbering one
+        silently would defeat its purpose.  ``resume=True`` accepts a
+        missing directory (starts fresh, so a ``--resume`` invocation
+        is idempotent) and otherwise validates the stored fingerprint,
+        raising :class:`CheckpointMismatchError` naming every differing
+        field.  A path that is a file (such as a JSONL checkpoint from
+        before the store) and a directory with chunks or tail records
+        but no header both raise :class:`CheckpointError`; leftover lock
+        or temp files from a crash before the header landed do not.
 
         Opening takes the advisory single-writer lock (``<dir>/writer.lock``):
         a second concurrent open fails loudly with a
@@ -161,6 +163,12 @@ class ColumnarSweepStore:
         evaporates with the process on a crash.
         """
         path = Path(path)
+        if path.exists() and not path.is_dir():
+            raise CheckpointError(
+                f"{path} is a file, not a store directory; JSONL "
+                "checkpoints are no longer read — pass a directory path "
+                "(a missing one starts a fresh store)"
+            )
         header_path = path / _HEADER_NAME
         exists = header_path.exists()
         if exists and not resume:
@@ -168,6 +176,8 @@ class ColumnarSweepStore:
                 f"store {path} already exists; pass resume=True to "
                 "continue it, or remove the directory to start over"
             )
+        if not exists:
+            cls._refuse_headerless_results(path)
         path.mkdir(parents=True, exist_ok=True)
         lock = acquire_writer_lock(path / "writer")
         try:
@@ -229,6 +239,25 @@ class ColumnarSweepStore:
             if lock is not None:
                 lock.release()
             raise
+
+    @classmethod
+    def _refuse_headerless_results(cls, path: Path) -> None:
+        """Refuse a header-less directory that already holds results.
+
+        The header lands before any chunk or tail record, so such
+        results belong to an unknown sweep and must not be mixed in.
+        """
+        tail_path = path / _TAIL_NAME
+        leftovers = [chunk.name for chunk in cls._chunk_paths(path)]
+        if tail_path.exists() and tail_path.stat().st_size > 0:
+            leftovers.append(_TAIL_NAME)
+        if leftovers:
+            raise CheckpointError(
+                f"store {path} has no {_HEADER_NAME} but holds results "
+                f"({', '.join(leftovers)}); nothing says which sweep "
+                "wrote them, so the directory is not reused — remove it "
+                "to start over"
+            )
 
     # -- loading -----------------------------------------------------------
 
@@ -382,7 +411,8 @@ class ColumnarSweepStore:
         Durable once the tail line is flushed (fsync lands every
         ``fsync_every`` records); compacts the tail into a columnar
         chunk every ``compact_every`` records.  Re-recording a key
-        overwrites on load (last wins), matching the JSONL journal.
+        overwrites on load (last wins) — harmless, since retries re-run
+        pure work.
         """
         if self._handle is None:
             raise CheckpointError(f"store {self.path} is closed")

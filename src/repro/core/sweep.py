@@ -22,11 +22,9 @@ Long sweeps are *fault-tolerant*: pooled sweeps run on a
 :class:`repro.core.runner.ResilientExecutor` (worker crashes, hangs and
 pool deaths are retried with backoff, isolated, or degraded to
 in-process execution — never silently dropped), and every sweep accepts
-``checkpoint=``/``resume=`` (an append-only
-:class:`repro.core.checkpoint.SweepCheckpoint`) or ``store=`` (a
-chunked columnar :class:`repro.core.store.ColumnarSweepStore`, the
-million-replicate format) so an interrupted sweep re-runs only the
-missing replicates.  Aggregation is streaming
+``store=``/``resume=`` (a chunked columnar
+:class:`repro.core.store.ColumnarSweepStore`, the one durable result
+journal) so an interrupted sweep re-runs only the missing replicates.  Aggregation is streaming
 (:class:`StreamingSweepAggregator`): replicate triples fold into
 Welford accumulators as they land, so sweep memory is O(sweep points),
 not O(replicates).  None of this machinery can change results: every
@@ -46,7 +44,6 @@ import numpy as np
 from repro.core.checkpoint import (
     CrashTimesLike,
     ResolvedCrashSchedule,
-    SweepCheckpoint,
     sweep_fingerprint,
 )
 from repro.core.latency import (
@@ -231,35 +228,6 @@ def _shm_chunk_worker(
     for row, triple in zip(rows, _chunk_worker(pairs, *run_args)):
         results[row] = triple
     return list(rows)
-
-
-def _open_result_log(checkpoint, store, resume: bool, fingerprint, telemetry):
-    """Open/validate the sweep's result log, if one was requested.
-
-    ``checkpoint`` names a JSONL :class:`SweepCheckpoint` file,
-    ``store`` a :class:`ColumnarSweepStore` directory; at most one may
-    be given.  Both carry the same fingerprint and the same
-    ``record``/``completed``/``close`` interface, so the sweep treats
-    them interchangeably.
-    """
-    if checkpoint is not None and store is not None:
-        raise ValueError(
-            "pass checkpoint=<file> or store=<dir>, not both — they are "
-            "two formats of the same result log"
-        )
-    if checkpoint is None and store is None:
-        if resume:
-            raise ValueError(
-                "resume=True requires checkpoint=<path> or store=<dir>"
-            )
-        return None
-    if store is not None:
-        return ColumnarSweepStore.open(
-            store, fingerprint, resume=resume, telemetry=telemetry
-        )
-    return SweepCheckpoint.open(
-        checkpoint, fingerprint, resume=resume, telemetry=telemetry
-    )
 
 
 def _note_point_telemetry(telemetry, n: int, replicates: int, seconds: float) -> None:
@@ -557,7 +525,6 @@ def latency_sweep(
     engine: str = "serial",
     burn_in: Optional[int] = None,
     crash_times: CrashTimesLike = None,
-    checkpoint=None,
     store=None,
     resume: bool = False,
     on_progress: Optional[Callable[[int, int, Tuple[int, int]], None]] = None,
@@ -629,26 +596,24 @@ def latency_sweep(
     burn-in (default ``steps // 10``) — crash sweeps usually want it
     past the crash transient.
 
-    ``checkpoint`` names a :class:`SweepCheckpoint` JSONL file and
-    ``store`` a :class:`~repro.core.store.ColumnarSweepStore` directory
-    (at most one of the two); finished replicates are appended as they
-    land, and ``resume=True`` skips the ones already recorded (after
-    validating the log belongs to *this* sweep).  Resuming from either
-    format, at any worker count, is bit-identical to the uninterrupted
-    run.  ``on_progress(done, total, (n, replicate))`` fires after each
+    ``store`` names a :class:`~repro.core.store.ColumnarSweepStore`
+    directory; finished replicates are appended as they land, and
+    ``resume=True`` skips the ones already recorded (after validating
+    the store belongs to *this* sweep).  Resuming, at any worker count,
+    is bit-identical to the uninterrupted run.  ``on_progress(done, total, (n, replicate))`` fires after each
     replicate.  None of this can change the numbers.
 
     ``telemetry`` (a :class:`~repro.core.telemetry.MetricsRegistry`)
     records per-point wall time, replicate counts and throughput, plus
-    every engine/checkpoint counter along the way — engine counters
+    every engine/store counter along the way — engine counters
     in-process only, since registries stay in this process (a pool
     reports its executor and ``shm.*`` counters instead).  Telemetry
     observes the sweep and never feeds back into it — results are
     bit-identical with it on or off.
 
     ``workload`` names the registered workload the builders came from
-    (:mod:`repro.algorithms.registry`); it is folded into the checkpoint
-    fingerprint so logs from different workloads can never be confused,
+    (:mod:`repro.algorithms.registry`); it is folded into the store
+    fingerprint so stores of different workloads can never be confused,
     and is otherwise inert.  ``None`` keeps the historical CAS-counter
     fingerprints valid.
     """
@@ -664,6 +629,8 @@ def latency_sweep(
         raise ValueError(
             f"unknown dispatch {dispatch!r}; expected one of {_DISPATCHES}"
         )
+    if resume and store is None:
+        raise ValueError("resume=True requires store=<dir>")
     if scheduler_builder is None:
         scheduler_builder = UniformStochasticScheduler
     if engine == "ensemble":
@@ -687,7 +654,11 @@ def latency_sweep(
         crash_times=schedule,
         workload=workload,
     )
-    log = _open_result_log(checkpoint, store, resume, fingerprint, telemetry)
+    log = None
+    if store is not None:
+        log = ColumnarSweepStore.open(
+            store, fingerprint, resume=resume, telemetry=telemetry
+        )
     aggregator = StreamingSweepAggregator(n_values, repeats)
     recorded = set()
     if log is not None:
@@ -697,7 +668,7 @@ def latency_sweep(
     total = len(n_values) * repeats
     done = len(recorded)
     if telemetry_on and log is not None and resume:
-        telemetry.inc("checkpoint.resume_misses", total - done)
+        telemetry.inc("store.resume_misses", total - done)
     sweep_started = time.perf_counter() if telemetry_on else 0.0
     run_replicates = total - done
 

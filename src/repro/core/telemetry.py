@@ -37,8 +37,8 @@ serial/batched executor), ``ensemble.*`` (the ensemble engine —
 per-replicate counters plus ``ensemble.fused_blocks`` /
 ``ensemble.fused_replicates`` / ``ensemble.fused_steps`` from the fused
 resolution path), ``executor.*``
-(:class:`repro.core.runner.ResilientExecutor`), ``checkpoint.*``
-(:class:`repro.core.checkpoint.SweepCheckpoint`), ``sweep.*``
+(:class:`repro.core.runner.ResilientExecutor`), ``store.*``
+(:class:`repro.core.store.ColumnarSweepStore`), ``sweep.*``
 (:func:`repro.core.sweep.latency_sweep`),
 ``shm.*`` (the zero-copy dispatch buffers of :mod:`repro.core.shm` —
 ``shm.segments`` / ``shm.bytes`` created, ``shm.unlinked`` on cleanup,

@@ -6,10 +6,10 @@ content-addressed id (the SHA-256 of its canonical JSON), journals every
 transition in a crash-safe :class:`~repro.service.ledger.JobLedger`,
 runs them on a small pool of worker threads under TTL leases renewed by
 heartbeats, and serves results that are **bit-identical to a direct
-``latency_sweep`` call** — the whole stack below (checkpoint, store,
-engines) guarantees replicates are pure functions of
-``(seed, n, replicate)``, so resume, retry, dedupe and recovery can
-shuffle *when* work happens but never *what* it produces.
+``latency_sweep`` call** — the whole stack below (store, engines)
+guarantees replicates are pure functions of ``(seed, n, replicate)``,
+so resume, retry, dedupe and recovery can shuffle *when* work happens
+but never *what* it produces.
 
 Deduplication happens at two grains:
 
@@ -28,8 +28,8 @@ backoff (:class:`~repro.core.runner.RetryPolicy`), and a job that
 exhausts its attempts is *poisoned* — quarantined in a terminal state
 rather than allowed to wedge the queue.  A worker or daemon killed
 mid-job simply stops heartbeating; on restart,
-:meth:`JobLedger.recover` re-queues its jobs and the store/checkpoint
-resume machinery skips every point that already landed.
+:meth:`JobLedger.recover` re-queues its jobs and the store's resume
+machinery skips every point that already landed.
 
 Admission control is a bounded queue: past ``max_queue`` waiting jobs,
 :meth:`SweepService.submit` raises :class:`AdmissionError` with a
@@ -277,7 +277,7 @@ def _crash_times(spec: Dict[str, Any]) -> Optional[Dict[int, float]]:
 
 
 def spec_fingerprint(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """The sweep fingerprint this spec's store/checkpoint carries."""
+    """The sweep fingerprint this spec's store carries."""
     if spec["workload"] == "scu":
         workload = f"scu({spec['q']},{spec['s']})"
     elif spec["workload"] == "cas-counter":

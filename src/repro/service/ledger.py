@@ -10,7 +10,7 @@ appended as one fsynced JSON record, so the daemon can be SIGKILLed at
 any instant and a restart *replays* the ledger to recover exactly which
 jobs were queued, which were mid-flight under a now-dead worker, and
 which already finished.  Nothing is ever rewritten in place: recovery
-is a fold over events, the same trick as the sweep checkpoint one layer
+is a fold over events, the same trick as the sweep store one layer
 down — and the same torn-tail repair (:func:`repair_jsonl_tail`)
 handles a crash mid-append.
 
@@ -111,6 +111,35 @@ def _invalid(path: Path, line_no: int, why: str) -> CheckpointError:
     )
 
 
+def _decode(path: Path, raw: bytes) -> str:
+    """Decode ledger bytes, naming the line of any invalid UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise _invalid(path, line_no, "invalid UTF-8") from None
+
+
+#: Numeric event fields replay converts, and the types each may hold.
+_NUMERIC_FIELDS = (
+    ("t", (int, float)),
+    ("expires", (int, float, type(None))),
+    ("attempt", int),
+)
+
+
+def _check_numbers(path: Path, line_no: int, record: Dict[str, Any]) -> None:
+    """Reject a numeric field that replay could not convert."""
+    for name, kinds in _NUMERIC_FIELDS:
+        if name in record and (
+            isinstance(record[name], bool)
+            or not isinstance(record[name], kinds)
+        ):
+            raise _invalid(
+                path, line_no, f"field {name!r} has invalid value {record[name]!r}"
+            )
+
+
 class JobLedger:
     """Append-only, schema-versioned journal of job events.
 
@@ -152,8 +181,8 @@ class JobLedger:
     # -- journal plumbing ---------------------------------------------------
 
     def _validate_header(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
-            first = handle.readline()
+        with self.path.open("rb") as handle:
+            first = _decode(self.path, handle.readline())
         try:
             header = json.loads(first)
         except ValueError:
@@ -219,17 +248,21 @@ class JobLedger:
         Takes no lock and repairs nothing — the observer side, used by
         tests and tooling to inspect a (possibly live) daemon's ledger.
         A torn final line is skipped, exactly as replay-after-repair
-        would drop it.
+        would drop it; any other corrupt line raises
+        :class:`CheckpointError` naming it.
         """
         path = Path(path)
         out: List[Dict[str, Any]] = []
         raw = path.read_bytes()
         complete = raw[: raw.rfind(b"\n") + 1] if not raw.endswith(b"\n") else raw
-        for line in complete.decode("utf-8").splitlines():
+        for line_no, line in enumerate(_decode(path, complete).split("\n"), 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise _invalid(path, line_no, "unparseable JSON")
             if isinstance(record, dict) and record.get("kind") == "event":
                 out.append(record)
         return out
@@ -237,34 +270,33 @@ class JobLedger:
     def events(self) -> List[Dict[str, Any]]:
         """Every event record in append order (validated)."""
         out: List[Dict[str, Any]] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # A torn final line is repaired on open; mid-file
-                    # garbage is real corruption and must be loud.
-                    raise _invalid(self.path, line_no, "unparseable JSON")
-                if not isinstance(record, dict):
-                    raise _invalid(self.path, line_no, "expected an object")
-                kind = record.get("kind")
-                if kind == "header":
-                    continue
-                if kind != "event":
-                    raise _invalid(
-                        self.path, line_no, f"unknown kind {kind!r}"
-                    )
-                event = record.get("event")
-                if event not in _EVENT_STATE:
-                    raise _invalid(
-                        self.path, line_no, f"unknown event {event!r}"
-                    )
-                if not isinstance(record.get("job"), str):
-                    raise _invalid(self.path, line_no, "missing job id")
-                out.append(record)
+        text = _decode(self.path, self.path.read_bytes())
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                # A torn final line is repaired on open; mid-file
+                # garbage is real corruption and must be loud.
+                raise _invalid(self.path, line_no, "unparseable JSON")
+            if not isinstance(record, dict):
+                raise _invalid(self.path, line_no, "expected an object")
+            kind = record.get("kind")
+            if kind == "header":
+                continue
+            if kind != "event":
+                raise _invalid(self.path, line_no, f"unknown kind {kind!r}")
+            event = record.get("event")
+            if event not in _EVENT_STATE:
+                raise _invalid(
+                    self.path, line_no, f"unknown event {event!r}"
+                )
+            if not isinstance(record.get("job"), str):
+                raise _invalid(self.path, line_no, "missing job id")
+            _check_numbers(self.path, line_no, record)
+            out.append(record)
         return out
 
     def replay(self) -> Dict[str, JobRecord]:

@@ -3,7 +3,7 @@
 The acceptance bar for the registry is not "constructs" but "flows":
 every registered workload must run through ``measure_latencies`` and
 ``latency_sweep`` on the serial and batched engines bit-identically,
-checkpoint/resume bit-identically with the workload name folded into
+store/resume bit-identically with the workload name folded into
 the fingerprint, and cross process boundaries for ``parallel_sweep``.
 """
 
@@ -105,7 +105,7 @@ class TestEveryWorkloadMeasures:
             steps=400,
             repeats=2,
             seed=3,
-            checkpoint=tmp_path / "cp.jsonl",
+            store=tmp_path / "sweep.store",
             workload=workload.fingerprint,
         )
         points = latency_sweep(
@@ -123,7 +123,7 @@ class TestEveryWorkloadMeasures:
     def test_checkpoint_rejects_other_workload(self, tmp_path):
         msqueue = get_workload("msqueue")
         treiber = get_workload("treiber")
-        kwargs = dict(steps=300, repeats=2, checkpoint=tmp_path / "cp.jsonl")
+        kwargs = dict(steps=300, repeats=2, store=tmp_path / "sweep.store")
         latency_sweep(
             msqueue.factory_builder,
             msqueue.memory_builder,
@@ -143,9 +143,9 @@ class TestEveryWorkloadMeasures:
 
     def test_workload_none_is_a_distinct_fingerprint(self, tmp_path):
         # The historical CAS-counter default (workload=None) must not
-        # resume against a named-workload checkpoint, or vice versa.
+        # resume against a named-workload store, or vice versa.
         counter = get_workload("cas-counter")
-        kwargs = dict(steps=300, repeats=2, checkpoint=tmp_path / "cp.jsonl")
+        kwargs = dict(steps=300, repeats=2, store=tmp_path / "sweep.store")
         latency_sweep(
             counter.factory_builder,
             counter.memory_builder,

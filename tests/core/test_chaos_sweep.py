@@ -5,11 +5,11 @@ The acceptance contract of the resilient sweep layer, as tests:
 * under injected worker kill/hang/raise faults, ``parallel_sweep``
   completes and its points are bit-identical to the fault-free serial
   sweep with the same seed;
-* a sweep killed mid-run and resumed from its checkpoint reproduces the
+* a sweep killed mid-run and resumed from its store reproduces the
   uninterrupted result exactly, re-running only the missing replicates —
   across the serial, batched and ensemble engines;
 * a poison task is isolated and named;
-* a checkpoint from different sweep parameters is rejected loudly.
+* a store from different sweep parameters is rejected loudly.
 """
 
 import functools
@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms.counter import cas_counter, make_counter_memory
 from repro.core.checkpoint import CheckpointMismatchError
 from repro.core.runner import RetryPolicy, TaskError
+from repro.core.store import ColumnarSweepStore
 from repro.core.sweep import latency_sweep, parallel_sweep
 from repro.testing.chaos import ChaosPlan, ChaosPool
 
@@ -120,13 +121,13 @@ class TestCheckpointResume:
         uninterrupted = latency_sweep(
             cas_counter, make_counter_memory, N_VALUES, **kwargs
         )
-        path = tmp_path / f"{engine}.jsonl"
+        path = tmp_path / f"{engine}.store"
         with pytest.raises(KeyboardInterrupt):
             latency_sweep(
                 cas_counter,
                 make_counter_memory,
                 N_VALUES,
-                checkpoint=path,
+                store=path,
                 on_progress=_Interrupter(after=2),
                 **kwargs,
             )
@@ -135,7 +136,7 @@ class TestCheckpointResume:
             cas_counter,
             make_counter_memory,
             N_VALUES,
-            checkpoint=path,
+            store=path,
             resume=True,
             on_progress=lambda done, total, key: rerun.append(key),
             **kwargs,
@@ -146,10 +147,10 @@ class TestCheckpointResume:
         assert len(rerun) == total - 2
 
     def test_parallel_resume_of_killed_parallel_sweep(self, tmp_path, reference):
-        # A mid-run abort (poison task) leaves a valid checkpoint; a
+        # A mid-run abort (poison task) leaves a valid store; a
         # clean resume re-runs only what is missing and matches the
         # fault-free reference exactly.
-        path = tmp_path / "parallel.jsonl"
+        path = tmp_path / "parallel.store"
         plan = ChaosPlan(
             state_dir=str(tmp_path), faults={(4, 2): "raise"}, once=False
         )
@@ -161,21 +162,19 @@ class TestCheckpointResume:
                 max_workers=2,
                 chunk_size=1,
                 dispatch="pickle",
-                checkpoint=path,
+                store=path,
                 retry=RetryPolicy(max_retries=1, base_delay=0.01, max_delay=0.02),
                 pool_factory=functools.partial(ChaosPool, plan=plan),
                 **SWEEP,
             )
-        from repro.core.checkpoint import SweepCheckpoint
-
-        recorded = set(SweepCheckpoint.load_completed(path))
+        recorded = set(ColumnarSweepStore.load_completed(path))
         rerun = []
         resumed = parallel_sweep(
             cas_counter,
             make_counter_memory,
             N_VALUES,
             max_workers=2,
-            checkpoint=path,
+            store=path,
             resume=True,
             on_progress=lambda done, total, key: rerun.append(key),
             **SWEEP,
@@ -189,15 +188,15 @@ class TestCheckpointResume:
         self, tmp_path, reference
     ):
         # Engines agree bit-for-bit, so a batched latency_sweep
-        # checkpoint is a valid warm start for parallel_sweep.
-        path = tmp_path / "handoff.jsonl"
+        # store is a valid warm start for parallel_sweep.
+        path = tmp_path / "handoff.store"
         with pytest.raises(KeyboardInterrupt):
             latency_sweep(
                 cas_counter,
                 make_counter_memory,
                 N_VALUES,
                 engine="batched",
-                checkpoint=path,
+                store=path,
                 on_progress=_Interrupter(after=3),
                 **SWEEP,
             )
@@ -206,20 +205,20 @@ class TestCheckpointResume:
             make_counter_memory,
             N_VALUES,
             max_workers=2,
-            checkpoint=path,
+            store=path,
             resume=True,
             **SWEEP,
         )
         assert resumed == reference
 
     def test_mismatched_resume_rejected(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
+        path = tmp_path / "cp.store"
         parallel_sweep(
             cas_counter,
             make_counter_memory,
             N_VALUES,
             max_workers=2,
-            checkpoint=path,
+            store=path,
             **SWEEP,
         )
         different = dict(SWEEP, seed=SWEEP["seed"] + 1)
@@ -229,7 +228,7 @@ class TestCheckpointResume:
                 make_counter_memory,
                 N_VALUES,
                 max_workers=2,
-                checkpoint=path,
+                store=path,
                 resume=True,
                 **different,
             )
@@ -247,13 +246,13 @@ class TestCheckpointResume:
     def test_completed_checkpoint_resumes_without_recomputing(
         self, tmp_path, reference
     ):
-        path = tmp_path / "full.jsonl"
+        path = tmp_path / "full.store"
         parallel_sweep(
             cas_counter,
             make_counter_memory,
             N_VALUES,
             max_workers=2,
-            checkpoint=path,
+            store=path,
             **SWEEP,
         )
         rerun = []
@@ -262,7 +261,7 @@ class TestCheckpointResume:
             make_counter_memory,
             N_VALUES,
             max_workers=2,
-            checkpoint=path,
+            store=path,
             resume=True,
             on_progress=lambda done, total, key: rerun.append(key),
             **SWEEP,

@@ -1,18 +1,27 @@
-"""Tests for sweep checkpoints (repro.core.checkpoint)."""
+"""Tests for the sweep journal contract (repro.core.checkpoint).
+
+``repro.core.checkpoint`` holds what the durable journals share: the
+fingerprint, the crash-configuration hash, point-record validation,
+torn-tail repair, the writer lock and the open-journal registry.  The
+one result journal is :class:`~repro.core.store.ColumnarSweepStore`, so
+the contract is checked on it — mostly on its JSONL write-ahead tail as
+a killed sweep leaves it, before any compaction into chunks
+(``tests/core/test_store.py`` covers the chunks).
+"""
 
 import json
+import os
 
 import pytest
 
 from repro.core.checkpoint import (
-    SCHEMA_VERSION,
     CheckpointError,
     CheckpointMismatchError,
-    SweepCheckpoint,
     crash_config_hash,
     flush_active_checkpoints,
     sweep_fingerprint,
 )
+from repro.core.store import STORE_SCHEMA_VERSION, ColumnarSweepStore
 
 
 def fingerprint(**overrides):
@@ -27,6 +36,18 @@ def fingerprint(**overrides):
     )
     base.update(overrides)
     return sweep_fingerprint(**base)
+
+
+def killed(store):
+    """Leave ``store`` as a kill before compaction would: every record
+    flushed to the write-ahead tail, no chunk written."""
+    store.flush()
+    tail = store.path / "tail.jsonl"
+    data = tail.read_bytes()
+    store.close()
+    for chunk in store.path.glob("chunk-*.npz"):
+        chunk.unlink()
+    tail.write_bytes(data)
 
 
 class TestCrashConfigHash:
@@ -54,18 +75,18 @@ class TestCrashConfigHash:
 
 class TestOpenAndLoad:
     def test_header_written_and_fingerprint_round_trips(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.close()
-        assert SweepCheckpoint.load_fingerprint(path) == fingerprint()
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        killed(store)
+        assert ColumnarSweepStore.load_fingerprint(path) == fingerprint()
 
     def test_record_then_resume_restores_triples_exactly(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.record(2, 0, (1.25, 0.5, 1.0))
-        cp.record(4, 2, (3.875, 0.125, 0.9999999999999999))
-        cp.close()
-        resumed = SweepCheckpoint.open(path, fingerprint(), resume=True)
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.25, 0.5, 1.0))
+        store.record(4, 2, (3.875, 0.125, 0.9999999999999999))
+        killed(store)
+        resumed = ColumnarSweepStore.open(path, fingerprint(), resume=True)
         assert resumed.completed == {
             (2, 0): (1.25, 0.5, 1.0),
             (4, 2): (3.875, 0.125, 0.9999999999999999),
@@ -73,55 +94,74 @@ class TestOpenAndLoad:
         resumed.close()
 
     def test_existing_file_without_resume_refused(self, tmp_path):
+        # A JSONL checkpoint from before the store (a file, not a
+        # directory) is refused by name, with or without resume, and
+        # left untouched.
         path = tmp_path / "cp.jsonl"
-        SweepCheckpoint.open(path, fingerprint()).close()
-        with pytest.raises(CheckpointError, match="resume=True"):
-            SweepCheckpoint.open(path, fingerprint())
+        header = {"kind": "header", "version": 1, "fingerprint": fingerprint()}
+        path.write_text(json.dumps(header) + "\n")
+        for resume in (False, True):
+            with pytest.raises(CheckpointError) as info:
+                ColumnarSweepStore.open(path, fingerprint(), resume=resume)
+            message = str(info.value)
+            assert str(path) in message
+            assert "is a file, not a store directory" in message
+            assert "JSONL checkpoints are no longer read" in message
+        assert path.read_text() == json.dumps(header) + "\n"
+        assert not (tmp_path / "cp.jsonl.lock").exists()
 
     def test_resume_on_missing_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint(), resume=True)
-        assert cp.completed == {}
-        cp.close()
-        assert path.exists()
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint(), resume=True)
+        assert store.completed == {}
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        killed(store)
+        assert ColumnarSweepStore.load_completed(path) == {
+            (2, 0): (1.0, 2.0, 3.0)
+        }
 
     def test_fingerprint_mismatch_rejected_loudly(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        SweepCheckpoint.open(path, fingerprint()).close()
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        killed(store)
         with pytest.raises(CheckpointMismatchError, match="steps"):
-            SweepCheckpoint.open(
+            ColumnarSweepStore.open(
                 path, fingerprint(steps=20_000), resume=True
             )
 
     def test_crash_schedule_change_is_a_mismatch(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        SweepCheckpoint.open(path, fingerprint()).close()
+        path = tmp_path / "store"
+        ColumnarSweepStore.open(path, fingerprint()).close()
         with pytest.raises(CheckpointMismatchError, match="crash_hash"):
-            SweepCheckpoint.open(
+            ColumnarSweepStore.open(
                 path,
                 fingerprint(crash_times={0: 50}),
                 resume=True,
             )
 
     def test_schema_version_checked(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        killed(store)
         header = {
             "kind": "header",
-            "version": SCHEMA_VERSION + 1,
+            "version": STORE_SCHEMA_VERSION + 1,
             "fingerprint": fingerprint(),
         }
-        path.write_text(json.dumps(header) + "\n")
+        (path / "header.json").write_text(json.dumps(header))
         with pytest.raises(CheckpointError, match="schema version"):
-            SweepCheckpoint.open(path, fingerprint(), resume=True)
+            ColumnarSweepStore.open(path, fingerprint(), resume=True)
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.record(2, 0, (1.0, 2.0, 3.0))
-        cp.close()
-        with path.open("a") as handle:
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        killed(store)
+        with (path / "tail.jsonl").open("a") as handle:
             handle.write('{"kind": "point", "n": 4, "r"')  # torn mid-append
-        resumed = SweepCheckpoint.open(path, fingerprint(), resume=True)
+        resumed = ColumnarSweepStore.open(path, fingerprint(), resume=True)
         assert resumed.completed == {(2, 0): (1.0, 2.0, 3.0)}
         resumed.close()
 
@@ -129,63 +169,67 @@ class TestOpenAndLoad:
         # The crash -> resume -> crash -> resume cycle: appending after a
         # torn tail must start a fresh line, not glue onto the partial
         # one and corrupt the journal.
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.record(2, 0, (1.0, 2.0, 3.0))
-        cp.close()
-        with path.open("a") as handle:
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        killed(store)
+        with (path / "tail.jsonl").open("a") as handle:
             handle.write('{"kind": "point", "n": 4, "r"')  # torn mid-append
-        resumed = SweepCheckpoint.open(path, fingerprint(), resume=True)
+        resumed = ColumnarSweepStore.open(path, fingerprint(), resume=True)
         resumed.record(4, 0, (4.0, 5.0, 6.0))
         resumed.record(4, 1, (7.0, 8.0, 9.0))
-        resumed.close()
+        killed(resumed)
         # Nothing garbled, nothing dropped, and a second resume is clean.
-        assert SweepCheckpoint.load_completed(path) == {
+        assert ColumnarSweepStore.load_completed(path) == {
             (2, 0): (1.0, 2.0, 3.0),
             (4, 0): (4.0, 5.0, 6.0),
             (4, 1): (7.0, 8.0, 9.0),
         }
-        again = SweepCheckpoint.open(path, fingerprint(), resume=True)
+        again = ColumnarSweepStore.open(path, fingerprint(), resume=True)
         assert len(again.completed) == 3
         again.close()
 
     def test_missing_final_newline_repaired_without_data_loss(self, tmp_path):
         # A whole record whose trailing newline was torn keeps the
         # record: the repair restores the newline rather than truncating.
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.record(2, 0, (1.0, 2.0, 3.0))
-        cp.close()
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        resumed = SweepCheckpoint.open(path, fingerprint(), resume=True)
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        killed(store)
+        tail = path / "tail.jsonl"
+        tail.write_bytes(tail.read_bytes().rstrip(b"\n"))
+        resumed = ColumnarSweepStore.open(path, fingerprint(), resume=True)
         resumed.record(2, 1, (4.0, 5.0, 6.0))
-        resumed.close()
-        assert SweepCheckpoint.load_completed(path) == {
+        killed(resumed)
+        assert ColumnarSweepStore.load_completed(path) == {
             (2, 0): (1.0, 2.0, 3.0),
             (2, 1): (4.0, 5.0, 6.0),
         }
 
     def test_corrupt_middle_line_is_an_error(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.record(2, 0, (1.0, 2.0, 3.0))
-        cp.close()
-        lines = path.read_text().splitlines()
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        store.record(2, 1, (4.0, 5.0, 6.0))
+        killed(store)
+        tail = path / "tail.jsonl"
+        lines = tail.read_text().splitlines()
         lines.insert(1, "not json")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="corrupt"):
-            SweepCheckpoint.open(path, fingerprint(), resume=True)
+        tail.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="line 2 is corrupt"):
+            ColumnarSweepStore.open(path, fingerprint(), resume=True)
 
 
 class TestMalformedRecords:
     """JSON-valid but structurally broken point records must surface as
-    CheckpointError naming the line, never as raw KeyError/IndexError
-    (the _read bug: record["v"][2] was indexed without validation)."""
+    CheckpointError naming the line, never as raw KeyError/IndexError."""
 
-    def _with_record(self, tmp_path, record) -> "SweepCheckpoint":
-        path = tmp_path / "cp.jsonl"
-        SweepCheckpoint.open(path, fingerprint()).close()
-        with path.open("a") as handle:
+    def _with_record(self, tmp_path, record):
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 1, (1.0, 1.0, 1.0))
+        killed(store)
+        with (path / "tail.jsonl").open("a") as handle:
             handle.write(json.dumps(record) + "\n")
         return path
 
@@ -210,7 +254,7 @@ class TestMalformedRecords:
     ):
         path = self._with_record(tmp_path, record)
         with pytest.raises(CheckpointError, match="line 2"):
-            SweepCheckpoint.open(path, fingerprint(), resume=True)
+            ColumnarSweepStore.open(path, fingerprint(), resume=True)
 
     def test_valid_int_valued_triple_still_accepted(self, tmp_path):
         # Structural validation must not tighten the accepted format:
@@ -218,78 +262,92 @@ class TestMalformedRecords:
         path = self._with_record(
             tmp_path, {"kind": "point", "n": 2, "r": 0, "v": [1, 2, 3]}
         )
-        assert SweepCheckpoint.load_completed(path) == {
-            (2, 0): (1.0, 2.0, 3.0)
+        assert ColumnarSweepStore.load_completed(path) == {
+            (2, 1): (1.0, 1.0, 1.0),
+            (2, 0): (1.0, 2.0, 3.0),
         }
 
 
 class TestRecording:
     def test_missing_lists_unrecorded_pairs_in_sweep_order(self, tmp_path):
-        cp = SweepCheckpoint.open(tmp_path / "cp.jsonl", fingerprint())
-        cp.record(2, 1, (1.0, 1.0, 1.0))
-        assert cp.missing([2, 4], 2) == [(2, 0), (4, 0), (4, 1)]
-        cp.close()
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 1, (1.0, 1.0, 1.0))
+        killed(store)
+        resumed = ColumnarSweepStore.open(path, fingerprint(), resume=True)
+        resumed.record(4, 1, (1.0, 1.0, 1.0))
+        assert resumed.missing([2, 4], 2) == [(2, 0), (4, 0)]
+        resumed.close()
 
     def test_record_after_close_raises(self, tmp_path):
-        cp = SweepCheckpoint.open(tmp_path / "cp.jsonl", fingerprint())
-        cp.close()
+        store = ColumnarSweepStore.open(tmp_path / "store", fingerprint())
+        store.close()
         with pytest.raises(CheckpointError, match="closed"):
-            cp.record(2, 0, (1.0, 1.0, 1.0))
+            store.record(2, 0, (1.0, 1.0, 1.0))
+        with pytest.raises(CheckpointError, match="closed"):
+            store.compact()
 
     def test_rerecorded_key_last_wins(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        cp = SweepCheckpoint.open(path, fingerprint())
-        cp.record(2, 0, (1.0, 1.0, 1.0))
-        cp.record(2, 0, (2.0, 2.0, 2.0))
-        cp.close()
-        assert SweepCheckpoint.load_completed(path)[(2, 0)] == (2.0, 2.0, 2.0)
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint())
+        store.record(2, 0, (1.0, 1.0, 1.0))
+        store.record(2, 0, (2.0, 2.0, 2.0))
+        killed(store)
+        assert ColumnarSweepStore.load_completed(path)[(2, 0)] == (
+            2.0,
+            2.0,
+            2.0,
+        )
 
     def test_context_manager_closes(self, tmp_path):
-        with SweepCheckpoint.open(tmp_path / "cp.jsonl", fingerprint()) as cp:
-            cp.record(2, 0, (1.0, 1.0, 1.0))
-        assert cp.closed
-
-    def test_flush_active_reaches_open_checkpoints(self, tmp_path):
-        cp = SweepCheckpoint.open(tmp_path / "cp.jsonl", fingerprint())
-        cp.record(2, 0, (1.0, 1.0, 1.0))
-        assert flush_active_checkpoints() >= 1
-        # The record is durable on disk without close().
-        assert SweepCheckpoint.load_completed(cp.path) == {
+        path = tmp_path / "store"
+        with ColumnarSweepStore.open(path, fingerprint()) as store:
+            store.record(2, 0, (1.0, 1.0, 1.0))
+        assert store.closed
+        assert not (path / "writer.lock").exists()
+        assert ColumnarSweepStore.load_completed(path) == {
             (2, 0): (1.0, 1.0, 1.0)
         }
-        cp.close()
+
+    def test_flush_active_reaches_open_checkpoints(self, tmp_path):
+        store = ColumnarSweepStore.open(tmp_path / "store", fingerprint())
+        store.record(2, 0, (1.0, 1.0, 1.0))
+        assert flush_active_checkpoints() >= 1
+        # The record is durable on disk without close().
+        assert ColumnarSweepStore.load_completed(store.path) == {
+            (2, 0): (1.0, 1.0, 1.0)
+        }
+        store.close()
         assert flush_active_checkpoints() == 0
 
 
 class TestWriterLock:
-    """Advisory single-writer locking on the checkpoint journal."""
+    """Advisory single-writer locking on the store directory."""
 
     def test_second_writer_fails_loudly_with_pid(self, tmp_path):
-        import os
-
-        path = tmp_path / "cp.jsonl"
-        first = SweepCheckpoint.open(path, fingerprint())
+        path = tmp_path / "store"
+        first = ColumnarSweepStore.open(path, fingerprint())
         try:
             with pytest.raises(CheckpointError) as info:
-                SweepCheckpoint.open(path, fingerprint(), resume=True)
+                ColumnarSweepStore.open(path, fingerprint(), resume=True)
             assert str(os.getpid()) in str(info.value)
             assert "one writer" in str(info.value)
         finally:
             first.close()
 
     def test_close_releases_the_lock(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        SweepCheckpoint.open(path, fingerprint()).close()
+        path = tmp_path / "store"
+        ColumnarSweepStore.open(path, fingerprint()).close()
         # A second sequential writer succeeds and no sidecar remains.
-        SweepCheckpoint.open(path, fingerprint(), resume=True).close()
-        assert not (tmp_path / "cp.jsonl.lock").exists()
+        ColumnarSweepStore.open(path, fingerprint(), resume=True).close()
+        assert not (path / "writer.lock").exists()
 
     def test_failed_open_releases_the_lock(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        with SweepCheckpoint.open(path, fingerprint()) as cp:
-            cp.record(2, 0, (1.0, 1.0, 1.0))
+        path = tmp_path / "store"
+        with ColumnarSweepStore.open(path, fingerprint()) as store:
+            store.record(2, 0, (1.0, 1.0, 1.0))
         with pytest.raises(CheckpointMismatchError):
-            SweepCheckpoint.open(path, fingerprint(seed=99), resume=True)
+            ColumnarSweepStore.open(path, fingerprint(seed=99), resume=True)
         # The mismatch rejection did not leave the lock held.
-        SweepCheckpoint.open(path, fingerprint(), resume=True).close()
-        assert not (tmp_path / "cp.jsonl.lock").exists()
+        ColumnarSweepStore.open(path, fingerprint(), resume=True).close()
+        assert not (path / "writer.lock").exists()

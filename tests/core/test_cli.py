@@ -150,7 +150,7 @@ class TestFigure5:
     ):
         import repro.core.latency as latency_module
 
-        path = tmp_path / "fig5.jsonl"
+        path = tmp_path / "fig5.store"
         args = ["figure5", "--points", "2", "--steps", "4000",
                 "--checkpoint", str(path)]
         assert main(args) == 0
@@ -166,12 +166,42 @@ class TestFigure5:
         monkeypatch.setattr(latency_module, "measure_latencies", counting)
         assert main(args + ["--resume"]) == 0
         assert capsys.readouterr().out == first
-        assert calls == []  # every thread count came from the checkpoint
+        assert calls == []  # every thread count came from the store
+
+    def test_checkpoint_is_another_spelling_of_store(self, capsys, tmp_path):
+        from repro.core.store import ColumnarSweepStore
+
+        base = ["figure5", "--points", "2", "--steps", "4000"]
+        assert main(base + ["--checkpoint", str(tmp_path / "a")]) == 0
+        via_checkpoint = capsys.readouterr().out
+        assert main(base + ["--store", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == via_checkpoint
+        assert ColumnarSweepStore.load_completed(
+            tmp_path / "a"
+        ) == ColumnarSweepStore.load_completed(tmp_path / "b")
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_old_jsonl_checkpoint_fails_loudly(self, tmp_path, resume):
+        from repro.core.checkpoint import CheckpointError
+
+        path = tmp_path / "fig5.jsonl"
+        path.write_text(
+            '{"fingerprint": {}, "kind": "header", "version": 1}\n'
+            '{"kind": "point", "n": 1, "r": 0, "v": [1.0, 1.0, 1.0]}\n'
+        )
+        args = ["figure5", "--points", "1", "--steps", "2000",
+                "--checkpoint", str(path)]
+        with pytest.raises(CheckpointError) as info:
+            main(args + (["--resume"] if resume else []))
+        message = str(info.value)
+        assert str(path) in message
+        assert "not a store directory" in message
+        assert "no longer read" in message
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         from repro.core.checkpoint import CheckpointMismatchError
 
-        path = tmp_path / "fig5.jsonl"
+        path = tmp_path / "fig5.store"
         assert main(["figure5", "--points", "2", "--steps", "4000",
                      "--checkpoint", str(path)]) == 0
         with pytest.raises(CheckpointMismatchError):
@@ -189,7 +219,7 @@ class TestFigure5:
     def test_workload_folds_into_checkpoint_fingerprint(self, tmp_path):
         from repro.core.checkpoint import CheckpointMismatchError
 
-        path = tmp_path / "fig5.jsonl"
+        path = tmp_path / "fig5.store"
         assert main(["figure5", "--workload", "treiber", "--points", "2",
                      "--steps", "3000", "--checkpoint", str(path)]) == 0
         with pytest.raises(CheckpointMismatchError, match="workload"):
@@ -280,16 +310,17 @@ class TestKeyboardInterrupt:
         self, capsys, tmp_path, monkeypatch
     ):
         import repro.cli as cli_module
-        from repro.core.checkpoint import SweepCheckpoint, sweep_fingerprint
+        from repro.core.checkpoint import sweep_fingerprint
+        from repro.core.store import ColumnarSweepStore
 
-        checkpoint = SweepCheckpoint.open(
-            tmp_path / "cp.jsonl",
+        store = ColumnarSweepStore.open(
+            tmp_path / "sweep.store",
             sweep_fingerprint(
                 seed=0, steps=100, engine="batched", n_values=[2],
                 repeats=2, burn_in=None,
             ),
         )
-        checkpoint.record(2, 0, (1.0, 1.0, 1.0))
+        store.record(2, 0, (1.0, 1.0, 1.0))
 
         def interrupted(args):
             raise KeyboardInterrupt
@@ -301,8 +332,8 @@ class TestKeyboardInterrupt:
         assert "interrupted" in err
         assert "resume" in err
         # The in-flight record survived the interrupt.
-        checkpoint.close()
-        assert SweepCheckpoint.load_completed(tmp_path / "cp.jsonl") == {
+        store.close()
+        assert ColumnarSweepStore.load_completed(tmp_path / "sweep.store") == {
             (2, 0): (1.0, 1.0, 1.0)
         }
 
@@ -310,15 +341,15 @@ class TestKeyboardInterrupt:
         self, capsys, tmp_path, monkeypatch
     ):
         # The common Ctrl-C shape: the sweep's finally block has already
-        # closed (and deregistered) the checkpoint before the interrupt
-        # reaches main, so nothing is left to flush — but the file on
+        # closed (and deregistered) the store before the interrupt
+        # reaches main, so nothing is left to flush — but the store on
         # disk is resumable and the hint must still be printed.
         import repro.cli as cli_module
 
-        path = tmp_path / "fig5.jsonl"
+        path = tmp_path / "fig5.store"
 
         def interrupted(args):
-            path.write_text('{"kind": "header"}\n')
+            path.mkdir()
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_module, "cmd_figure5", interrupted)
@@ -352,16 +383,17 @@ class TestSigtermParity:
         import signal
 
         import repro.cli as cli_module
-        from repro.core.checkpoint import SweepCheckpoint, sweep_fingerprint
+        from repro.core.checkpoint import sweep_fingerprint
+        from repro.core.store import ColumnarSweepStore
 
-        checkpoint = SweepCheckpoint.open(
-            tmp_path / "cp.jsonl",
+        store = ColumnarSweepStore.open(
+            tmp_path / "sweep.store",
             sweep_fingerprint(
                 seed=0, steps=100, engine="batched", n_values=[2],
                 repeats=2, burn_in=None,
             ),
         )
-        checkpoint.record(2, 0, (1.0, 1.0, 1.0))
+        store.record(2, 0, (1.0, 1.0, 1.0))
 
         def terminated(args):
             # Deliver a real SIGTERM to ourselves; main's handler turns
@@ -376,8 +408,8 @@ class TestSigtermParity:
         err = capsys.readouterr().err
         assert "terminated" in err
         assert "resume" in err
-        checkpoint.close()
-        assert SweepCheckpoint.load_completed(tmp_path / "cp.jsonl") == {
+        store.close()
+        assert ColumnarSweepStore.load_completed(tmp_path / "sweep.store") == {
             (2, 0): (1.0, 1.0, 1.0)
         }
 

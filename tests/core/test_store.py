@@ -92,6 +92,53 @@ class TestOpenAndLoad:
             ColumnarSweepStore.open(path, fingerprint(), resume=True)
 
 
+class TestHeaderlessDirectory:
+    """A directory with results but no header.json is another sweep's
+    leftovers: opening it must refuse, never write a header over them."""
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_leftover_chunks_refused(self, tmp_path, resume):
+        path = tmp_path / "store"
+        sweep_a = fingerprint(n_values=[2, 4, 8], repeats=10)
+        with ColumnarSweepStore.open(path, sweep_a, compact_every=10) as store:
+            for n in (2, 4, 8):
+                for r in range(10):
+                    store.record(n, r, (float(n), float(r), 1.0))
+        assert len(list(path.glob("chunk-*.npz"))) == 3
+        (path / "header.json").unlink()
+        with pytest.raises(CheckpointError) as info:
+            ColumnarSweepStore.open(path, fingerprint(seed=8), resume=resume)
+        message = str(info.value)
+        assert str(path) in message
+        assert "no header.json" in message
+        assert "chunk-00000.npz" in message
+        assert not (path / "header.json").exists()
+        assert not (path / "writer.lock").exists()
+
+    def test_leftover_tail_records_refused(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / "tail.jsonl").write_text(
+            '{"kind": "point", "n": 2, "r": 0, "v": [1.0, 2.0, 3.0]}\n'
+        )
+        with pytest.raises(CheckpointError, match="tail.jsonl"):
+            ColumnarSweepStore.open(path, fingerprint())
+
+    def test_crash_before_header_starts_fresh(self, tmp_path):
+        # What a crash before the header landed can leave: a lock
+        # sidecar, a temp header, an empty tail.  None of it is a result.
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / "writer.lock").write_text("999999\n")
+        (path / "header.jsonab12.tmp").write_text("{")
+        (path / "tail.jsonl").write_text("")
+        with ColumnarSweepStore.open(path, fingerprint()) as store:
+            store.record(2, 0, (1.0, 2.0, 3.0))
+        assert ColumnarSweepStore.load_completed(path) == {
+            (2, 0): (1.0, 2.0, 3.0)
+        }
+
+
 class TestCompaction:
     def test_tail_compacts_into_chunks_at_threshold(self, tmp_path):
         path = tmp_path / "store"
@@ -274,26 +321,14 @@ class TestSweepIntegration:
         )
         assert bare == stored
 
-    def test_store_and_checkpoint_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            latency_sweep(
-                cas_counter,
-                make_counter_memory,
-                [2],
-                checkpoint=tmp_path / "cp.jsonl",
-                store=tmp_path / "store",
-                **self.KWARGS,
-            )
-
-    def test_interrupted_store_resume_bit_identical_to_jsonl(self, tmp_path):
-        # The tentpole acceptance: a sweep checkpointed to the columnar
-        # store, interrupted, and resumed is bit-identical to an
-        # uninterrupted JSONL-only sweep.
+    def test_interrupted_store_resume_bit_identical(self, tmp_path):
+        # A sweep recorded to the store, interrupted, and resumed is
+        # bit-identical to an uninterrupted sweep.
         uninterrupted = latency_sweep(
             cas_counter,
             make_counter_memory,
             [2, 4],
-            checkpoint=tmp_path / "cp.jsonl",
+            store=tmp_path / "uninterrupted",
             **self.KWARGS,
         )
 

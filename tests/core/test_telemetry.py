@@ -419,58 +419,70 @@ class TestSweepTelemetry:
         assert all(p["replicates"] == 2 for p in points)
 
     def test_checkpoint_counters_and_resume(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
+        path = tmp_path / "sweep.store"
         kwargs = dict(steps=10_000, repeats=2, seed=3)
         write_registry = MetricsRegistry()
         latency_sweep(
             cas_counter,
             make_counter_memory,
             [2, 4],
-            checkpoint=path,
+            store=path,
             telemetry=write_registry,
             **kwargs,
         )
-        assert write_registry.counters["checkpoint.records"] == 4
-        # close() fsyncs, so at least one batch landed.
-        assert write_registry.counters["checkpoint.fsync_batches"] >= 1
+        assert write_registry.counters["store.records"] == 4
+        # close() compacts the tail and fsyncs, so one chunk and at
+        # least one batch landed.
+        assert write_registry.counters["store.compacted_records"] == 4
+        assert write_registry.counters["store.fsync_batches"] >= 1
 
         resume_registry = MetricsRegistry()
         latency_sweep(
             cas_counter,
             make_counter_memory,
             [2, 4],
-            checkpoint=path,
+            store=path,
             resume=True,
             telemetry=resume_registry,
             **kwargs,
         )
-        assert resume_registry.counters["checkpoint.resume_hits"] == 4
-        assert resume_registry.counters.get("checkpoint.resume_misses", 0) == 0
-        assert "checkpoint.records" not in resume_registry.counters
+        assert resume_registry.counters["store.resume_hits"] == 4
+        assert resume_registry.counters.get("store.resume_misses", 0) == 0
+        assert "store.records" not in resume_registry.counters
 
     def test_partial_resume_counts_misses(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
+        path = tmp_path / "sweep.store"
         kwargs = dict(steps=10_000, repeats=2, seed=3)
-        latency_sweep(
-            cas_counter, make_counter_memory, [2], checkpoint=path, **kwargs
-        )
-        # Grow the sweep: the stored [2] checkpoint no longer matches a
-        # [2, 4] fingerprint, so resume the same sweep minus one record.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
+
+        class Interrupt(Exception):
+            pass
+
+        def stop_after_first(done, total, key):
+            raise Interrupt
+
+        # Interrupt the sweep after its first replicate lands.
+        with pytest.raises(Interrupt):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2],
+                store=path,
+                on_progress=stop_after_first,
+                **kwargs,
+            )
         registry = MetricsRegistry()
         latency_sweep(
             cas_counter,
             make_counter_memory,
             [2],
-            checkpoint=path,
+            store=path,
             resume=True,
             telemetry=registry,
             **kwargs,
         )
-        assert registry.counters["checkpoint.resume_hits"] == 1
-        assert registry.counters["checkpoint.resume_misses"] == 1
-        assert registry.counters["checkpoint.records"] == 1
+        assert registry.counters["store.resume_hits"] == 1
+        assert registry.counters["store.resume_misses"] == 1
+        assert registry.counters["store.records"] == 1
 
 
 class TestExecutorTelemetry:

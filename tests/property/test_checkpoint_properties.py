@@ -1,9 +1,13 @@
-"""Property-based tests: checkpoint round-trips preserve triples exactly."""
+"""Property-based tests: store round-trips preserve triples exactly, and
+no corruption of a store or of the service ledger escapes as anything
+but CheckpointError."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint import SweepCheckpoint, sweep_fingerprint
+from repro.core.checkpoint import CheckpointError, sweep_fingerprint
+from repro.core.store import ColumnarSweepStore
+from repro.service.ledger import JobLedger
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -40,12 +44,12 @@ fingerprints = st.fixed_dictionaries(
 def test_round_trip_preserves_triples_exactly(tmp_path_factory, data, fields):
     # Bit-exact floats through JSON: Python's json writes repr(float),
     # which round-trips every finite double exactly.
-    path = tmp_path_factory.mktemp("ckpt") / "cp.jsonl"
+    path = tmp_path_factory.mktemp("ckpt") / "store"
     fingerprint = sweep_fingerprint(crash_times=None, **fields)
-    with SweepCheckpoint.open(path, fingerprint) as checkpoint:
+    with ColumnarSweepStore.open(path, fingerprint, compact_every=7) as store:
         for (n, r), triple in data.items():
-            checkpoint.record(n, r, triple)
-    reopened = SweepCheckpoint.open(path, fingerprint, resume=True)
+            store.record(n, r, triple)
+    reopened = ColumnarSweepStore.open(path, fingerprint, resume=True)
     try:
         assert reopened.completed == data
         assert reopened.fingerprint == fingerprint
@@ -56,7 +60,7 @@ def test_round_trip_preserves_triples_exactly(tmp_path_factory, data, fields):
 @settings(max_examples=50, deadline=None)
 @given(triples)
 def test_load_completed_matches_open(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("ckpt") / "cp.jsonl"
+    path = tmp_path_factory.mktemp("ckpt") / "store"
     fingerprint = sweep_fingerprint(
         seed=0,
         steps=100,
@@ -65,21 +69,19 @@ def test_load_completed_matches_open(tmp_path_factory, data):
         repeats=2,
         burn_in=None,
     )
-    with SweepCheckpoint.open(path, fingerprint) as checkpoint:
+    with ColumnarSweepStore.open(path, fingerprint, compact_every=7) as store:
         for (n, r), triple in data.items():
-            checkpoint.record(n, r, triple)
-    assert SweepCheckpoint.load_completed(path) == data
+            store.record(n, r, triple)
+    assert ColumnarSweepStore.load_completed(path) == data
 
 
 # -- corruption robustness -------------------------------------------------
 #
 # Whatever a crash, a flaky disk, or an editor does to the journal, a
 # resume either succeeds (torn-tail repair) or raises CheckpointError —
-# never an uncaught KeyError/IndexError/JSONDecodeError.  (That was the
-# _read bug: record["v"][2] was indexed before validation.)
-
-from repro.core.checkpoint import CheckpointError  # noqa: E402
-from repro.core.store import ColumnarSweepStore  # noqa: E402
+# never an uncaught KeyError/IndexError/JSONDecodeError.  The "journal"
+# below is the store's write-ahead tail as a kill before compaction
+# leaves it: every record in tail.jsonl, no chunk.
 
 FINGERPRINT = sweep_fingerprint(
     seed=0,
@@ -93,22 +95,30 @@ FINGERPRINT = sweep_fingerprint(
 
 
 def _journal_bytes(tmp_path_factory, data) -> tuple:
-    path = tmp_path_factory.mktemp("ckpt") / "cp.jsonl"
-    with SweepCheckpoint.open(path, FINGERPRINT) as checkpoint:
+    """A store whose records all sit in its tail; returns the tail."""
+    root = tmp_path_factory.mktemp("ckpt") / "store"
+    with ColumnarSweepStore.open(root, FINGERPRINT) as store:
         for (n, r), triple in data.items():
-            checkpoint.record(n, r, triple)
-    return path, path.read_bytes()
+            store.record(n, r, triple)
+        store.flush()
+        tail = root / "tail.jsonl"
+        original = tail.read_bytes()
+    for chunk in root.glob("chunk-*.npz"):
+        chunk.unlink()
+    tail.write_bytes(original)
+    return tail, original
 
 
-def _assert_load_is_contained(path):
+def _assert_load_is_contained(tail):
+    root = tail.parent
     try:
-        completed = SweepCheckpoint.load_completed(path)
+        completed = ColumnarSweepStore.load_completed(root)
     except CheckpointError:
         return
     assert isinstance(completed, dict)
     # Resume-open agrees with the standalone loader on mutated input.
-    reopened = SweepCheckpoint.open(
-        path, SweepCheckpoint.load_fingerprint(path), resume=True
+    reopened = ColumnarSweepStore.open(
+        root, ColumnarSweepStore.load_fingerprint(root), resume=True
     )
     try:
         assert reopened.completed == completed
@@ -209,3 +219,61 @@ def test_store_tail_and_chunk_corruption_never_raises_uncaught(
     except CheckpointError:
         return
     assert isinstance(completed, dict)
+
+
+# -- the service ledger ----------------------------------------------------
+#
+# The job ledger is the daemon's durable state.  Opening and replaying a
+# truncated or byte-flipped ledger either succeeds or raises
+# CheckpointError naming the ledger — never a raw UnicodeDecodeError
+# from a flip to invalid UTF-8, nor a ValueError from float("...").
+
+LEDGER_SPEC = {"workload": "cas-counter", "n_values": [2], "steps": 100}
+
+
+def _ledger_bytes(tmp_path_factory, jobs) -> tuple:
+    path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+    with JobLedger(path, clock=iter(range(1, 10**6)).__next__) as ledger:
+        for index in range(jobs):
+            job = f"j{index}"
+            ledger.append("submitted", job, spec=LEDGER_SPEC)
+            ledger.append(
+                "leased", job, owner="1:w", attempt=1, expires=9.5
+            )
+            ledger.append("heartbeat", job, owner="1:w", expires=12.25)
+            ledger.append("completed", job, result={"recomputed": 2})
+    return path, path.read_bytes()
+
+
+def _assert_ledger_is_contained(path):
+    try:
+        with JobLedger(path) as ledger:
+            jobs = ledger.replay()
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+        return
+    assert isinstance(jobs, dict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_truncated_ledger_never_raises_uncaught(tmp_path_factory, jobs, draw):
+    path, original = _ledger_bytes(tmp_path_factory, jobs)
+    cut = draw.draw(st.integers(min_value=0, max_value=len(original)))
+    path.write_bytes(original[:cut])
+    _assert_ledger_is_contained(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_byte_flipped_ledger_never_raises_uncaught(
+    tmp_path_factory, jobs, draw
+):
+    path, original = _ledger_bytes(tmp_path_factory, jobs)
+    mutated = bytearray(original)
+    position = draw.draw(
+        st.integers(min_value=0, max_value=len(mutated) - 1)
+    )
+    mutated[position] ^= draw.draw(st.integers(min_value=1, max_value=255))
+    path.write_bytes(bytes(mutated))
+    _assert_ledger_is_contained(path)

@@ -79,6 +79,18 @@ class TestJournal:
         make_ledger(tmp_path).close()
         assert not (tmp_path / "ledger.jsonl.lock").exists()
 
+    @pytest.mark.parametrize("byte", [b"\xff", b'"'])
+    def test_read_events_names_a_corrupt_line(self, tmp_path, byte):
+        with make_ledger(tmp_path) as ledger:
+            ledger.append("submitted", "j1", spec=SPEC)
+            ledger.append("running", "j1", owner="1:w")
+        path = tmp_path / "ledger.jsonl"
+        data = path.read_bytes()
+        cut = data.index(b"running")
+        path.write_bytes(data[:cut] + byte + data[cut + 1:])
+        with pytest.raises(CheckpointError, match="line 3"):
+            JobLedger.read_events(path)
+
     def test_read_events_takes_no_lock(self, tmp_path):
         with make_ledger(tmp_path) as ledger:
             ledger.append("submitted", "j1", spec=SPEC)
@@ -127,6 +139,48 @@ class TestReplay:
         with make_ledger(tmp_path) as ledger:
             with pytest.raises(CheckpointError, match="unknown job ghost"):
                 ledger.replay()
+
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        with make_ledger(tmp_path) as ledger:
+            ledger.append("submitted", "j1", spec=SPEC)
+            ledger.append("running", "j1", owner="1:w")
+        path = tmp_path / "ledger.jsonl"
+        data = path.read_bytes()
+        cut = data.index(b"running")
+        path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+        with make_ledger(tmp_path) as ledger:
+            with pytest.raises(CheckpointError) as info:
+                ledger.replay()
+        assert str(path) in str(info.value)
+        assert "line 3" in str(info.value)
+        assert "UTF-8" in str(info.value)
+
+    def test_invalid_utf8_header_names_the_line(self, tmp_path):
+        make_ledger(tmp_path).close()
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b"\xfe" + path.read_bytes()[1:])
+        with pytest.raises(CheckpointError, match="line 1 .*UTF-8"):
+            make_ledger(tmp_path)
+        assert not (tmp_path / "ledger.jsonl.lock").exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"t": "soon"}, {"t": True}, {"expires": "later"}, {"attempt": "2"}],
+    )
+    def test_non_numeric_field_names_the_line(self, tmp_path, fields):
+        with make_ledger(tmp_path) as ledger:
+            ledger.append("submitted", "j1", spec=SPEC)
+        path = tmp_path / "ledger.jsonl"
+        record = {"kind": "event", "event": "leased", "job": "j1", "t": 2.0}
+        record.update(fields)
+        with path.open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with make_ledger(tmp_path) as ledger:
+            with pytest.raises(CheckpointError) as info:
+                ledger.replay()
+        assert str(path) in str(info.value)
+        assert "line 3" in str(info.value)
+        assert repr(next(iter(fields))) in str(info.value)
 
     def test_terminal_states_are_the_documented_set(self):
         assert TERMINAL_STATES == {

@@ -102,7 +102,7 @@ class TestWorkerCountInvariance:
         reference = latency_sweep(
             cas_counter, make_counter_memory, N_VALUES, **common
         )
-        path = tmp_path / "sweep.jsonl"
+        path = tmp_path / "sweep.store"
 
         def stop_before_last(done, total, key):
             if done == total - 1:
@@ -113,7 +113,7 @@ class TestWorkerCountInvariance:
                 cas_counter,
                 make_counter_memory,
                 N_VALUES,
-                checkpoint=path,
+                store=path,
                 on_progress=stop_before_last,
                 **common,
             )
@@ -124,7 +124,7 @@ class TestWorkerCountInvariance:
             N_VALUES,
             max_workers=2,
             pool_factory=FlakyPoolFactory(fail_creations=10**9),
-            checkpoint=path,
+            store=path,
             resume=True,
             telemetry=telemetry,
             **common,

@@ -29,17 +29,16 @@ by default).  Twelve workloads:
 * ``chain_assembly`` — exact-chain transition-matrix builds: the
   vectorized COO assembly vs. the per-state BFS enumeration,
 * ``chaos_sweep`` — the fault-tolerant pooled ``latency_sweep`` path
-  (ResilientExecutor + checkpoint) vs. a bare process pool at zero
+  (ResilientExecutor + store) vs. a bare process pool at zero
   injected faults (the resilience tax, target < 5%), plus one run with
   injected worker kill/raise faults to price recovery,
 * ``telemetry_overhead`` — a FIG5-style batched sweep with telemetry
   disabled (the default ``telemetry=None``) vs. a live
   ``MetricsRegistry`` attached (the telemetry tax; disabled must stay
   within 2% of the pre-telemetry baseline),
-* ``store_compaction`` — the same sweep bare vs. JSONL-checkpointed
-  vs. columnar-store-backed (the journaling tax), plus a synthetic
-  many-record journal loaded back through both formats (the columnar
-  resume-load payoff),
+* ``store_compaction`` — the same sweep bare vs. columnar-store-backed
+  (the journaling tax), plus a synthetic many-record store loaded back
+  (the resume-load cost; every record must come back),
 * ``memo_warm`` — exact chain solves cold vs. warm-started from the
   on-disk memo with in-process caches cleared; the warm pass must run
   zero solvers (checked via the memo compute counter) and return
@@ -768,16 +767,15 @@ def bench_telemetry_overhead(quick):
 def bench_store_compaction(quick):
     """The columnar store's journaling tax and resume-load payoff.
 
-    Two measurements: (1) the same seeded FIG5-style sweep run bare,
-    against a JSONL checkpoint, and against a columnar store — the
-    store's write-path overhead must stay comparable to the JSONL
-    journal's; (2) a synthetic many-record journal loaded back through
-    both formats — the columnar chunks are where million-replicate
-    resume stops parsing a million JSON lines.
+    Two measurements: (1) the same seeded FIG5-style sweep run bare and
+    against a columnar store — the store's write-path overhead; (2) a
+    synthetic many-record store loaded back — the columnar chunks are
+    where million-replicate resume stops parsing a million JSON lines.
+    The load must return every synthetic record.
     """
     import tempfile
 
-    from repro.core.checkpoint import SweepCheckpoint, sweep_fingerprint
+    from repro.core.checkpoint import sweep_fingerprint
     from repro.core.store import ColumnarSweepStore
 
     n_values = [4, 8]
@@ -801,14 +799,11 @@ def bench_store_compaction(quick):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         seconds["sweep_bare"], bare = timed(sweep)
-        seconds["sweep_checkpoint"], checkpointed = timed(
-            lambda: sweep(checkpoint=tmp / "cp.jsonl")
-        )
         seconds["sweep_store"], stored = timed(
             lambda: sweep(store=tmp / "store")
         )
 
-        # Synthetic load comparison at resume scale.
+        # Synthetic load at resume scale.
         fingerprint = sweep_fingerprint(
             seed=0,
             steps=steps,
@@ -818,19 +813,19 @@ def bench_store_compaction(quick):
             burn_in=None,
             crash_times=None,
         )
-        with SweepCheckpoint.open(tmp / "big.jsonl", fingerprint) as cp:
-            for r in range(journal_records):
-                cp.record(64, r, (float(r), 0.5, 1.0))
         with ColumnarSweepStore.open(
             tmp / "big-store", fingerprint, fsync_every=4096
         ) as store:
             for r in range(journal_records):
                 store.record(64, r, (float(r), 0.5, 1.0))
-        seconds["load_jsonl"], from_jsonl = timed(
-            lambda: SweepCheckpoint.load_completed(tmp / "big.jsonl")
-        )
         seconds["load_store"], from_store = timed(
             lambda: ColumnarSweepStore.load_completed(tmp / "big-store")
+        )
+    expected = {(64, r): (float(r), 0.5, 1.0) for r in range(journal_records)}
+    if from_store != expected:
+        raise SystemExit(
+            f"store_compaction: load_store returned {len(from_store)} "
+            f"records, not the {journal_records} written"
         )
 
     return {
@@ -845,15 +840,7 @@ def bench_store_compaction(quick):
         "overhead_fraction_store": (
             seconds["sweep_store"] / seconds["sweep_bare"] - 1.0
         ),
-        "overhead_fraction_checkpoint": (
-            seconds["sweep_checkpoint"] / seconds["sweep_bare"] - 1.0
-        ),
-        "speedup_load_store_vs_jsonl": (
-            seconds["load_jsonl"] / seconds["load_store"]
-        ),
-        "bit_identical": (
-            bare == checkpointed == stored and from_jsonl == from_store
-        ),
+        "bit_identical": bare == stored,
     }
 
 
@@ -1065,7 +1052,7 @@ def main(argv=None):
                 f"store {result['seconds']['sweep_store']:8.3f}s"
                 f"  bare {result['seconds']['sweep_bare']:8.3f}s"
                 f"  overhead {100 * result['overhead_fraction_store']:+5.1f}%"
-                f"  load {result['speedup_load_store_vs_jsonl']:5.2f}x"
+                f"  load {result['seconds']['load_store']:8.3f}s"
             )
         elif "cold" in result["seconds"]:
             summary = (

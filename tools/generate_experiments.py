@@ -78,8 +78,8 @@ numbers, enforced by `tests/sim/test_batched_equivalence.py` — at about
 
 Replicates are seeded by `(seed, n, replicate)`, so a sweep can be
 interrupted at any point and resumed without changing a single bit of
-the result.  Pass `checkpoint=` to journal each completed point to an
-append-only JSONL file, and `resume=True` to re-run only what is
+the result.  Pass `store=` to journal each completed point to a
+columnar store directory, and `resume=True` to re-run only what is
 missing:
 
 ```python
@@ -89,26 +89,29 @@ from repro.core.sweep import latency_sweep
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0, engine="batched",
-    checkpoint="fig5.ckpt.jsonl",
+    store="fig5.store",
 )
 ```
 
 Kill the process mid-run (Ctrl-C is caught by the CLI, which flushes
-checkpoints and exits 130), then rerun the *same* call with
-`resume=True`: completed replicates load from the journal, only the
+the store and exits 130), then rerun the *same* call with
+`resume=True`: completed replicates load from the store, only the
 missing ones execute, and the final table is bit-identical to an
 uninterrupted run — the chaos suites in `tests/core/test_chaos_sweep.py`
 enforce this across the serial, batched and ensemble engines.  A
-checkpoint recorded under different sweep parameters (seed, steps,
+store recorded under different sweep parameters (seed, steps,
 engine, crash schedule, ...) is rejected with a loud mismatch error
 naming the differing fields.  A hard kill (SIGKILL, power loss) can
-tear the journal's final line mid-append; resume repairs the tail —
-the torn fragment is dropped (or its lost newline restored) before
-appending — so repeated crash/resume cycles never corrupt the journal.
-The same journal works across entry points and worker counts:
-`repro figure5 --checkpoint fig5.jsonl --resume` on the CLI, and a
-checkpoint written in process resumes under `max_workers=4` (or the
-other way round) to the same bits.
+tear the final line of the store's JSONL write-ahead tail mid-append;
+resume repairs the tail — the torn fragment is dropped (or its lost
+newline restored) before appending — so repeated crash/resume cycles
+never corrupt the store.  The same store works across entry points and
+worker counts: `repro figure5 --store fig5.store --resume` on the CLI
+(`--checkpoint` is another spelling of `--store`), and a store written
+in process resumes under `max_workers=4` (or the other way round) to
+the same bits.  JSONL checkpoint files from before the store are not
+read; passing one fails loudly, and since every replicate is
+deterministic, rerunning costs only time.
 
 Worker faults need no babysitting: a pooled sweep retries failed
 chunks with capped exponential backoff, isolates a poison replicate by
@@ -201,14 +204,14 @@ benchmark's, belong in one process.
 
 ## Million-replicate sweeps: the columnar store and the disk memo
 
-At millions of replicates the JSONL journal and in-memory aggregation
-both stop scaling: resume would parse a million JSON lines and the
-results dict would hold a million triples.  Swap `checkpoint=` for
-`store=` and both problems disappear — results journal through a small
-JSONL write-ahead tail that compacts into columnar npz chunks (one
-float64 column per metric), sweep aggregation streams through Welford
-accumulators (memory O(sweep points), not O(replicates)), and exact
-chain solves reused across runs warm start from an on-disk memo:
+At millions of replicates a line-per-record journal and in-memory
+aggregation would both stop scaling: resume would parse a million JSON
+lines and the results dict would hold a million triples.  The store
+avoids both — results journal through a small JSONL write-ahead tail
+that compacts into columnar npz chunks (one float64 column per metric),
+sweep aggregation streams through Welford accumulators (memory O(sweep
+points), not O(replicates)), and exact chain solves reused across runs
+warm start from an on-disk memo:
 
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
@@ -224,13 +227,12 @@ points = latency_sweep(
 ```
 
 Kill it, rerun with `resume=True`, and the result is bit-identical to
-an uninterrupted run — and to the same sweep recorded through the JSONL
-checkpoint (`tests/core/test_store.py` pins both identities).  The
-store keeps every durability guarantee of the journal: the same
-fingerprint header (mismatched parameters are rejected loudly), a
-torn-tail repair on resume, atomic chunk writes, and last-wins
-deduplication if a crash lands between a chunk write and the tail
-truncate.  On the CLI it is `repro figure5 --store DIR --memo-dir DIR`.
+an uninterrupted run (`tests/core/test_store.py` pins it).  The store's
+durability guarantees: the fingerprint header (mismatched parameters
+are rejected loudly), a torn-tail repair on resume, atomic chunk
+writes, last-wins deduplication if a crash lands between a chunk write
+and the tail truncate, and a loud refusal of a directory that holds
+results but no header.  On the CLI it is `repro figure5 --store DIR --memo-dir DIR`.
 A warm memo skips every exact-chain solve — `tools/bench_perf.py`'s
 `memo_warm` workload verifies zero recomputes via the memo counters —
 and a corrupt memo entry can cost time, never correctness: unreadable
@@ -269,7 +271,7 @@ write_run_report("run_report.json", telemetry, observer=observer)
 TV distance near 0 and fairness near 1 certify a FIG3-style fair run;
 an adversarial scheduler that starves one of `n` processes shows up as
 TV = 1/n and fairness 0 (`tests/core/test_telemetry.py` pins both
-ends).  The same report — engine counters, checkpoint and executor
+ends).  The same report — engine counters, store and executor
 stats, per-point timings, uniformity — comes out of the CLI via
 `repro figure5 --telemetry report.json`, and telemetry never changes
 the numbers: all three engines are bit-identical with it on or off.
@@ -312,8 +314,8 @@ doubles under `contention:4` at near-zero TV distance — a scheduler can
 hurt tails badly while looking almost uniform to the long-run counter.
 The same grammar works everywhere: `repro latency --workload msqueue
 --scheduler contention:4`, `repro figure5 --workload treiber` (the
-workload name folds into the checkpoint fingerprint, so resume refuses
-a journal recorded for a different structure), and sweep-service specs
+workload name folds into the store fingerprint, so resume refuses
+a store recorded for a different structure), and sweep-service specs
 accept `"workload": "msqueue", "scheduler": "epsilon:0.4"`.
 `tools/bench_perf.py --only zoo_uniformity` regenerates the measured
 table and re-checks serial/batched bit-identity under the contention
@@ -326,7 +328,7 @@ from scripts — run the sweeps through a daemon instead of a foreground
 process.  `repro serve` hosts a durable job queue: every state change
 (queued, leased, running, heartbeat, completed, failed, poisoned)
 journals to an append-only ledger with the same torn-tail repair as the
-checkpoints, so the daemon can be SIGKILLed at any instant and a
+store's tail, so the daemon can be SIGKILLed at any instant and a
 restart replays the ledger, detects orphaned leases (dead owner PID or
 lapsed TTL), and resumes each interrupted job from its columnar store —
 recomputing only the missing points:
@@ -358,7 +360,7 @@ structured `queue-full` payload (HTTP 429, `retriable: true`) instead
 of buffering unboundedly.  The API is plain HTTP over TCP or a unix
 socket (`--socket`): `/submit`, `/status`, `/result`, `/cancel`,
 `/jobs`, `/healthz`, and `/metrics` serving the `service.*` telemetry
-group.  SIGTERM anywhere in the CLI now matches Ctrl-C: checkpoints
+group.  SIGTERM anywhere in the CLI now matches Ctrl-C: stores
 flush and the exit code is 143 (the daemon itself drains and exits 0).
 The chaos suite (`tests/service/test_service_recovery.py`) SIGKILLs a
 real daemon between lease grant and first heartbeat and proves the
