@@ -250,7 +250,8 @@ def resolve_vector_kernel(factory_or_kernel) -> object:
             f"{factory_or_kernel!r} has no ensemble step kernel: the "
             "ensemble engine resolves SCU-shaped workloads only (factories "
             "from cas_counter()/scu_algorithm() with calls=None expose one "
-            "as `.vector_kernel`); use batched=True for other workloads"
+            "as `.vector_kernel`); use engine=\"batched\" (latency_sweep) "
+            "or batched=True (measure_latencies) for other workloads"
         )
     return kernel
 
@@ -265,7 +266,6 @@ def measure_latencies_ensemble(
     burn_in: Optional[int] = None,
     crash_times: Optional[Dict[int, int]] = None,
     telemetry=None,
-    fuse="auto",
     engine_kernel: str = "auto",
 ) -> "List[LatencyMeasurement]":
     """Measure many independent replicates on the ensemble engine.
@@ -281,11 +281,10 @@ def measure_latencies_ensemble(
     replicate needs its *own* scheduler instance (stateful schedulers).
     ``crash_times`` is the executor's ``{pid: time}`` halting-failure
     map, applied to every replicate (Corollary 2 experiments crash the
-    same processes in each replicate and vary only the seed).  ``fuse``
-    and ``engine_kernel`` tune the resolution path (fused replicate
-    stacking, compiled inner loops — see
-    :class:`~repro.sim.EnsembleSimulator`); results are bit-identical
-    for every setting.
+    same processes in each replicate and vary only the seed).
+    ``engine_kernel`` picks the resolve backend (see
+    :class:`~repro.sim.EnsembleSimulator`); results are bit-identical on
+    every backend.
     """
     from repro.sim.ensemble import EnsembleReplicate, EnsembleSimulator
 
@@ -304,7 +303,6 @@ def measure_latencies_ensemble(
     result = EnsembleSimulator(
         replicates,
         telemetry=telemetry,
-        fuse=fuse,
         engine_kernel=engine_kernel,
     ).run(steps)
     return result.measurements(burn_in=burn_in)

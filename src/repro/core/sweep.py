@@ -156,14 +156,13 @@ def _chunk_worker(
     engine: str,
     burn_in: Optional[int],
     crash_times: CrashTimesLike,
-    fuse="auto",
     engine_kernel: str = "auto",
 ) -> List[Tuple[float, float, float]]:
     """A chunk of ``(n, replicate)`` tasks, run back-to-back in one worker.
 
     The task keys come first — the calling convention
     :class:`~repro.core.runner.ResilientExecutor` (and the chaos harness
-    wrapping it) uses.  An ensemble chunk resolves as one fused grid
+    wrapping it) uses.  An ensemble chunk resolves as one ensemble grid
     (:func:`_run_ensemble_grid`); the other engines run one replicate
     at a time.  Each replicate still derives its own
     ``(seed, n, replicate)`` seed, so chunking cannot affect results.
@@ -180,7 +179,6 @@ def _chunk_worker(
             crash_times,
             results.__setitem__,
             None,
-            fuse=fuse,
             engine_kernel=engine_kernel,
         )
         return [results[pair] for pair in pairs]
@@ -248,8 +246,8 @@ def _note_grid_telemetry(
 
     One ``sweep.point`` event per ``n``, with the elapsed wall time
     apportioned by the point's share of the replicates (per-point timing
-    is not individually observable once points share a fused pass or a
-    worker pool).
+    is not individually observable once points share a stacked block or
+    a worker pool).
     """
     counts: Dict[int, int] = {}
     for n, _ in pending:
@@ -363,16 +361,15 @@ def _run_ensemble_grid(
     schedule: CrashTimesLike,
     note: Callable[[Tuple[int, int], Tuple[float, float, float]], None],
     telemetry,
-    fuse="auto",
     engine_kernel: str = "auto",
 ) -> None:
-    """Resolve the ``pending`` ``(n, r)`` replicates as fused ensembles.
+    """Resolve the ``pending`` ``(n, r)`` replicates as ensembles.
 
     Every pending replicate across *all* sweep points joins one ensemble
     (chunked so at most ``_GRID_FUSE_STEPS`` schedule steps are drawn up
-    front per chunk), and the fused resolver stacks same-shape
-    replicates regardless of ``n`` — one vectorized pass covers the
-    whole n-grid, not just one point's replicate block.  Replicates keep
+    front per chunk), and the engine stacks same-shape replicates
+    regardless of ``n`` where its kernel profits — one vectorized pass
+    can cover the whole n-grid, not just one point's replicate block.  Replicates keep
     their ``(seed, n, r)`` seeds and dedicated scheduler instances, so
     results are bit-identical to the per-point path.  They carry no
     memory, so no final memory is rebuilt: only the measurement triples
@@ -405,7 +402,6 @@ def _run_ensemble_grid(
         result = EnsembleSimulator(
             members,
             telemetry=telemetry,
-            fuse=fuse,
             engine_kernel=engine_kernel,
         ).run(steps)
         measurements = result.measurements(burn_in=burn_in)
@@ -529,7 +525,6 @@ def latency_sweep(
     resume: bool = False,
     on_progress: Optional[Callable[[int, int, Tuple[int, int]], None]] = None,
     telemetry=None,
-    fuse="auto",
     engine_kernel: str = "auto",
     workload: Optional[str] = None,
     max_workers: int = 1,
@@ -546,18 +541,17 @@ def latency_sweep(
     without rebuilding final memory).
     ``engine`` selects the execution engine (see the module docstring);
     ``engine="ensemble"`` resolves the replicates together as array
-    operations — same seeds, same numbers, least wall-clock.  ``fuse``
-    and ``engine_kernel`` tune the ensemble engine only (fused
-    same-shape replicate stacking across the whole grid and the
-    compiled-kernel choice; see :class:`~repro.sim.EnsembleSimulator`);
-    every setting is bit-identical, they trade wall-clock only.
+    operations — same seeds, same numbers, least wall-clock.
+    ``engine_kernel`` picks the ensemble engine's resolve backend (see
+    :class:`~repro.sim.EnsembleSimulator`); every backend is
+    bit-identical, they trade wall-clock only.
 
     ``max_workers`` is the number of processes.  ``1`` (the default)
     runs every replicate in this process.  Any larger int sends the
     missing ``(n, replicate)`` keys, in chunks of ``chunk_size``
     (``None``: about four chunks per worker), to a fault-tolerant
     :class:`~repro.core.runner.ResilientExecutor` pool — for every
-    engine; an ensemble chunk resolves as one fused grid.  A sweep with
+    engine; an ensemble chunk resolves as one ensemble grid.  A sweep with
     a single missing replicate stays in process: one task cannot run in
     parallel.  Each replicate keeps its own ``(seed, n, replicate)``
     stream, so the worker count never changes a bit.  On a 2-CPU Xeon
@@ -703,7 +697,6 @@ def latency_sweep(
                     engine,
                     burn_in,
                     schedule,
-                    fuse,
                     engine_kernel,
                 ),
                 note,
@@ -730,7 +723,6 @@ def latency_sweep(
                 schedule,
                 note,
                 telemetry if telemetry_on else None,
-                fuse=fuse,
                 engine_kernel=engine_kernel,
             )
         else:

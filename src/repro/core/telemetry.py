@@ -35,8 +35,8 @@ bit-identical with telemetry enabled or disabled.
 Metric names are dotted strings grouped by component: ``sim.*`` (the
 serial/batched executor), ``ensemble.*`` (the ensemble engine —
 per-replicate counters plus ``ensemble.fused_blocks`` /
-``ensemble.fused_replicates`` / ``ensemble.fused_steps`` from the fused
-resolution path), ``executor.*``
+``ensemble.fused_replicates`` / ``ensemble.fused_steps``, which count
+every resolved block, one-replicate blocks included), ``executor.*``
 (:class:`repro.core.runner.ResilientExecutor`), ``store.*``
 (:class:`repro.core.store.ColumnarSweepStore`), ``sweep.*``
 (:func:`repro.core.sweep.latency_sweep`),

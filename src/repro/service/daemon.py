@@ -413,14 +413,9 @@ def run_sweep_job(
     if telemetry_on and missing:
         telemetry.inc("service.recomputed_points", len(missing))
 
-    # Read the final triples back and write them through to the memo.
-    store = ColumnarSweepStore.open(
-        store_dir, fingerprint, resume=True, telemetry=telemetry
-    )
-    try:
-        completed = dict(store.completed)
-    finally:
-        store.close()
+    # Read the final triples back (the sweep has closed the store, whose
+    # fingerprint it checked) and write them through to the memo.
+    completed = ColumnarSweepStore.load_completed(store_dir)
     if memo is not None:
         for (n, r), triple in completed.items():
             if (n, r) in already:

@@ -44,18 +44,22 @@ memory are **bit-identical** to what ``Simulator.run_batched`` produces
 for the same seed — enforced replicate-by-replicate in
 ``tests/sim/test_ensemble_equivalence.py``.
 
-Resolution runs **fused** by default: replicates with the same resolver
-shape (same ``q``, ``s``, resolver kind — process counts may differ) are
+Resolution is **block-stacked**: replicates with the same resolver shape
+(same ``q``, ``s``, resolver kind — process counts may differ) are
 stacked into one long schedule, with each replicate's pids offset into a
 private range and its steps occupying a private time window, and the
 whole stack is resolved in a single pass of the very same resolvers.
 Concatenation preserves the greedy semantics exactly — reads in a later
 replicate are strictly after every earlier CAS, so each replicate's first
-attempt sees a fresh register — making the fused outputs the
+attempt sees a fresh register — making the stacked outputs the
 per-replicate outputs concatenated, bit for bit
-(``tests/sim/test_ensemble_fused.py``).  The resolve pass runs on a
-pluggable kernel (:mod:`repro.sim.kernels`): a compiled C/numba backend
-when available, the pure-numpy oracle otherwise.
+(``tests/sim/test_ensemble_fused.py``).  How many replicates share a
+block follows from the kernel, not from a setting: compiled backends
+stack up to ``_BLOCK_STEPS`` steps, the numpy flat resolver stacks only
+short replicates, and the numpy heap resolver takes one replicate per
+block (see ``EnsembleSimulator._block_capacity``).  The resolve pass
+runs on a pluggable kernel (:mod:`repro.sim.kernels`): a compiled
+C/numba backend when available, the pure-numpy oracle otherwise.
 
 Crash schedules (halting failures, Corollary 2) are handled by **segmented
 whole-schedule execution**: the horizon is split at the replicate's crash
@@ -82,28 +86,31 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.sim.executor import SimulationResult, validate_crash_times
-from repro.sim.kernels import (
-    get_kernel,
-    resolve_flat,
-    resolve_flat_stacked,
-    resolve_heap,
-    resolve_heap_stacked,
-)
+from repro.sim.kernels import get_kernel, resolve_flat, resolve_heap
+
+# Bound here, unused, so that code wrapping this module's resolver names
+# (perfbench's tracer wraps all four) finds the stacked variants too.
+from repro.sim.kernels import resolve_flat_stacked, resolve_heap_stacked  # noqa: F401
 from repro.sim.memory import Memory
 from repro.sim.trace import TraceRecorder
 
 RngLike = Union[int, Tuple[int, ...], np.random.Generator, None]
 
-_EMPTY = np.empty(0, dtype=np.int64)
+#: Cap on a block's stacked schedule length.  It bounds the resolver's
+#: working-set memory for very large ensembles and keeps a block's arrays
+#: inside the cache sizes where the passes are fastest — larger blocks
+#: amortize no further, they just stream more memory.  A single replicate
+#: longer than the cap still resolves, in a block of its own.
+_BLOCK_STEPS = 1_000_000
 
-#: ``fuse="auto"`` threshold for the numpy backend: below this many steps
-#: per replicate, stacking wins (fewer python-level resolver passes);
-#: above it, per-replicate arrays already amortize the pass overhead and
-#: the stack's larger working set costs more than it saves (measured
-#: crossover ~2-5k steps on the FIG5 shapes; see BENCH_PR7.json's
-#: fused_sweep regression).  Compiled backends always profit from fusion
-#: — their per-pass overhead is a single ctypes/jit call.
-_AUTO_FUSE_NUMPY_MAX_STEPS = 4096
+#: The numpy flat (``q == 0``) resolver stacks replicates only below this
+#: many steps each.  Stacking saves Python-level passes while replicates
+#: are short; past it the stack's larger working set costs more than the
+#: saved passes (CPU-time ratio stacked/per-replicate: 0.71 at 256 x 1k,
+#: 0.79 at 64 x 2k, 1.31 at 16 x 20k).  The numpy heap resolver is a
+#: per-event Python loop that gains nothing from stacking (1.37-1.59 on
+#: the same grids), so it never stacks; compiled backends always do.
+_NUMPY_FLAT_STACK_MAX_STEPS = 4096
 
 
 @dataclass
@@ -263,12 +270,11 @@ class ReplicateOutcome:
 
 @dataclass
 class EnsembleResult:
-    """Results of an ensemble run, with vectorized metric accessors.
+    """Results of an ensemble run, one outcome per replicate.
 
-    The per-metric methods return ``(R,)`` arrays aligned with the
-    replicate order; ``measurements`` reproduces
-    :func:`repro.core.latency.measure_latencies` bit-for-bit by feeding
-    each materialized recorder through the very same estimator functions.
+    ``measurements`` reproduces :func:`repro.core.latency.measure_latencies`
+    bit-for-bit straight from the outcome arrays; per-replicate recorders
+    are available from :meth:`ReplicateOutcome.recorder`.
     """
 
     replicates: List[ReplicateOutcome]
@@ -281,45 +287,6 @@ class EnsembleResult:
 
     def __getitem__(self, index: int) -> ReplicateOutcome:
         return self.replicates[index]
-
-    def recorders(self) -> List[TraceRecorder]:
-        return [outcome.recorder() for outcome in self.replicates]
-
-    def total_completions(self) -> np.ndarray:
-        return np.asarray(
-            [outcome.total_completions for outcome in self.replicates],
-            dtype=np.int64,
-        )
-
-    def completion_rates(self) -> np.ndarray:
-        """Completions per step, per replicate (Appendix B's metric)."""
-        return self.total_completions() / np.asarray(
-            [outcome.steps_executed for outcome in self.replicates], dtype=np.int64
-        )
-
-    def system_latencies(self, *, burn_in: int = 0) -> np.ndarray:
-        from repro.core.latency import system_latency
-
-        return np.asarray(
-            [
-                system_latency(outcome.recorder(), burn_in=burn_in)
-                for outcome in self.replicates
-            ]
-        )
-
-    def fairness_ratios(self, *, burn_in: int = 0) -> np.ndarray:
-        """Per-replicate ``max individual / (n * system)`` (Lemma 7)."""
-        from repro.core.latency import individual_latencies, system_latency
-
-        ratios = []
-        for outcome in self.replicates:
-            recorder = outcome.recorder()
-            individual = individual_latencies(recorder, burn_in=burn_in)
-            ratios.append(
-                max(individual.values())
-                / (outcome.n_processes * system_latency(recorder, burn_in=burn_in))
-            )
-        return np.asarray(ratios)
 
     def measurements(self, *, burn_in: Optional[int] = None) -> List[Any]:
         """One :class:`~repro.core.latency.LatencyMeasurement` per
@@ -353,32 +320,13 @@ class EnsembleSimulator:
         telemetry-free; when given, per-replicate counters settle once
         per replicate after resolution — the array passes never see it
         and results are bit-identical either way.
-    fuse:
-        Stack same-shape replicates (same ``q``, ``s``, resolver kind)
-        into one schedule and resolve the whole block in a single pass.
-        ``"auto"`` (the default) fuses whenever the backend profits:
-        compiled backends always, the numpy backend only below
-        ``_AUTO_FUSE_NUMPY_MAX_STEPS`` steps per replicate — above that
-        crossover the stack's larger working set costs numpy more than
-        the saved passes (the BENCH_PR7 fused_sweep regression).
-        ``True`` always fuses; ``False`` resolves replicates one at a
-        time — the pre-fusion behavior, kept as the comparison
-        baseline.  Results are bit-identical in every mode (see the
-        module docstring).
     engine_kernel:
-        Backend for the resolve pass — one of ``"auto"``
-        (fastest available, the default), ``"compiled"`` (require
-        numba/C, warn and fall back to numpy when absent), ``"numpy"``,
-        ``"numba"`` or ``"cc"``.  See
-        :mod:`repro.sim.kernels`.
-    fuse_block_steps:
-        Cap on the stacked schedule length per fused block.  It bounds
-        the resolver's working-set memory for very large ensembles, and
-        the default (1M steps) keeps a block's arrays inside the cache
-        sizes where the vectorized passes are fastest — larger blocks
-        amortize no further, they just stream more memory.  A single
-        replicate longer than the cap still resolves (in a block of its
-        own).
+        Backend for the resolve pass — one of ``"auto"`` (fastest
+        available, the default), ``"numpy"``, ``"numba"`` or ``"cc"``.
+        See :mod:`repro.sim.kernels`.  The backend also decides how many
+        same-shape replicates share one stacked block (see the module
+        docstring); results are bit-identical on every backend.
+
     The engine is **one-shot**: :meth:`run` may be called once (the
     resolution consumes the drawn schedules; there is no incremental
     process state to resume, unlike ``Simulator.run``).  Validation and
@@ -396,9 +344,7 @@ class EnsembleSimulator:
         *,
         record_schedule: bool = False,
         telemetry: Optional[Any] = None,
-        fuse: Union[bool, str] = "auto",
         engine_kernel: str = "auto",
-        fuse_block_steps: int = 1_000_000,
         _resolver: str = "auto",
     ) -> None:
         members = list(replicates)
@@ -406,12 +352,6 @@ class EnsembleSimulator:
             raise ValueError("at least one replicate is required")
         if _resolver not in ("auto", "flat", "heap"):
             raise ValueError(f"unknown resolver {_resolver!r}")
-        if fuse_block_steps < 1:
-            raise ValueError("fuse_block_steps must be positive")
-        if fuse not in (True, False, "auto"):
-            raise ValueError(
-                f"fuse must be True, False or 'auto', got {fuse!r}"
-            )
         for index, member in enumerate(members):
             if member.crash_times:
                 # Crash schedules over known pids are fully supported (the
@@ -451,8 +391,6 @@ class EnsembleSimulator:
         self.record_schedule = record_schedule
         self.telemetry = telemetry
         self._resolver = _resolver
-        self._fuse = fuse
-        self._fuse_block_steps = fuse_block_steps
         self._kernel = get_kernel(engine_kernel)
         self._ran = False
 
@@ -465,8 +403,8 @@ class EnsembleSimulator:
                 f"EnsembleSimulator.run is one-shot and this "
                 f"{len(self.replicates)}-replicate ensemble has already "
                 "run; build a new EnsembleSimulator for another pass "
-                "(construction is cheap — the fused path resolves whole "
-                "replicate blocks in one vectorized pass) or use "
+                "(construction is cheap — whole replicate blocks resolve "
+                "in one vectorized pass) or use "
                 "Simulator.run for incremental runs"
             )
         # Claim the guard before any RNG is consumed, but let pure
@@ -481,32 +419,28 @@ class EnsembleSimulator:
         except Exception:
             self._ran = False
             raise
-        fuse = self._fuse
-        if fuse == "auto":
-            fuse = self._auto_fuse(self._kernel.name, max_steps)
-        if not fuse:
-            return EnsembleResult(
-                [
-                    self._run_replicate(member, max_steps, use_flat)
-                    for member, use_flat in zip(self.replicates, plan)
-                ]
+        # Schedules are drawn first, in replicate order: replicates sharing
+        # a Generator instance consume it exactly as run_batched would.
+        draws = [
+            self._draw_schedule(
+                member.scheduler,
+                member.n_processes,
+                (
+                    member.rng
+                    if isinstance(member.rng, np.random.Generator)
+                    else np.random.default_rng(member.rng)
+                ),
+                max_steps,
+                member.crash_times,
             )
-        return self._run_fused(plan, max_steps)
+            for member in self.replicates
+        ]
+        outcomes: List[Optional[ReplicateOutcome]] = [None] * len(draws)
+        for indices, use_flat, q, s in self._pack_blocks(plan, draws, max_steps):
+            self._resolve_block(indices, draws, use_flat, q, s, max_steps, outcomes)
+        return EnsembleResult(outcomes)  # type: ignore[arg-type]
 
     # -- internals ---------------------------------------------------------------
-
-    @staticmethod
-    def _auto_fuse(kernel_name: str, max_steps: int) -> bool:
-        """The ``fuse="auto"`` decision, pinned by the fused test suite.
-
-        Numpy pays per *pass*, not per call, so stacking only wins while
-        replicates are small; compiled backends always profit (their
-        per-call overhead is one ctypes/jit entry).  The boundary is the
-        measured FIG5-shape crossover (see ``_AUTO_FUSE_NUMPY_MAX_STEPS``).
-        """
-        if kernel_name == "numpy":
-            return max_steps < _AUTO_FUSE_NUMPY_MAX_STEPS
-        return True
 
     def _plan_resolvers(self) -> List[bool]:
         """Pick the resolver per replicate; pure validation, no RNG."""
@@ -523,77 +457,41 @@ class EnsembleSimulator:
             plan.append(use_flat)
         return plan
 
-    def _run_replicate(
-        self, member: EnsembleReplicate, max_steps: int, use_flat: bool
-    ) -> ReplicateOutcome:
-        n = member.n_processes
-        rng = (
-            member.rng
-            if isinstance(member.rng, np.random.Generator)
-            else np.random.default_rng(member.rng)
-        )
-        schedule, stopped_early, segments = self._draw_schedule(
-            member.scheduler, n, rng, max_steps, member.crash_times
-        )
-        kernel = member.kernel
-        if use_flat:
-            resolved = resolve_flat(schedule, n, kernel.s, self._kernel)
-        else:
-            resolved = resolve_heap(schedule, n, kernel.q, kernel.s, self._kernel)
-        return self._finish_replicate(
-            member, max_steps, schedule, resolved, stopped_early, segments
-        )
+    def _block_capacity(self, use_flat: bool, max_steps: int) -> int:
+        """Stacked steps one block of this resolver may hold.
 
-    def _run_fused(self, plan: List[bool], max_steps: int) -> EnsembleResult:
-        """Group same-shape replicates and resolve them block by block.
-
-        Schedules are drawn first, in replicate order — the identical
-        RNG/scheduler consumption as the per-replicate path (replicates
-        sharing a Generator instance stay bit-identical).  Resolution
-        then proceeds group-major: every replicate with the same
-        ``(resolver, q, s)`` shape lands in the same group, split into
-        blocks of at most ``fuse_block_steps`` stacked steps.
+        Compiled backends pay one ctypes/jit entry per block, so they
+        stack up to ``_BLOCK_STEPS``.  The numpy flat resolver stacks
+        below ``_NUMPY_FLAT_STACK_MAX_STEPS`` steps per replicate; the
+        numpy heap resolver, and numpy flat past that length, get
+        capacity 0: one replicate per block.
         """
-        members = self.replicates
-        draws = [
-            self._draw_schedule(
-                member.scheduler,
-                member.n_processes,
-                (
-                    member.rng
-                    if isinstance(member.rng, np.random.Generator)
-                    else np.random.default_rng(member.rng)
-                ),
-                max_steps,
-                member.crash_times,
-            )
-            for member in members
-        ]
-        blocks = self._pack_blocks(plan, draws)
-        outcomes: List[Optional[ReplicateOutcome]] = [None] * len(members)
-        for indices, use_flat, q, s in blocks:
-            self._resolve_block(indices, draws, use_flat, q, s, max_steps, outcomes)
-        return EnsembleResult(outcomes)  # type: ignore[arg-type]
+        if self._kernel.name != "numpy":
+            return _BLOCK_STEPS
+        if use_flat and max_steps < _NUMPY_FLAT_STACK_MAX_STEPS:
+            return _BLOCK_STEPS
+        return 0
 
     def _pack_blocks(
         self,
         plan: List[bool],
         draws: List[Tuple[np.ndarray, bool, int]],
+        max_steps: int,
     ) -> List[Tuple[List[int], bool, int, int]]:
         """Group same-shape replicates and greedy-pack them into blocks.
 
         Returns ``(indices, use_flat, q, s)`` per block, each block at
-        most ``fuse_block_steps`` stacked steps (a single replicate larger
-        than the cap still forms a block of its own — blocks never split
-        a replicate).
+        most :meth:`_block_capacity` stacked steps (a single replicate
+        larger than the capacity still forms a block of its own — blocks
+        never split a replicate).
         """
-        cap = self._fuse_block_steps
         groups: Dict[Tuple[bool, int, int], List[int]] = {}
         for index, (member, use_flat) in enumerate(zip(self.replicates, plan)):
             key = (use_flat, int(member.kernel.q), int(member.kernel.s))
             groups.setdefault(key, []).append(index)
         blocks: List[Tuple[List[int], bool, int, int]] = []
         for (use_flat, q, s), indices in groups.items():
+            cap = self._block_capacity(use_flat, max_steps)
             start = 0
             while start < len(indices):
                 stop = start + 1
@@ -643,10 +541,11 @@ class EnsembleSimulator:
                     pid_base[k],
                     out=stacked[time_base[k] : time_base[k + 1]],
                 )
+        n = int(pid_base[-1])
         if use_flat:
-            resolved = resolve_flat_stacked(stacked, pid_base, s, self._kernel)
+            resolved = resolve_flat(stacked, n, s, self._kernel)
         else:
-            resolved = resolve_heap_stacked(stacked, pid_base, q, s, self._kernel)
+            resolved = resolve_heap(stacked, n, q, s, self._kernel)
 
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:

@@ -45,16 +45,14 @@ and writes nothing out of bounds).
 Selection goes through :func:`get_kernel`:
 
 * ``"auto"`` — fastest available backend (numba, then cc, then numpy).
-* ``"compiled"`` — require a compiled backend; warn once and fall back
-  to numpy when none can be built.
-* ``"numpy"`` / ``"numba"`` / ``"cc"`` — that backend exactly (:class:`KernelUnavailable` when it cannot be
-  provided).
+* ``"numpy"`` / ``"numba"`` / ``"cc"`` — that backend exactly
+  (:class:`KernelUnavailable` when it cannot be provided).
 
 The full resolvers (:func:`resolve_flat`, :func:`resolve_heap`) also
-live here — they are shared verbatim by the per-replicate path and the
-fused multi-replicate path, which calls their stacked variants
-(:func:`resolve_flat_stacked`, :func:`resolve_heap_stacked`) on
-concatenated schedules (see ``EnsembleSimulator``).
+live here.  ``EnsembleSimulator`` calls them on stacks of concatenated
+replicate schedules over ``pid_base[-1]`` processes;
+:func:`resolve_flat_stacked` and :func:`resolve_heap_stacked` are the
+same call spelled with the pid offset table.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,9 +83,9 @@ __all__ = [
     "resolve_heap_stacked",
 ]
 
-KERNEL_NAMES = ("auto", "compiled", "numpy", "numba", "cc")
+KERNEL_NAMES = ("auto", "numpy", "numba", "cc")
 
-#: Explicitly selectable backends (everything but the meta names).
+#: Explicitly selectable backends (everything but ``"auto"``).
 _EXPLICIT_BACKENDS = ("numpy", "numba", "cc")
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -362,8 +359,6 @@ class _CompiledKernelBase:
     steps yields at most ``T // (q + s + 1)`` successes.
     """
 
-    name = "compiled"
-
     def resolve_flat(self, sched: np.ndarray, n: int, s: int) -> Resolution:
         return self.resolve_heap(sched, n, 0, s)
 
@@ -453,7 +448,6 @@ class NumbaKernel(_CompiledKernelBase):
 
 _KERNELS: Dict[str, Any] = {}
 _FAILURES: Dict[str, str] = {}
-_WARNED_FALLBACK = False
 
 
 def _try_backend(name: str) -> Optional[Any]:
@@ -480,12 +474,10 @@ def _try_backend(name: str) -> Optional[Any]:
 def get_kernel(name: str = "auto") -> Any:
     """Return a resolution kernel for ``name`` (see module docstring).
 
-    ``"auto"`` silently picks the fastest available backend;
-    ``"compiled"`` warns (once) and falls back to numpy when no compiled
-    backend can be provided; explicit names raise
+    ``"auto"`` silently picks the fastest available backend, numpy when
+    no compiled backend can be provided; explicit names raise
     :class:`KernelUnavailable` with the recorded reason.
     """
-    global _WARNED_FALLBACK
     if name not in KERNEL_NAMES:
         raise ValueError(
             f"unknown engine kernel {name!r}; expected one of {KERNEL_NAMES}"
@@ -501,17 +493,6 @@ def get_kernel(name: str = "auto") -> Any:
         kernel = _try_backend(candidate)
         if kernel is not None:
             return kernel
-    if name == "compiled" and not _WARNED_FALLBACK:
-        _WARNED_FALLBACK = True
-        reasons = "; ".join(
-            f"{key}: {_FAILURES[key]}" for key in ("numba", "cc") if key in _FAILURES
-        )
-        warnings.warn(
-            "engine_kernel='compiled' requested but no compiled backend is "
-            f"available ({reasons}); falling back to the numpy kernel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _try_backend("numpy")
 
 
@@ -535,7 +516,7 @@ def kernel_diagnostics() -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# resolvers (shared by the per-replicate and fused ensemble paths)
+# resolvers
 # ---------------------------------------------------------------------------
 
 
@@ -612,7 +593,7 @@ def resolve_flat(
     counts)`` where columns are 0-based schedule positions, ``seq[p]`` is
     the number of CAS attempts process ``p`` executed, ``phase[p]`` in
     ``[0, s]`` is its position within the current attempt and ``counts[p]``
-    its local step count.  The same function resolves a *fused* stack of
+    its local step count.  The same function resolves a stack of
     replicates: concatenating schedules in time with per-replicate pid
     offsets keeps the greedy per replicate (reads in later replicates are
     strictly after every earlier CAS, so each replicate's first attempt
@@ -628,10 +609,10 @@ def resolve_flat_stacked(
     s: int,
     kernel: Optional[Any] = None,
 ) -> Resolution:
-    """:func:`resolve_flat` on a fused replicate stack.
+    """:func:`resolve_flat` on a replicate stack.
 
     ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table the
-    fused path builds (replicate ``k`` owns pids ``[pid_base[k],
+    ensemble engine builds (replicate ``k`` owns pids ``[pid_base[k],
     pid_base[k + 1])``); the stack is resolved as one schedule over
     ``pid_base[-1]`` processes — the global successes are exactly the
     per-replicate successes concatenated.
@@ -650,7 +631,7 @@ def resolve_heap(
     process in a heap, popped in time order; compiled backends run their
     time-ordered scan.  The greedy success condition is identical to the
     ``q == 0`` path.  Return contract matches :func:`resolve_flat`
-    (``phase`` in ``[0, q + s]``), and fused stacks resolve correctly for
+    (``phase`` in ``[0, q + s]``), and replicate stacks resolve correctly for
     the same reason: replicates are time-partitioned, so the global CAS
     order is the per-replicate orders concatenated.
     """
@@ -666,7 +647,7 @@ def resolve_heap_stacked(
     s: int,
     kernel: Optional[Any] = None,
 ) -> Resolution:
-    """:func:`resolve_heap` on a fused replicate stack.
+    """:func:`resolve_heap` on a replicate stack.
 
     ``pid_base`` is the ``(R + 1,)`` per-replicate pid offset table; the
     stack is resolved as one schedule over ``pid_base[-1]`` processes —

@@ -239,6 +239,28 @@ class TestEnsembleLatencies:
         with pytest.raises(ValueError, match="vector_kernel"):
             resolve_vector_kernel(cas_counter(calls=2))
 
+    def test_sweep_misuse_message_names_the_sweep_engine(self):
+        """A sweep has no ``batched=`` flag: the error sends sweep users
+        to ``engine="batched"`` and keeps ``batched=True`` for
+        ``measure_latencies``."""
+        from repro.algorithms.registry import get_workload
+        from repro.core.sweep import latency_sweep
+
+        workload = get_workload("msqueue")
+        with pytest.raises(
+            ValueError,
+            match=r'engine="batched" \(latency_sweep\) or batched=True '
+            r"\(measure_latencies\)",
+        ):
+            latency_sweep(
+                workload.factory_builder,
+                workload.memory_builder,
+                [2],
+                steps=200,
+                repeats=2,
+                engine="ensemble",
+            )
+
     def test_resolve_vector_kernel_accepts_kernel_directly(self):
         from repro.algorithms.counter import CounterStepKernel
         from repro.core.latency import resolve_vector_kernel

@@ -356,3 +356,36 @@ class TestRealSweepService:
         assert telemetry.counters["service.dedupe_hits"] == 1
         # exactly one job's worth of points was ever computed
         assert telemetry.counters["service.recomputed_points"] == 4
+
+
+class TestRunSweepJobStoreOpens:
+    """``run_sweep_job`` opens a job's store twice: once to warm-start it
+    from the memo, once inside the sweep.  The final triples are read
+    back from the closed store without opening it a third time."""
+
+    def test_two_opens_per_job_novel_and_warm(self, tmp_path, monkeypatch):
+        from repro.core.memo import DiskMemo
+        from repro.core.store import ColumnarSweepStore
+        from repro.service import run_sweep_job
+
+        opens = []
+        original = ColumnarSweepStore.open
+
+        def counting_open(cls, *args, **kwargs):
+            opens.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            ColumnarSweepStore, "open", classmethod(counting_open)
+        )
+        spec = validate_spec(
+            {"n_values": [2, 3, 4], "steps": 300, "repeats": 3, "seed": 3}
+        )
+        memo = DiskMemo(tmp_path / "memo")
+        novel = run_sweep_job(spec, tmp_path / "novel.store", memo=memo)
+        assert len(opens) == 2
+        warm = run_sweep_job(spec, tmp_path / "warm.store", memo=memo)
+        assert len(opens) == 4
+        assert warm["warm_points"] == 9
+        assert warm["triples"] == novel["triples"]
+        assert len(novel["triples"]) == 9

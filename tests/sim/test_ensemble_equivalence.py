@@ -396,12 +396,15 @@ class TestEnsembleMeasurements:
         ]
         result = EnsembleSimulator(replicates).run(5000)
         assert len(result) == 5
-        assert result.system_latencies(burn_in=500).shape == (5,)
-        assert result.completion_rates().shape == (5,)
-        ratios = result.fairness_ratios(burn_in=500)
-        assert ratios.shape == (5,)
-        assert np.all(ratios > 0)
-        assert np.all(result.total_completions() > 0)
+        measurements = result.measurements(burn_in=500)
+        assert len(measurements) == 5
+        for outcome, measurement in zip(result, measurements):
+            assert measurement.system_latency > 0
+            assert measurement.completion_rate == (
+                outcome.total_completions / outcome.steps_executed
+            )
+            assert measurement.fairness_ratio > 0
+            assert outcome.total_completions > 0
 
     def test_to_simulation_result_roundtrip(self):
         replicate = EnsembleReplicate(

@@ -2,7 +2,7 @@
 
 ``latency_sweep(engine="ensemble", max_workers=N)`` splits the missing
 ``(n, replicate)`` keys into chunks, and each pool worker resolves its
-chunk as one fused grid; this suite pins the contract that the pool
+chunk as one ensemble grid; this suite pins the contract that the pool
 changes wall-clock only:
 
 * worker-count invariance — ``max_workers`` 1/2/4 produce bit-identical
@@ -77,7 +77,6 @@ def run_grid(workers=1, *, crashes=False, **kwargs):
         repeats=4,
         seed=5,
         engine="ensemble",
-        fuse=True,
         crash_times=crash_schedule if crashes else None,
         max_workers=workers,
         **kwargs,
@@ -96,7 +95,7 @@ class TestWorkerCountInvariance:
             assert run_grid(workers, crashes=crashes, retry=FAST_RETRY) == reference
 
     def test_single_block_stays_in_process(self, tmp_path):
-        """One missing replicate is one fused block: no pool starts, no
+        """One missing replicate is one ensemble block: no pool starts, no
         segments are made, and the resumed sweep still matches."""
         common = dict(steps=STEPS, repeats=4, seed=5, engine="ensemble")
         reference = latency_sweep(
@@ -150,7 +149,6 @@ class TestChaos:
             repeats=4,
             seed=5,
             engine="ensemble",
-            fuse=True,
             max_workers=2,
             dispatch="pickle",
             pool_factory=lambda max_workers=None: ChaosPool(

@@ -3,9 +3,9 @@
 The numpy backend is the oracle: every compiled backend (cc via ctypes,
 numba when installed) must produce bit-identical outputs from both
 resolvers on arbitrary schedules.  The suite also pins the selection
-semantics of :func:`get_kernel` — silent ``auto``, warn-once
-``compiled`` fallback, and loud :class:`KernelUnavailable` for explicit
-backends that cannot be provided.  The numba cases skip cleanly when
+semantics of :func:`get_kernel` — ``auto`` silently falling back to
+numpy, and loud :class:`KernelUnavailable` for explicit backends that
+cannot be provided.  The numba cases skip cleanly when
 numba is absent (CI runs them in a dedicated optional-numba job).
 """
 
@@ -239,21 +239,21 @@ def test_auto_prefers_compiled_when_available():
         assert kernel.name == "numpy"
 
 
-def test_compiled_falls_back_to_numpy_with_one_warning(monkeypatch):
+def test_auto_falls_back_to_numpy_silently(monkeypatch):
+    """With no compiled backend, ``auto`` is the numpy kernel, without a
+    warning; ``compiled`` is not a kernel name."""
+    import warnings
+
     monkeypatch.setattr(kernels, "_KERNELS", {})
     monkeypatch.setattr(
         kernels, "_FAILURES", {"numba": "forced off", "cc": "forced off"}
     )
-    monkeypatch.setattr(kernels, "_WARNED_FALLBACK", False)
-    with pytest.warns(RuntimeWarning, match="falling back to the numpy kernel"):
-        kernel = get_kernel("compiled")
-    assert isinstance(kernel, NumpyKernel)
-    # Warn-once: a second request stays silent.
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert isinstance(get_kernel("compiled"), NumpyKernel)
+        assert isinstance(get_kernel("auto"), NumpyKernel)
+    assert KERNEL_NAMES == ("auto", "numpy", "numba", "cc")
+    with pytest.raises(ValueError, match="unknown engine kernel 'compiled'"):
+        get_kernel("compiled")
 
 
 def test_cc_build_caches_shared_object(tmp_path, monkeypatch):

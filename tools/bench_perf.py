@@ -6,14 +6,10 @@ by default).  Twelve workloads:
 
 * ``fig5_sweep`` — a FIG5-style multi-replicate latency sweep (the
   ensemble engine's target shape: many replicates, one sweep), timed on
-  all three engines plus the pre-fusion per-replicate ensemble path
-  (per-replicate resolution, recorder-based measurement) as the
-  baseline the fused default must beat,
-* ``fused_sweep`` — the fused-resolution matrix on one ensemble sweep:
-  unfused vs. fused replicate stacking crossed with the numpy vs.
-  compiled inner-loop kernels (``engine_kernel``), plus the
-  ``fuse="auto"`` crossover arm that skips fusion for the numpy kernel
-  above the measured per-backend boundary, all bit-identical,
+  all three engines,
+* ``fused_sweep`` — one ensemble sweep timed on every resolve kernel
+  backend available (``engine_kernel``: numpy, the compiled ones and
+  ``auto``), all bit-identical,
 * ``sharedmem_dispatch`` — a pooled ``latency_sweep`` with pickle vs.
   zero-copy shared-memory transport: wall-clock parity on interleaved
   rounds plus the deterministic per-chunk pipe payload (submit out,
@@ -99,65 +95,11 @@ def timed(fn):
     return time.perf_counter() - start, result
 
 
-def _per_replicate_ensemble_points(n_values, steps, repeats, seed, confidence=0.95):
-    """The pre-fusion ensemble path, reconstructed as a baseline.
-
-    Per-replicate resolution (``fuse=False``, numpy kernel) and
-    recorder-based measurement — exactly what ``engine="ensemble"`` did
-    before fused resolution and the vectorized measurement fast path.
-    Returns the same :class:`SweepPoint` list as ``latency_sweep``.
-    """
-    from repro.core.latency import (
-        LatencyMeasurement,
-        completion_rate,
-        individual_latencies,
-        system_latency,
-    )
-    from repro.core.sweep import _collect_points
-
-    burn_in = steps // 10
-    ensemble = EnsembleSimulator(
-        [
-            EnsembleReplicate(
-                resolve_vector_kernel(cas_counter()),
-                n,
-                UniformStochasticScheduler(),
-                make_counter_memory(),
-                rng=(seed, n, r),
-            )
-            for n in n_values
-            for r in range(repeats)
-        ],
-        fuse=False,
-        engine_kernel="numpy",
-    )
-    results = {}
-    keys = [(n, r) for n in n_values for r in range(repeats)]
-    for key, outcome in zip(keys, ensemble.run(steps)):
-        recorder = outcome.recorder()
-        measurement = LatencyMeasurement(
-            n_processes=outcome.n_processes,
-            steps=outcome.steps_executed,
-            burn_in=burn_in,
-            total_completions=recorder.total_completions,
-            system_latency=system_latency(recorder, burn_in=burn_in),
-            individual=individual_latencies(recorder, burn_in=burn_in),
-            completion_rate=completion_rate(recorder, outcome.steps_executed),
-        )
-        results[key] = (
-            measurement.system_latency,
-            measurement.completion_rate,
-            measurement.fairness_ratio,
-        )
-    return _collect_points(n_values, repeats, results, confidence)
-
-
 def bench_fig5_sweep(quick):
     """Multi-replicate latency sweep: the ensemble engine's home turf.
 
-    ``ensemble`` is the default path (fused resolution, compiled inner
-    loops when available); ``ensemble_per_replicate`` reconstructs the
-    pre-fusion path as the baseline the fused default is priced against.
+    ``ensemble`` is the default path (stacked resolution, compiled
+    inner loops when available).
     """
     n_values = [4, 8] if quick else [4, 8, 16]
     steps = 10_000 if quick else 60_000
@@ -178,18 +120,12 @@ def bench_fig5_sweep(quick):
     points = {}
     for engine in ("serial", "batched", "ensemble"):
         engines[engine], points[engine] = timed(sweep(engine))
-    engines["ensemble_per_replicate"], points["ensemble_per_replicate"] = timed(
-        lambda: _per_replicate_ensemble_points(n_values, steps, repeats, seed=2)
-    )
     return {
         "workload": "fig5_sweep",
         "params": {"n_values": n_values, "steps": steps, "repeats": repeats},
         "seconds": engines,
         "speedup_ensemble_vs_batched": engines["batched"] / engines["ensemble"],
         "speedup_ensemble_vs_serial": engines["serial"] / engines["ensemble"],
-        "speedup_fused_vs_per_replicate": (
-            engines["ensemble_per_replicate"] / engines["ensemble"]
-        ),
         "bit_identical": all(
             points[e] == points["batched"] for e in points
         ),
@@ -197,16 +133,12 @@ def bench_fig5_sweep(quick):
 
 
 def bench_fused_sweep(quick):
-    """The fused-resolution matrix: replicate stacking x kernel backend.
+    """One ensemble-engine sweep on every resolve kernel backend.
 
-    One ensemble-engine sweep timed under every combination of ``fuse``
-    and ``engine_kernel`` that exists on this machine.  All arms share
-    the vectorized measurement path, so the deltas isolate fusion and
-    the compiled resolve scan; ``fig5_sweep`` prices the full default
-    against the original per-replicate path.  The ``auto_fuse_numpy``
-    arm shows the ``fuse="auto"`` crossover: at this workload's step
-    count the numpy kernel is faster unfused, so auto must match the
-    unfused arm rather than pay ``fused_numpy``'s stacking tax.
+    All arms share the draw, the block packer and the vectorized
+    measurement path, so the deltas isolate the resolve kernel (and the
+    stacking the packer chooses for it: compiled backends stack every
+    block, numpy stacks only short flat replicates).
     """
     from repro.sim.kernels import available_backends
 
@@ -214,7 +146,7 @@ def bench_fused_sweep(quick):
     steps = 5_000 if quick else 20_000
     repeats = 8 if quick else 48
 
-    def sweep(fuse, engine_kernel):
+    def sweep(engine_kernel):
         return lambda: latency_sweep(
             cas_counter,
             make_counter_memory,
@@ -223,25 +155,16 @@ def bench_fused_sweep(quick):
             repeats=repeats,
             seed=4,
             engine="ensemble",
-            fuse=fuse,
             engine_kernel=engine_kernel,
         )
 
-    arms = {
-        "unfused_numpy": (False, "numpy"),
-        "fused_numpy": (True, "numpy"),
-    }
     compiled = [k for k in ("numba", "cc") if k in available_backends()]
-    for backend in compiled:
-        arms[f"unfused_{backend}"] = (False, backend)
-        arms[f"fused_{backend}"] = (True, backend)
-    arms["fused_auto"] = (True, "auto")
-    arms["auto_fuse_numpy"] = ("auto", "numpy")
-
     seconds = {}
     points = {}
-    for label, (fuse, engine_kernel) in arms.items():
-        seconds[label], points[label] = timed(sweep(fuse, engine_kernel))
+    for engine_kernel in ["numpy", *compiled, "auto"]:
+        seconds[engine_kernel], points[engine_kernel] = timed(
+            sweep(engine_kernel)
+        )
     return {
         "workload": "fused_sweep",
         "params": {
@@ -251,15 +174,8 @@ def bench_fused_sweep(quick):
             "compiled_backends": compiled,
         },
         "seconds": seconds,
-        "speedup_fused_auto_vs_unfused_numpy": (
-            seconds["unfused_numpy"] / seconds["fused_auto"]
-        ),
-        "speedup_auto_fuse_vs_fused_numpy": (
-            seconds["fused_numpy"] / seconds["auto_fuse_numpy"]
-        ),
-        "bit_identical": all(
-            p == points["unfused_numpy"] for p in points.values()
-        ),
+        "speedup_auto_vs_numpy": seconds["numpy"] / seconds["auto"],
+        "bit_identical": all(p == points["numpy"] for p in points.values()),
     }
 
 
@@ -1032,12 +948,11 @@ def main(argv=None):
                 f"  worst p99 {worst['p99_latency']:8.1f}"
                 f" @ TV {worst['tv_distance']:.3f}"
             )
-        elif "unfused_numpy" in result["seconds"]:
+        elif "speedup_auto_vs_numpy" in result:
             summary = (
-                f"fused_auto {result['seconds']['fused_auto']:8.3f}s"
-                f"  unfused_numpy {result['seconds']['unfused_numpy']:8.3f}s"
-                f"  speedup "
-                f"{result['speedup_fused_auto_vs_unfused_numpy']:5.2f}x"
+                f"auto {result['seconds']['auto']:8.3f}s"
+                f"  numpy {result['seconds']['numpy']:8.3f}s"
+                f"  speedup {result['speedup_auto_vs_numpy']:5.2f}x"
             )
         elif "sharedmem" in result["seconds"]:
             summary = (
@@ -1080,11 +995,6 @@ def main(argv=None):
                 f"  batched {result['seconds']['batched']:8.3f}s"
                 f"  speedup {result['speedup_ensemble_vs_batched']:5.2f}x"
             )
-            if "speedup_fused_vs_per_replicate" in result:
-                summary += (
-                    f"  fused-vs-per-replicate "
-                    f"{result['speedup_fused_vs_per_replicate']:5.2f}x"
-                )
         else:
             summary = (
                 f"scu {result['speedup_scu']:5.2f}x"

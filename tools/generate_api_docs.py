@@ -72,30 +72,29 @@ def main(out_path: str = "docs/API.md") -> int:
         "only).  Sweeps select one via"
         " `latency_sweep(..., engine=...)`.",
         "",
-        "The ensemble engine *fuses* same-shape replicates (same `q`,",
+        "The ensemble engine stacks same-shape replicates (same `q`,",
         "`s`, resolver kind — including replicates of different process",
-        "counts across a whole sweep grid) into stacked schedules",
-        "resolved in one pass, on pluggable kernels",
+        "counts across a whole sweep grid) into schedules resolved in",
+        "one pass, on pluggable kernels",
         "(`repro.sim.kernels`): `cc` (a tiny C library built with the",
         "system compiler at first use, loaded via ctypes) and `numba`",
         "(optional) run one time-ordered scan for every `SCU(q, s)`",
         "shape; `numpy` (the always-available oracle) keeps a",
         "successor-chain walk for `q == 0` and a `heapq` scan otherwise.",
-        "Select with `engine_kernel=` (`\"auto\"` default, `\"compiled\"`",
-        "to require one, warn-once fallback) and",
-        "`fuse=`/`fuse_block_steps=` on `EnsembleSimulator`,",
-        "`latency_sweep` and `measure_latencies_ensemble`; `fuse` now",
-        "defaults to `\"auto\"`, which skips fusion when the stacked pass",
-        "would lose to per-replicate resolution (the numpy kernel above",
-        "its measured step-count crossover).  Every combination is",
-        "bit-identical — these knobs trade wall clock only",
+        "Select with `engine_kernel=` (`\"auto\"` default, `\"numpy\"`,",
+        "`\"numba\"`, `\"cc\"`) on `EnsembleSimulator`, `latency_sweep`",
+        "and `measure_latencies_ensemble`.  How many replicates share a",
+        "block follows from the kernel: compiled kernels stack every",
+        "block, the numpy chain walk only replicates under 4096 steps,",
+        "the numpy `heapq` scan one replicate per block.  Every backend",
+        "is bit-identical — the choice trades wall clock only",
         "(`tools/bench_perf.py`, `fused_sweep` workload).",
         "",
         "Sweeps have one multicore mechanism: `max_workers=` on",
         "`latency_sweep`.  At 1 (the default) every replicate runs in",
         "process; above 1 the missing `(n, replicate)` keys go in chunks",
         "to a `ResilientExecutor` process pool for every engine, and an",
-        "ensemble chunk resolves as one fused grid in its worker.",
+        "ensemble chunk resolves as one ensemble grid in its worker.",
         "Replicates keep their `(seed, n, replicate)` streams, so every",
         "worker count is bit-identical.  `parallel_sweep` survives as a",
         "forwarder with the batched engine and one worker per available",

@@ -119,31 +119,31 @@ name, rebuilds crashed pools, and falls back to in-process serial
 execution if pools keep dying — at under 5% overhead when nothing goes
 wrong (`tools/bench_perf.py`, `chaos_sweep` workload).
 
-## Fast large-ensemble sweeps: fused kernels and zero-copy dispatch
+## Fast large-ensemble sweeps: stacked kernels and zero-copy dispatch
 
-The ensemble engine *fuses* same-shape replicates — same `(q, s)` and
+The ensemble engine stacks same-shape replicates — same `(q, s)` and
 resolver kind, across a point's replicate block and across the grid's
-thread counts — into stacked schedules resolved in one vectorized
-pass on pluggable kernels: `cc` (a small C library compiled by the
-system compiler at first use) and `numba` (optional) run one
-time-ordered scan for every `SCU(q, s)` shape, and `numpy` (always
-available, the bit-identity oracle) keeps its successor-chain walk
-and `heapq` scan.  Fusion and the fastest kernel are on by default —
-`fuse="auto"` skips fusion only
-where the stacked pass would lose to per-replicate resolution (the
-numpy kernel above its measured step-count crossover); a pooled sweep
-additionally moves tasks and results through zero-copy shared-memory
-segments instead of the pickle pipe:
+thread counts — into schedules resolved in one vectorized pass on
+pluggable kernels: `cc` (a small C library compiled by the system
+compiler at first use) and `numba` (optional) run one time-ordered scan
+for every `SCU(q, s)` shape, and `numpy` (always available, the
+bit-identity oracle) keeps its successor-chain walk and `heapq` scan.
+The fastest kernel is the default, and how much to stack follows from
+it, not from a setting: compiled kernels stack every block, the numpy
+chain walk stacks replicates shorter than 4096 steps, and the numpy
+`heapq` scan, which gains nothing from stacking, takes one replicate
+per block.  A pooled sweep additionally moves tasks and results
+through zero-copy shared-memory segments instead of the pickle pipe:
 
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
 from repro.core.sweep import latency_sweep
 
-# One process: fused resolution, fastest available kernel.
+# One process: stacked resolution, fastest available kernel.
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0,
-    engine="ensemble", fuse=True, engine_kernel="auto",
+    engine="ensemble", engine_kernel="auto",
 )
 
 # Worker pool: zero-copy shared-memory dispatch.
@@ -154,19 +154,17 @@ points = latency_sweep(
 )
 ```
 
-Every combination is bit-identical — `fuse=`, `engine_kernel=` and
-`dispatch=` trade wall clock only, which `tests/sim/test_ensemble_fused.py`,
-`tests/sim/test_kernels.py` and the benchmark harness re-check on
-every run.  Fused resolution is about 2.4x faster than the
-per-replicate ensemble path on the FIG5 sweep (`tools/bench_perf.py`,
-`fig5_sweep` and `fused_sweep` workloads); `engine_kernel="compiled"`
-requires a compiled backend and warns once before falling back to
-numpy.  Shared-memory dispatch ships bare row indices where pickle
-dispatch ships task tuples out and result triples back — per-chunk
-pipe payloads shrink by ~40% at default chunking (`sharedmem_dispatch`
-workload) — and the parent unlinks both segments in a `finally`, so
-worker kills, hangs and poison tasks leave zero orphaned `/dev/shm`
-entries (chaos-enforced by `tests/core/test_shm_dispatch.py`).
+Every combination is bit-identical — `engine_kernel=` and `dispatch=`
+trade wall clock only, which `tests/sim/test_ensemble_fused.py` (every
+replicate against `Simulator.run_batched`), `tests/sim/test_kernels.py`
+and the benchmark harness re-check on every run (`tools/bench_perf.py`,
+`fig5_sweep` and `fused_sweep` workloads).  Shared-memory dispatch
+ships bare row indices where pickle dispatch ships task tuples out and
+result triples back — per-chunk pipe payloads shrink by ~40% at
+default chunking (`sharedmem_dispatch` workload) — and the parent
+unlinks both segments in a `finally`, so worker kills, hangs and poison
+tasks leave zero orphaned `/dev/shm` entries (chaos-enforced by
+`tests/core/test_shm_dispatch.py`).
 
 ## Saturating all cores: one replicate pool for every engine
 
@@ -174,15 +172,15 @@ There is one multicore mechanism: `max_workers=` on `latency_sweep`.
 At `1` (the default) the sweep runs in this process; at `k > 1` the
 missing `(n, replicate)` keys go, in chunks, to a `ResilientExecutor`
 pool of `k` processes, for every engine.  An ensemble chunk resolves as
-one fused grid inside its worker, so the ensemble engine keeps its
-fused kernels and gains the cores:
+one ensemble grid inside its worker, so the ensemble engine keeps its
+stacked kernels and gains the cores:
 
 ```python
 from repro.algorithms.counter import cas_counter, make_counter_memory
 from repro.core.runner import available_cpu_count
 from repro.core.sweep import latency_sweep
 
-# Every core: chunks of the replicate grid, each a fused ensemble.
+# Every core: chunks of the replicate grid, each one ensemble.
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0,
