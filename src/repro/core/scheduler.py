@@ -22,7 +22,10 @@ blocks of scheduling decisions at once::
 
 with the contract that, for a fixed ``active`` set, the returned pids and
 the RNG words consumed are *identical* to ``size`` sequential ``select``
-calls at times ``time, time + 1, ...``.  The base class provides a
+calls at times ``time, time + 1, ...``.  ``active`` is any sequence of
+pids; the ensemble engine passes the full set as ``range(n)``, which
+lets :class:`UniformStochasticScheduler` return its draw ungathered.
+The base class provides a
 sequential fallback; :class:`UniformStochasticScheduler` and
 :class:`SkewedStochasticScheduler` override it with vectorized draws, and
 :class:`HardwareLikeScheduler` expands whole quantum runs per iteration.
@@ -145,8 +148,12 @@ class UniformStochasticScheduler(Scheduler):
         size: int,
     ) -> np.ndarray:
         # rng.integers(n, size=k) consumes the bit stream element by
-        # element, exactly like k scalar rng.integers(n) calls.
+        # element, exactly like k scalar rng.integers(n) calls.  Over the
+        # full active set ``range(n)`` the indices are the pids already
+        # (int64, the default dtype), so they are returned ungathered.
         indices = rng.integers(len(active), size=size)
+        if isinstance(active, range) and active.start == 0 and active.step == 1:
+            return indices
         return np.asarray(active, dtype=np.int64)[indices]
 
     def distribution(self, time: int, active: Sequence[int]) -> Dict[int, float]:

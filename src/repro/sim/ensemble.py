@@ -60,6 +60,12 @@ short replicates, and the numpy heap resolver takes one replicate per
 block (see ``EnsembleSimulator._block_capacity``).  The resolve pass
 runs on a pluggable kernel (:mod:`repro.sim.kernels`): a compiled
 C/numba backend when available, the pure-numpy oracle otherwise.
+Draw lengths depend only on the crash maps and the horizon, so the
+stacks are laid out before anything is drawn and each replicate's draw
+is added, pid offset included, straight into its slot: the stack build
+is the draw's only copy.  Measurements are taken a block at a time too
+(:meth:`EnsembleResult.measurements`), from the same arrays the
+outcomes' completion times and pids are views of.
 
 Crash schedules (halting failures, Corollary 2) are handled by **segmented
 whole-schedule execution**: the horizon is split at the replicate's crash
@@ -80,7 +86,7 @@ replicates — equivalence is enforced across every scheduler family in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -216,56 +222,130 @@ class ReplicateOutcome:
         straight from the outcome arrays — no recorder materialization.
 
         Bit-identical to feeding :meth:`recorder` through the estimator
-        functions: completion times are ascending int64, so the
-        post-burn-in window is one ``searchsorted`` slice, per-pid
-        first/last completions are two scatter passes, and every latency
-        is the same ``int64 / int`` division the scalar estimators
-        perform.  Raises the same errors in the same cases.
+        functions, and raises the same errors in the same cases; this
+        is :meth:`EnsembleResult.measurements` on a one-replicate block.
+        """
+        return EnsembleResult([self]).measurements(burn_in=burn_in)[0]
+
+
+@dataclass
+class _ResolvedBlock:
+    """The completions of one stacked block, in replicate-local terms.
+
+    Replicate ``k`` of the block is ensemble replicate ``indices[k]``;
+    its completions are ``times[bounds[k]:bounds[k + 1]]`` (1-based
+    local step times, ascending) and the aligned local ``pids``, and it
+    owns global pids ``[pid_base[k], pid_base[k + 1])`` of the block.
+    The outcomes' ``completion_times``/``completion_pids`` are views of
+    these arrays.
+    """
+
+    indices: List[int]
+    bounds: np.ndarray
+    pid_base: np.ndarray
+    times: np.ndarray
+    pids: np.ndarray
+
+    @classmethod
+    def of(cls, index: int, outcome: ReplicateOutcome) -> "_ResolvedBlock":
+        """A one-replicate block over an outcome's own arrays."""
+        return cls(
+            [index],
+            np.asarray([0, outcome.total_completions], dtype=np.int64),
+            np.asarray([0, outcome.n_processes], dtype=np.int64),
+            np.asarray(outcome.completion_times),
+            np.asarray(outcome.completion_pids),
+        )
+
+    def measure(
+        self, outcomes: List[ReplicateOutcome], burn_in: Optional[int]
+    ) -> List[Any]:
+        """One measurement per replicate of the block, or the no-repeat
+        :class:`ValueError` it would raise, from whole-block passes.
+
+        A replicate keeps its completions after its burn-in, which is a
+        suffix of its span; dropped completions are moved to a spare
+        global pid ``N``, so one ``bincount`` and two scatters over the
+        whole block give every process's count and first/last kept
+        completion.  Latencies are the ``int64 / int64`` divisions the
+        scalar estimators perform, so the results are bit-identical.
         """
         from repro.core.latency import (
             LatencyMeasurement,
             _no_repeat_completion_error,
         )
 
-        if burn_in is None:
-            # measure_latencies defaults its burn-in from the *requested*
-            # step budget, before knowing whether the run stops early.
-            requested = (
-                self.horizon if self.horizon is not None else self.steps_executed
-            )
-            drop = requested // 10
-        else:
-            drop = burn_in
-        times = self.completion_times
-        pids = self.completion_pids
-        cut = int(np.searchsorted(times, drop, side="right"))
-        times = times[cut:]
-        pids = pids[cut:]
-        n = self.n_processes
-        counts = np.bincount(pids, minlength=n)
-        first = np.zeros(n, dtype=np.int64)
-        last = np.zeros(n, dtype=np.int64)
+        members = [outcomes[index] for index in self.indices]
+        drops = []
+        for outcome in members:
+            if burn_in is None:
+                # measure_latencies defaults its burn-in from the
+                # *requested* step budget, before knowing whether the run
+                # stops early.
+                requested = (
+                    outcome.horizon
+                    if outcome.horizon is not None
+                    else outcome.steps_executed
+                )
+                drops.append(requested // 10)
+            else:
+                drops.append(burn_in)
+        times = self.times
+        bounds = self.bounds.tolist()
+        pid_base = self.pid_base
+        n_total = int(pid_base[-1])
+        owners = np.empty(times.shape[0], dtype=np.int64)
+        cuts = []
+        for k, drop in enumerate(drops):
+            start, stop = bounds[k], bounds[k + 1]
+            cut = start + int(times[start:stop].searchsorted(drop, side="right"))
+            cuts.append(cut)
+            owners[start:cut] = n_total
+            np.add(self.pids[cut:stop], pid_base[k], out=owners[cut:stop])
+        counts = np.bincount(owners, minlength=n_total + 1)[:n_total]
+        first = np.zeros(n_total + 1, dtype=np.int64)
+        last = np.zeros(n_total + 1, dtype=np.int64)
         # Reverse scatter: the earliest occurrence wins the `first` slot.
-        first[pids[::-1]] = times[::-1]
-        last[pids] = times
-        individual = {
-            pid: float((last[pid] - first[pid]) / (int(counts[pid]) - 1))
-            for pid in range(n)
-            if counts[pid] >= 2
-        }
-        if not individual:
-            raise _no_repeat_completion_error(n, self.steps_executed, drop)
-        return LatencyMeasurement(
-            n_processes=n,
-            steps=self.steps_executed,
-            burn_in=drop,
-            total_completions=self.total_completions,
-            system_latency=float(
-                (times[-1] - times[0]) / (times.shape[0] - 1)
-            ),
-            individual=individual,
-            completion_rate=self.total_completions / self.steps_executed,
-        )
+        first[owners[::-1]] = times[::-1]
+        last[owners] = times
+        repeated = np.flatnonzero(counts >= 2)
+        latencies = (
+            (last[repeated] - first[repeated]) / (counts[repeated] - 1)
+        ).tolist()
+        split = np.searchsorted(repeated, pid_base).tolist()
+        local_pids = (
+            repeated - np.repeat(pid_base[:-1], np.diff(split))
+        ).tolist()
+
+        results: List[Any] = []
+        for k, (outcome, drop) in enumerate(zip(members, drops)):
+            n = outcome.n_processes
+            if split[k] == split[k + 1]:
+                results.append(
+                    _no_repeat_completion_error(n, outcome.steps_executed, drop)
+                )
+                continue
+            cut, stop = cuts[k], bounds[k + 1]
+            total = bounds[k + 1] - bounds[k]
+            results.append(
+                LatencyMeasurement(
+                    n_processes=n,
+                    steps=outcome.steps_executed,
+                    burn_in=drop,
+                    total_completions=total,
+                    system_latency=float(
+                        (times[stop - 1] - times[cut]) / (stop - cut - 1)
+                    ),
+                    individual=dict(
+                        zip(
+                            local_pids[split[k] : split[k + 1]],
+                            latencies[split[k] : split[k + 1]],
+                        )
+                    ),
+                    completion_rate=total / outcome.steps_executed,
+                )
+            )
+        return results
 
 
 @dataclass
@@ -274,10 +354,14 @@ class EnsembleResult:
 
     ``measurements`` reproduces :func:`repro.core.latency.measure_latencies`
     bit-for-bit straight from the outcome arrays; per-replicate recorders
-    are available from :meth:`ReplicateOutcome.recorder`.
+    are available from :meth:`ReplicateOutcome.recorder`.  ``_blocks``
+    are the resolved stacks the outcomes' completion arrays are views
+    of (empty on a result built by hand: each replicate then measures
+    as a block of its own).
     """
 
     replicates: List[ReplicateOutcome]
+    _blocks: List[_ResolvedBlock] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.replicates)
@@ -292,11 +376,65 @@ class EnsembleResult:
         """One :class:`~repro.core.latency.LatencyMeasurement` per
         replicate, bit-identical to ``measure_latencies(..., batched=True)``
         with the same seed (``burn_in`` defaults to ``steps // 10``, as
-        there).  Computed array-side (:meth:`ReplicateOutcome.measurement`)
-        — no recorders are materialized."""
-        return [
-            outcome.measurement(burn_in=burn_in) for outcome in self.replicates
+        there).  Computed array-side, once per resolved block
+        (:meth:`_ResolvedBlock.measure`) — no recorders are materialized.
+        A replicate with no process completing twice raises, the first
+        such replicate in replicate order."""
+        outcomes = self.replicates
+        blocks = self._blocks or [
+            _ResolvedBlock.of(index, outcome)
+            for index, outcome in enumerate(outcomes)
         ]
+        results: List[Any] = [None] * len(outcomes)
+        for block in blocks:
+            for index, result in zip(
+                block.indices, block.measure(outcomes, burn_in)
+            ):
+                results[index] = result
+        for result in results:
+            if isinstance(result, ValueError):
+                raise result
+        return results
+
+
+@dataclass
+class _Stack:
+    """A block's layout: which replicates, their bases, the stack itself.
+
+    Replicate ``k`` of the block occupies pids ``[pid_base[k],
+    pid_base[k+1])`` and schedule positions ``[time_base[k],
+    time_base[k+1])`` of ``sched``.
+    """
+
+    indices: List[int]
+    use_flat: bool
+    q: int
+    s: int
+    pid_base: np.ndarray
+    time_base: np.ndarray
+    sched: np.ndarray
+
+    @classmethod
+    def layout(
+        cls,
+        indices: List[int],
+        use_flat: bool,
+        q: int,
+        s: int,
+        n_values: List[int],
+        lengths: List[int],
+    ) -> "_Stack":
+        pid_base = np.concatenate(([0], np.cumsum(n_values))).astype(np.int64)
+        time_base = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        return cls(
+            indices,
+            use_flat,
+            q,
+            s,
+            pid_base,
+            time_base,
+            np.empty(int(time_base[-1]), dtype=np.int64),
+        )
 
 
 class EnsembleSimulator:
@@ -416,12 +554,30 @@ class EnsembleSimulator:
         self._ran = True
         try:
             plan = self._plan_resolvers()
+            plans = [
+                _plan_segments(member.n_processes, max_steps, member.crash_times)
+                for member in self.replicates
+            ]
+            stacks = self._pack_blocks(
+                plan,
+                [sum(length for _, _, length in segs) for segs, _ in plans],
+                max_steps,
+            )
         except Exception:
             self._ran = False
             raise
-        # Schedules are drawn first, in replicate order: replicates sharing
-        # a Generator instance consume it exactly as run_batched would.
-        draws = [
+        # Draw lengths follow from the crash maps alone, so every block's
+        # stack is laid out before drawing.  Schedules are then drawn in
+        # replicate order — replicates sharing a Generator instance
+        # consume it exactly as run_batched would — each straight into
+        # its slot of its block's stack.  A zero-step run draws nothing.
+        slots: Dict[int, Tuple[_Stack, int]] = {
+            index: (stack, k)
+            for stack in stacks
+            for k, index in enumerate(stack.indices)
+        }
+        for index, member in enumerate(self.replicates if max_steps else ()):
+            stack, k = slots[index]
             self._draw_schedule(
                 member.scheduler,
                 member.n_processes,
@@ -430,15 +586,16 @@ class EnsembleSimulator:
                     if isinstance(member.rng, np.random.Generator)
                     else np.random.default_rng(member.rng)
                 ),
-                max_steps,
-                member.crash_times,
+                plans[index][0],
+                stack.sched[stack.time_base[k] : stack.time_base[k + 1]],
+                int(stack.pid_base[k]),
             )
-            for member in self.replicates
+        outcomes: List[Optional[ReplicateOutcome]] = [None] * len(plans)
+        blocks = [
+            self._resolve_block(stack, plans, max_steps, outcomes)
+            for stack in stacks
         ]
-        outcomes: List[Optional[ReplicateOutcome]] = [None] * len(draws)
-        for indices, use_flat, q, s in self._pack_blocks(plan, draws, max_steps):
-            self._resolve_block(indices, draws, use_flat, q, s, max_steps, outcomes)
-        return EnsembleResult(outcomes)  # type: ignore[arg-type]
+        return EnsembleResult(outcomes, blocks)  # type: ignore[arg-type]
 
     # -- internals ---------------------------------------------------------------
 
@@ -473,132 +630,140 @@ class EnsembleSimulator:
         return 0
 
     def _pack_blocks(
-        self,
-        plan: List[bool],
-        draws: List[Tuple[np.ndarray, bool, int]],
-        max_steps: int,
-    ) -> List[Tuple[List[int], bool, int, int]]:
+        self, plan: List[bool], lengths: List[int], max_steps: int
+    ) -> List[_Stack]:
         """Group same-shape replicates and greedy-pack them into blocks.
 
-        Returns ``(indices, use_flat, q, s)`` per block, each block at
-        most :meth:`_block_capacity` stacked steps (a single replicate
-        larger than the capacity still forms a block of its own — blocks
-        never split a replicate).
+        Each block is at most :meth:`_block_capacity` stacked steps (a
+        single replicate larger than the capacity still forms a block of
+        its own — blocks never split a replicate); its stack is
+        allocated here, to be filled by the draws.
         """
         groups: Dict[Tuple[bool, int, int], List[int]] = {}
         for index, (member, use_flat) in enumerate(zip(self.replicates, plan)):
             key = (use_flat, int(member.kernel.q), int(member.kernel.s))
             groups.setdefault(key, []).append(index)
-        blocks: List[Tuple[List[int], bool, int, int]] = []
+        stacks: List[_Stack] = []
         for (use_flat, q, s), indices in groups.items():
             cap = self._block_capacity(use_flat, max_steps)
             start = 0
             while start < len(indices):
                 stop = start + 1
-                block_steps = draws[indices[start]][0].shape[0]
+                block_steps = lengths[indices[start]]
                 while stop < len(indices) and (
-                    block_steps + draws[indices[stop]][0].shape[0] <= cap
+                    block_steps + lengths[indices[stop]] <= cap
                 ):
-                    block_steps += draws[indices[stop]][0].shape[0]
+                    block_steps += lengths[indices[stop]]
                     stop += 1
-                blocks.append((indices[start:stop], use_flat, q, s))
+                block = indices[start:stop]
+                stacks.append(
+                    _Stack.layout(
+                        block,
+                        use_flat,
+                        q,
+                        s,
+                        [self.replicates[i].n_processes for i in block],
+                        [lengths[i] for i in block],
+                    )
+                )
                 start = stop
-        return blocks
+        return stacks
 
     def _resolve_block(
         self,
-        indices: List[int],
-        draws: List[Tuple[np.ndarray, bool, int]],
-        use_flat: bool,
-        q: int,
-        s: int,
+        stack: _Stack,
+        plans: List[Tuple[List[Tuple[int, Sequence[int], int]], bool]],
         max_steps: int,
         outcomes: List[Optional[ReplicateOutcome]],
-    ) -> None:
-        """Stack one block of same-shape replicates, resolve, split back.
+    ) -> _ResolvedBlock:
+        """Resolve one filled stack and split it back per replicate.
 
-        Replicate ``k`` of the block occupies pids ``[pid_base[k],
-        pid_base[k+1])`` and schedule positions ``[time_base[k],
-        time_base[k+1])`` of the stack.  Successes come out ordered by
-        (global) CAS position, so a ``searchsorted`` on the time bases
-        splits them back per replicate; per-pid end state splits by the
-        pid bases.
+        Successes come out ordered by (global) CAS position, so a
+        ``searchsorted`` on the time bases splits them per replicate;
+        per-pid end state splits by the pid bases.  The kernel's success
+        columns and pids are turned into replicate-local completion
+        times and pids in place, and each outcome keeps views of them.
         """
-        members = self.replicates
-        scheds = [draws[i][0] for i in indices]
-        n_values = [members[i].n_processes for i in indices]
-        pid_base = np.concatenate(([0], np.cumsum(n_values))).astype(np.int64)
-        time_base = np.concatenate(
-            ([0], np.cumsum([sched.shape[0] for sched in scheds]))
-        ).astype(np.int64)
-        if len(indices) == 1:
-            stacked = scheds[0]
-        else:
-            stacked = np.empty(int(time_base[-1]), dtype=np.int64)
-            for k, sched in enumerate(scheds):
-                np.add(
-                    sched,
-                    pid_base[k],
-                    out=stacked[time_base[k] : time_base[k + 1]],
-                )
+        time_base, pid_base = stack.time_base, stack.pid_base
         n = int(pid_base[-1])
-        if use_flat:
-            resolved = resolve_flat(stacked, n, s, self._kernel)
+        if stack.use_flat:
+            resolved = resolve_flat(stack.sched, n, stack.s, self._kernel)
         else:
-            resolved = resolve_heap(stacked, n, q, s, self._kernel)
+            resolved = resolve_heap(stack.sched, n, stack.q, stack.s, self._kernel)
 
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
             telemetry.inc("ensemble.fused_blocks")
-            telemetry.inc("ensemble.fused_replicates", len(indices))
+            telemetry.inc("ensemble.fused_replicates", len(stack.indices))
             telemetry.inc("ensemble.fused_steps", int(time_base[-1]))
 
-        succ_cols, succ_pids, succ_seqs, seq, phase, counts = resolved
-        bounds = np.searchsorted(succ_cols, time_base)
-        for k, index in enumerate(indices):
-            span = slice(int(bounds[k]), int(bounds[k + 1]))
-            pids = slice(int(pid_base[k]), int(pid_base[k + 1]))
-            local = (
-                succ_cols[span] - time_base[k],
-                succ_pids[span] - pid_base[k],
-                succ_seqs[span],
-                seq[pids],
-                phase[pids],
-                counts[pids],
-            )
-            schedule, stopped_early, segments = draws[index]
+        times, pids, succ_seqs, seq, phase, counts = resolved
+        bounds = np.searchsorted(times, time_base)
+        edges = bounds.tolist()
+        bases = pid_base.tolist()
+        starts = time_base.tolist()
+        for k, index in enumerate(stack.indices):
+            span = slice(edges[k], edges[k + 1])
+            local = slice(bases[k], bases[k + 1])
+            times[span] -= starts[k] - 1  # executor time is 1-based
+            pids[span] -= bases[k]
+            schedule = None
+            if self.record_schedule:
+                schedule = (
+                    stack.sched[starts[k] : starts[k + 1]] - bases[k]
+                ).astype(np.int32)
             outcomes[index] = self._finish_replicate(
-                members[index], max_steps, schedule, local, stopped_early, segments
+                self.replicates[index],
+                max_steps,
+                starts[k + 1] - starts[k],
+                (
+                    times[span],
+                    pids[span],
+                    succ_seqs[span],
+                    seq[local],
+                    phase[local],
+                    counts[local],
+                ),
+                schedule,
+                stopped_early=plans[index][1],
+                segments=len(plans[index][0]),
             )
+        return _ResolvedBlock(stack.indices, bounds, pid_base, times, pids)
 
     def _finish_replicate(
         self,
         member: EnsembleReplicate,
         max_steps: int,
-        schedule: np.ndarray,
+        executed: int,
         resolved: Tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
         ],
+        schedule: Optional[np.ndarray],
         stopped_early: bool,
         segments: int,
     ) -> ReplicateOutcome:
-        """Finish a resolved replicate: memory (if any), telemetry, outcome."""
+        """Finish a resolved replicate: memory (if any), telemetry, outcome.
+
+        ``resolved`` is the replicate's local view of its block:
+        completion times (1-based), completion pids, success sequence
+        numbers and the per-pid ``seq``/``phase``/``counts`` end state.
+        """
         n = member.n_processes
-        executed = int(schedule.shape[0])
-        succ_cols, succ_pids, succ_seqs, seq, phase, counts = resolved
+        times, pids, succ_seqs, seq, phase, counts = resolved
         memory = member.memory
         member.kernel.commit(
             memory,
             seq=seq,
             phase=phase,
-            success_pids=succ_pids,
+            success_pids=pids,
             success_seqs=succ_seqs,
         )
         if memory is not None:
             memory.total_operations += executed
+        counts = np.asarray(counts, dtype=np.int64)
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            wins = int(succ_cols.shape[0])
+            wins = int(times.shape[0])
             crashes_fired = sum(
                 1
                 for crash_time in (member.crash_times or {}).values()
@@ -618,17 +783,17 @@ class EnsembleSimulator:
                     "n_processes": n,
                     "steps": executed,
                     "completions": wins,
-                    "step_counts": counts.astype(np.int64).tolist(),
+                    "step_counts": counts.tolist(),
                 },
             )
         return ReplicateOutcome(
             n_processes=n,
             steps_executed=executed,
-            completion_times=succ_cols + 1,  # executor time is 1-based
-            completion_pids=np.ascontiguousarray(succ_pids, dtype=np.int64),
-            step_counts=counts.astype(np.int64),
+            completion_times=times,
+            completion_pids=pids,
+            step_counts=counts,
             memory=memory,
-            schedule=schedule.astype(np.int32) if self.record_schedule else None,
+            schedule=schedule,
             stopped_early=stopped_early,
             horizon=max_steps,
         )
@@ -638,9 +803,10 @@ class EnsembleSimulator:
         scheduler: Any,
         n: int,
         rng: np.random.Generator,
-        max_steps: int,
-        crash_times: Optional[Dict[int, int]] = None,
-    ) -> Tuple[np.ndarray, bool, int]:
+        segments: List[Tuple[int, Sequence[int], int]],
+        out: np.ndarray,
+        pid_base: int,
+    ) -> None:
         """Draw the whole schedule through the ``select_batch`` protocol.
 
         Element ``k`` of a batch corresponds to absolute time ``start + k``,
@@ -649,15 +815,14 @@ class EnsembleSimulator:
         ``run_batched``'s chunked draws bit for bit (chunk-size
         independence is part of the PR 1 protocol contract).
 
-        With crashes the horizon is split at the crash boundaries and each
-        segment is drawn over its own active set — exactly the block
-        structure ``run_batched`` uses, whose blocks never span a crash
-        time.  Returns the concatenated schedule, a flag that is True
-        when the run ended early because every process crashed, and the
-        number of segments drawn.
+        ``segments`` comes from :func:`_plan_segments`: with crashes the
+        horizon is split at the crash boundaries and each segment is
+        drawn over its own active set — exactly the block structure
+        ``run_batched`` uses, whose blocks never span a crash time.  Each
+        segment's pids, offset by ``pid_base``, are added straight into
+        their slice of ``out`` (the replicate's slot of its block's
+        stack): that addition is the draw's only copy.
         """
-        if max_steps == 0:
-            return np.empty(0, dtype=np.int64), False, 0
         if getattr(scheduler, "observe_pending", None) is not None:
             raise ValueError(
                 f"{type(scheduler).__name__} consumes per-step contention "
@@ -665,8 +830,8 @@ class EnsembleSimulator:
                 "honour it — use the serial or batched engine"
             )
         select_batch = getattr(scheduler, "select_batch", None)
-
-        def draw(start: int, active: List[int], length: int) -> np.ndarray:
+        offset = 0
+        for start, active, length in segments:
             if select_batch is not None:
                 pids = np.asarray(select_batch(start, active, rng, length))
             else:
@@ -683,47 +848,58 @@ class EnsembleSimulator:
                     f"{length}-step block"
                 )
             if len(active) == n:
-                invalid = (pids < 0) | (pids >= n)
+                bad = pids.min() < 0 or pids.max() >= n
             else:
-                invalid = ~np.isin(pids, np.asarray(active, dtype=np.int64))
-            if invalid.any():
-                position = int(np.argmax(invalid))
+                inactive = ~np.isin(pids, np.asarray(active, dtype=np.int64))
+                bad = inactive.any()
+            if bad:
+                if len(active) == n:
+                    inactive = (pids < 0) | (pids >= n)
+                position = int(np.argmax(inactive))
                 raise RuntimeError(
                     f"scheduler selected inactive process "
                     f"{int(pids[position])} at t={start + position} "
-                    f"(active: {active[:10]}"
+                    f"(active: {list(active[:10])}"
                     f"{'...' if len(active) > 10 else ''})"
                 )
-            return pids.astype(np.int64)
+            np.add(pids, pid_base, out=out[offset : offset + length])
+            offset += length
 
-        # A crash fires just before the step at its time would be taken;
-        # times outside [1, max_steps] never fire (Simulator semantics).
-        crashes: Dict[int, List[int]] = {}
-        for pid, crash_time in (crash_times or {}).items():
-            if 1 <= crash_time <= max_steps:
-                crashes.setdefault(crash_time, []).append(pid)
-        if not crashes:
-            return draw(1, list(range(n)), max_steps), False, 1
 
-        alive = set(range(n))
+def _plan_segments(
+    n: int, max_steps: int, crash_times: Optional[Dict[int, int]]
+) -> Tuple[List[Tuple[int, Sequence[int], int]], bool]:
+    """A replicate's draw segments ``(start, active, length)``, in order.
+
+    A crash fires just before the step at its time would be taken; times
+    outside ``[1, max_steps]`` never fire (Simulator semantics).  The
+    full active set is ``range(n)`` (the uniform scheduler then returns
+    its draw ungathered); a crashed-down set is a sorted pid list.  The
+    flag is True when the run ends early because every process crashed.
+    """
+    if max_steps == 0:
+        return [], False
+    crashes: Dict[int, List[int]] = {}
+    for pid, crash_time in (crash_times or {}).items():
+        if 1 <= crash_time <= max_steps:
+            crashes.setdefault(crash_time, []).append(pid)
+    if not crashes:
+        return [(1, range(n), max_steps)], False
+
+    alive = set(range(n))
+    active: Sequence[int] = range(n)
+    segments: List[Tuple[int, Sequence[int], int]] = []
+    time = 1
+    for boundary in sorted(crashes):
+        if boundary > time:
+            segments.append((time, active, boundary - time))
+            time = boundary
+        alive.difference_update(crashes[boundary])
         active = sorted(alive)
-        chunks: List[np.ndarray] = []
-        time = 1
-        stopped_early = False
-        for boundary in sorted(crashes):
-            if boundary > time:
-                chunks.append(draw(time, active, boundary - time))
-                time = boundary
-            alive.difference_update(crashes[boundary])
-            active = sorted(alive)
-            if not active:
-                # Crash containment emptied A_tau: the run ends with the
-                # boundary - 1 steps already drawn, matching run_batched's
-                # no-active-process early stop.
-                stopped_early = True
-                break
-        else:
-            chunks.append(draw(time, active, max_steps - time + 1))
-        if not chunks:
-            return np.empty(0, dtype=np.int64), stopped_early, 0
-        return np.concatenate(chunks), stopped_early, len(chunks)
+        if not active:
+            # Crash containment emptied A_tau: the run ends with the
+            # boundary - 1 steps already drawn, matching run_batched's
+            # no-active-process early stop.
+            return segments, True
+    segments.append((time, active, max_steps - time + 1))
+    return segments, False

@@ -28,10 +28,15 @@ rule behind a small kernel interface (``resolve_flat`` /
     for it).
 
 Both compiled backends run **one time-ordered scan** over the schedule
-for every ``SCU(q, s)`` shape, ``q == 0`` included.  It keeps four
-``int64`` words per process — local step count, next read index,
-pending read time and CAS attempts — and decides each CAS the moment
-it is reached, so there is no sort, no successor table and no heap.
+for every ``SCU(q, s)`` shape, ``q == 0`` included.  It keeps one
+interleaved 32-byte record per process — local step count, next read
+index, pending read time and CAS attempts, an ``(n, 4)`` ``int64``
+array, so a step touches one cache line — and decides each CAS the
+moment it is reached, so there is no sort, no successor table and no
+heap.  The scan is branchless: the read, CAS and win tests become
+all-ones/zero masks, and every step writes its candidate success at the
+next free slot, which the win count then keeps or leaves to be
+overwritten.  Only the out-of-range pid check branches.
 
 Every backend produces the same arrays, dtypes included: CAS columns
 are unique schedule positions, so the successes come out in one
@@ -235,21 +240,24 @@ _C_SOURCE = r"""
  * pending attempt reads at local step next_read[p] and CASes s local
  * steps later; the CAS succeeds iff that read came after the last
  * successful CAS, and a success makes p take q preamble steps before
- * its next read.  `state` holds four n-long rows: local step counts,
- * next read index, pending read time, CAS attempts.  Returns the number
- * of successes written, or -1 - t when sched[t] is not a pid in
- * [0, n); nothing is written out of bounds either way. */
+ * its next read.  `state` is n interleaved 32-byte records, one per
+ * process: local step count, next read index, pending read time, CAS
+ * attempts.  The scan is branchless: each step's read, CAS and win are
+ * all-ones/zero masks, and the step's candidate success is written at
+ * index `wins` unconditionally, then kept by adding the win to `wins`
+ * (the caller sizes the buffers one past the most successes possible).
+ * Returns the number of successes, or -1 - t when sched[t] is not a pid
+ * in [0, n); nothing is written out of bounds either way. */
 int64_t repro_scu_scan(const int64_t *sched, int64_t steps, int64_t n,
                        int64_t q, int64_t s, int64_t *state,
                        int64_t *succ_cols, int64_t *succ_pids,
                        int64_t *succ_seqs) {
-    int64_t *counts = state, *next_read = state + n;
-    int64_t *read_time = state + 2 * n, *seq = state + 3 * n;
     for (int64_t p = 0; p < n; p++) {
-        counts[p] = 0;
-        next_read[p] = q;
-        read_time[p] = -1;
-        seq[p] = 0;
+        int64_t *st = state + 4 * p;
+        st[0] = 0;
+        st[1] = q;
+        st[2] = -1;
+        st[3] = 0;
     }
     int64_t last = -1;
     int64_t wins = 0;
@@ -257,23 +265,22 @@ int64_t repro_scu_scan(const int64_t *sched, int64_t steps, int64_t n,
         int64_t p = sched[t];
         if ((uint64_t)p >= (uint64_t)n)
             return -1 - t;
-        int64_t local = counts[p]++;
-        int64_t read = next_read[p];
-        if (local == read)
-            read_time[p] = t;
-        if (local == read + s) {
-            int64_t attempt = seq[p]++;
-            if (read_time[p] > last) {
-                last = t;
-                succ_cols[wins] = t;
-                succ_pids[wins] = p;
-                succ_seqs[wins] = attempt;
-                wins++;
-                next_read[p] = read + s + 1 + q;
-            } else {
-                next_read[p] = read + s + 1;
-            }
-        }
+        int64_t *st = state + 4 * p;
+        int64_t local = st[0]++;
+        int64_t read = st[1];
+        int64_t is_read = -(int64_t)(local == read);
+        int64_t read_time = st[2] ^ ((st[2] ^ t) & is_read);
+        st[2] = read_time;
+        int64_t is_cas = -(int64_t)(local == read + s);
+        int64_t attempt = st[3];
+        st[3] = attempt - is_cas;
+        int64_t win = is_cas & -(int64_t)(read_time > last);
+        last ^= (last ^ t) & win;
+        succ_cols[wins] = t;
+        succ_pids[wins] = p;
+        succ_seqs[wins] = attempt;
+        wins -= win;
+        st[1] = read + ((s + 1) & is_cas) + (q & win);
     }
     return wins;
 }
@@ -356,7 +363,9 @@ class _CompiledKernelBase:
     resolvers from it (``q == 0`` is just the scan with no preamble).
     Success counts are bounded a priori: every success consumes
     ``q + s + 1`` local steps of its process, so a schedule of ``T``
-    steps yields at most ``T // (q + s + 1)`` successes.
+    steps yields at most ``T // (q + s + 1)`` successes.  The buffers
+    hold one more, the slot the scan's unconditional candidate write
+    lands in after the last success.
     """
 
     def resolve_flat(self, sched: np.ndarray, n: int, s: int) -> Resolution:
@@ -370,12 +379,14 @@ class _CompiledKernelBase:
         sched = np.ascontiguousarray(sched, dtype=np.int64)
         steps = int(sched.shape[0])
         succ = np.empty((3, steps // (q + s + 1) + 1), dtype=np.int64)
-        state = np.empty((4, n), dtype=np.int64)
+        state = np.empty((n, 4), dtype=np.int64)
         wins = int(self._scan_impl(sched, steps, n, q, s, state, *succ))
         if wins < 0:
             raise _bad_pid(sched, n, -1 - wins)
-        succ_cols, succ_pids, succ_seqs = succ[:, :wins].copy()
-        counts, next_read, _, seq = state
+        # Views, not copies: a copy would be one more pass over every
+        # success, and the scan never touches a row's unused tail.
+        succ_cols, succ_pids, succ_seqs = succ[:, :wins]
+        counts, next_read, _, seq = state.T.copy()
         return succ_cols, succ_pids, succ_seqs, seq, q + counts - next_read, counts
 
 
@@ -396,35 +407,35 @@ def _build_numba_scan() -> Any:
     def scan(
         sched, steps, n, q, s, state, succ_cols, succ_pids, succ_seqs
     ):  # pragma: no cover — needs numba
-        # Mirrors repro_scu_scan in the C source line for line.
+        # Mirrors repro_scu_scan in the C source line for line; state is
+        # the same (n, 4) interleaved record array.
         for p in range(n):
-            state[0, p] = 0
-            state[1, p] = q
-            state[2, p] = -1
-            state[3, p] = 0
+            state[p, 0] = 0
+            state[p, 1] = q
+            state[p, 2] = -1
+            state[p, 3] = 0
         last = -1
         wins = 0
         for t in range(steps):
             p = sched[t]
             if p < 0 or p >= n:
                 return -1 - t
-            local = state[0, p]
-            state[0, p] = local + 1
-            read = state[1, p]
-            if local == read:
-                state[2, p] = t
-            if local == read + s:
-                attempt = state[3, p]
-                state[3, p] = attempt + 1
-                if state[2, p] > last:
-                    last = t
-                    succ_cols[wins] = t
-                    succ_pids[wins] = p
-                    succ_seqs[wins] = attempt
-                    wins += 1
-                    state[1, p] = read + s + 1 + q
-                else:
-                    state[1, p] = read + s + 1
+            local = state[p, 0]
+            state[p, 0] = local + 1
+            read = state[p, 1]
+            is_read = -np.int64(local == read)
+            read_time = state[p, 2] ^ ((state[p, 2] ^ t) & is_read)
+            state[p, 2] = read_time
+            is_cas = -np.int64(local == read + s)
+            attempt = state[p, 3]
+            state[p, 3] = attempt - is_cas
+            win = is_cas & -np.int64(read_time > last)
+            last ^= (last ^ t) & win
+            succ_cols[wins] = t
+            succ_pids[wins] = p
+            succ_seqs[wins] = attempt
+            wins -= win
+            state[p, 1] = read + ((s + 1) & is_cas) + (q & win)
         return wins
 
     return scan

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +32,16 @@ class MeanEstimate:
         return self.low <= value <= self.high
 
 
+@lru_cache(maxsize=1024)
+def _t_crit(confidence: float, df: int) -> float:
+    """The two-sided Student-t critical value for ``df`` degrees of
+    freedom.  Sweeps ask for the same few ``(confidence, df)`` pairs
+    over and over (three estimates per point, one df per replicate
+    count), and ``scipy.stats.t.ppf`` costs tens of microseconds a call,
+    so the values are cached."""
+    return float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df))
+
+
 def mean_confidence_interval(
     samples: Sequence[float], confidence: float = 0.95
 ) -> MeanEstimate:
@@ -40,7 +51,7 @@ def mean_confidence_interval(
         raise ValueError("need at least two samples")
     mean = float(data.mean())
     sem = float(scipy.stats.sem(data))
-    t_crit = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, data.size - 1))
+    t_crit = _t_crit(confidence, data.size - 1)
     return MeanEstimate(mean, t_crit * sem, confidence, data.size)
 
 
@@ -85,9 +96,7 @@ class StreamingMeanEstimator:
         if self.count < 2:
             raise ValueError("need at least two samples")
         sem = float(np.sqrt(self.variance / self.count))
-        t_crit = float(
-            scipy.stats.t.ppf(0.5 + confidence / 2.0, self.count - 1)
-        )
+        t_crit = _t_crit(confidence, self.count - 1)
         return MeanEstimate(self.mean, t_crit * sem, confidence, self.count)
 
 

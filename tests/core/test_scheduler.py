@@ -45,6 +45,38 @@ class TestUniform:
         for t in range(100):
             assert sched.select(t, [2, 5], rng) in (2, 5)
 
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    @pytest.mark.parametrize("size", [1, 7, 1_000])
+    def test_full_range_draw_keeps_the_batch_contract(self, n, size):
+        """Over ``range(n)`` the draw is returned ungathered; it must
+        still give the pids and consume the RNG words of the list form
+        and of ``size`` sequential ``select`` calls."""
+        sched = UniformStochasticScheduler()
+        rngs = [np.random.default_rng(11) for _ in range(3)]
+        full = sched.select_batch(5, range(n), rngs[0], size)
+        listed = sched.select_batch(5, list(range(n)), rngs[1], size)
+        sequential = [
+            sched.select(5 + k, list(range(n)), rngs[2]) for k in range(size)
+        ]
+        assert full.dtype == np.int64
+        assert full.tolist() == listed.tolist() == sequential
+        states = [r.bit_generator.state for r in rngs]
+        assert states[0] == states[1] == states[2]
+
+    @pytest.mark.parametrize(
+        "active", [[0, 2, 5], [1, 2, 3], range(2, 6), range(0, 8, 2)]
+    )
+    def test_partial_active_sets_are_gathered(self, active):
+        """A crashed-down active list, or any range other than
+        ``range(n)``, maps the drawn indices through the active set."""
+        sched = UniformStochasticScheduler()
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        pids = sched.select_batch(1, active, rng, 500)
+        indices = twin.integers(len(active), size=500)
+        assert pids.tolist() == np.asarray(list(active))[indices].tolist()
+        assert set(pids.tolist()) <= set(active)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestSkewed:
     def test_weights_drive_frequencies(self, rng):

@@ -406,6 +406,75 @@ class TestEnsembleMeasurements:
             assert measurement.fairness_ratio > 0
             assert outcome.total_completions > 0
 
+    #: (kernel name, n, crash map) per replicate: two shapes, so two
+    #: blocks whose replicates interleave in replicate order; crashes
+    #: that leave survivors, and two that stop the run early (replicate
+    #: 3 after 299 steps, replicate 5 after 699).
+    BLOCK_SPECS = [
+        ("counter", 3, None),
+        ("scu21", 4, None),
+        ("counter", 1, None),
+        ("scu21", 2, {0: 300, 1: 300}),
+        ("counter", 5, {1: 200, 3: 900}),
+        ("counter", 2, {0: 700, 1: 700}),
+        ("scu21", 6, {2: 400}),
+    ]
+
+    def block_run(self, steps):
+        members = [
+            EnsembleReplicate(
+                KERNEL_CASES[name][0],
+                n,
+                UniformStochasticScheduler(),
+                rng=(13, index),
+                crash_times=crash,
+            )
+            for index, (name, n, crash) in enumerate(self.BLOCK_SPECS)
+        ]
+        return EnsembleSimulator(members).run(steps)
+
+    def test_block_measurements_match_serial_estimators(self):
+        """Whole-block measurement equals ``measure_latencies`` on each
+        replicate run alone, for default, zero, large and exactly-on-a-
+        completion burn-ins, early-stopped replicates included."""
+        steps = 1500
+        result = self.block_run(steps)
+        assert len(result._blocks) == 2
+        on_completion = int(result[0].completion_times[7])
+        for burn_in in (None, 0, on_completion, 120):
+            measurements = result.measurements(burn_in=burn_in)
+            for index, (name, n, crash) in enumerate(self.BLOCK_SPECS):
+                _, factory, memory = KERNEL_CASES[name]
+                reference = measure_latencies(
+                    factory(),
+                    UniformStochasticScheduler(),
+                    n,
+                    steps,
+                    burn_in=burn_in,
+                    memory=memory(),
+                    crash_times=crash,
+                    rng=(13, index),
+                    batched=True,
+                )
+                assert measurements[index] == reference
+                assert result[index].measurement(burn_in=burn_in) == reference
+
+    def test_first_failing_replicate_in_replicate_order_raises(self):
+        """Replicates 3 (second block) and 5 (first block) stop before
+        the burn-in ends, so no process completes twice after it; the
+        error names replicate 3, the first in replicate order, although
+        its block is measured second."""
+        result = self.block_run(1500)
+        assert [block.indices for block in result._blocks] == [
+            [0, 2, 4, 5],
+            [1, 3, 6],
+        ]
+        with pytest.raises(ValueError, match=r"\(n=2, steps=299\)"):
+            result.measurements(burn_in=700)
+        for index, steps in ((3, 299), (5, 699)):
+            with pytest.raises(ValueError, match=rf"\(n=2, steps={steps}\)"):
+                result[index].measurement(burn_in=700)
+
     def test_to_simulation_result_roundtrip(self):
         replicate = EnsembleReplicate(
             CounterStepKernel(),

@@ -86,6 +86,28 @@ def test_backend_edge_cases(backend_name):
 
 
 @pytest.mark.parametrize("backend_name", ["cc", "numba"])
+@pytest.mark.parametrize("q,s", SHAPES, ids=[f"q{q}s{s}" for q, s in SHAPES])
+def test_success_buffer_boundary_single_process(backend_name, q, s):
+    """One process wins every attempt, so a schedule of ``T`` steps
+    fills the success buffers to exactly ``T // (q + s + 1)`` — the
+    last slot the scan's unconditional candidate write may touch.  Every
+    length up to three whole attempts resolves like the oracle."""
+    backend = compiled_backend(backend_name)
+    period = q + s + 1
+    for steps in range(3 * period + 1):
+        sched = np.zeros(steps, dtype=np.int64)
+        expected = resolve_heap(sched, 1, q, s, ORACLE)
+        actual = resolve_heap(sched, 1, q, s, backend)
+        assert_resolution_equal(expected, actual)
+        assert actual[0].shape == (steps // period,)
+        if q == 0:
+            assert_resolution_equal(
+                resolve_flat(sched, 1, s, ORACLE),
+                resolve_flat(sched, 1, s, backend),
+            )
+
+
+@pytest.mark.parametrize("backend_name", ["cc", "numba"])
 def test_backend_heap_scan_on_fused_stack(backend_name):
     """The stacked-replicate layout the fused path feeds the kernels."""
     backend = compiled_backend(backend_name)

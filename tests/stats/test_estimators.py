@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from repro.stats.estimators import (
+    StreamingMeanEstimator,
+    _t_crit,
     batch_means,
     fit_power_law,
     fit_sqrt_scaling,
@@ -34,6 +37,34 @@ class TestConfidenceInterval:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0])
+
+
+class TestCriticalValueCache:
+    CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+    DFS = (1, 2, 3, 5, 7, 15, 31, 99, 1_000, 100_000)
+
+    def test_cached_value_is_exactly_scipys(self):
+        for confidence in self.CONFIDENCES:
+            for df in self.DFS:
+                expected = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df))
+                # Twice: the first call fills the cache, the second reads it.
+                assert _t_crit(confidence, df) == expected
+                assert _t_crit(confidence, df) == expected
+
+    def test_estimators_use_the_uncached_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for size in (2, 5, 40):
+            sample = rng.normal(size=size)
+            streaming = StreamingMeanEstimator()
+            for value in sample:
+                streaming.add(value)
+            t_crit = float(scipy.stats.t.ppf(0.975, size - 1))
+            batch = mean_confidence_interval(sample, 0.95)
+            assert batch.half_width == t_crit * float(scipy.stats.sem(sample))
+            estimate = streaming.estimate(0.95)
+            assert estimate.half_width == t_crit * float(
+                np.sqrt(streaming.variance / size)
+            )
 
 
 class TestBatchMeans:
