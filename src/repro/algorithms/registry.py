@@ -21,9 +21,9 @@ enumerate, and :func:`register_workload` to add project-local entries
 (tests register throwaway workloads this way).
 
 Engine support: the ensemble engine resolves only SCU-shaped symmetric
-workloads (the CAS counter exposes a vector kernel); every other zoo
-member runs on the serial and batched engines, which are bit-identical
-by the PR 1 contract.  Blocking workloads (``blocking=True``) spin
+workloads (the CAS counter exposes a vector kernel), so sweeps run every
+other zoo member on the batched engine; the serial engine runs them all,
+and every engine gives the same bits.  Blocking workloads (``blocking=True``) spin
 forever if the lock holder crashes — crash sweeps over them measure
 exactly that.
 """

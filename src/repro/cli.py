@@ -131,6 +131,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
         args.steps,
         scheduler=_make_scheduler(args.scheduler),
         rng=args.seed,
+        batched=True,
         telemetry=telemetry,
     )
     finish_telemetry("latency")
@@ -198,7 +199,7 @@ def _latency_workload(args: argparse.Namespace) -> int:
         steps=args.steps,
         memory=workload.memory_builder(),
         rng=args.seed,
-        batched=args.engine == "batched",
+        batched=True,
         telemetry=telemetry,
     )
     finish_telemetry("latency")
@@ -406,7 +407,8 @@ def cmd_figure5(args: argparse.Namespace) -> int:
         worst_case_completion_rate,
     )
     from repro.core.checkpoint import sweep_fingerprint
-    from repro.core.latency import measure_latencies
+    from repro.core.latency import measure_latencies, measure_latencies_ensemble
+    from repro.core.sweep import select_engine
 
     try:
         workload = get_workload(args.workload)
@@ -414,14 +416,6 @@ def cmd_figure5(args: argparse.Namespace) -> int:
         print(
             f"unknown workload {args.workload!r}; choose from "
             f"{list(workload_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.engine == "ensemble" and args.workload != "cas-counter":
-        print(
-            "--engine ensemble resolves the CAS counter's vector kernel "
-            f"only; run --workload {args.workload} on the serial or "
-            "batched engine",
             file=sys.stderr,
         )
         return 2
@@ -439,6 +433,8 @@ def cmd_figure5(args: argparse.Namespace) -> int:
         getattr(args, "telemetry", None)
     )
     _configure_memo(args, telemetry)
+    scheduler = _make_scheduler(args.scheduler)
+    engine = select_engine(workload.factory_builder(), scheduler)
     store = None
     if args.store is not None:
         from repro.core.store import ColumnarSweepStore
@@ -446,10 +442,12 @@ def cmd_figure5(args: argparse.Namespace) -> int:
         # Each thread count is one deterministic measurement (seeded
         # rng=n), so the sweep records per (n, replicate=0) and a
         # resumed run re-measures only the missing thread counts.
+        # repeats=1 keeps these stores apart from latency_sweep's,
+        # which need at least two replicates.
         fingerprint = sweep_fingerprint(
             seed=0,
             steps=args.steps,
-            engine=f"figure5-{args.scheduler}",
+            scheduler=scheduler,
             n_values=thread_counts,
             repeats=1,
             burn_in=None,
@@ -464,12 +462,8 @@ def cmd_figure5(args: argparse.Namespace) -> int:
             if store is not None and (n, 0) in store.completed:
                 measured.append(store.completed[(n, 0)][1])
                 continue
-            if args.engine == "ensemble":
-                # One replicate per thread count, same rng=n seed — the
-                # engine-equivalence contract keeps the table identical
-                # to the serial path.
-                from repro.core.latency import measure_latencies_ensemble
-
+            if engine == "ensemble":
+                # One replicate, same rng=n seed: the same table either way.
                 m = measure_latencies_ensemble(
                     workload.factory_builder(),
                     lambda: _make_scheduler(args.scheduler),
@@ -486,7 +480,7 @@ def cmd_figure5(args: argparse.Namespace) -> int:
                     steps=args.steps,
                     memory=workload.memory_builder(),
                     rng=n,
-                    batched=args.engine == "batched",
+                    batched=True,
                     telemetry=telemetry,
                 )
             measured.append(m.completion_rate)
@@ -549,7 +543,6 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         steps=args.steps,
         seed=args.seed,
         burn_in=args.burn_in,
-        batched=args.engine == "batched",
     )
     for name, points in table["workloads"].items():
         print(f"\n{name} (n={args.n}, steps={args.steps}):")
@@ -691,13 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spec (see repro.algorithms.registry; overrides --q/--s)",
     )
     p.add_argument(
-        "--engine",
-        choices=["serial", "batched"],
-        default="serial",
-        help="execution engine for --workload runs (bit-identical by the "
-        "trace-equivalence contract)",
-    )
-    p.add_argument(
         "--telemetry",
         metavar="PATH",
         default=None,
@@ -747,13 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="cas-counter",
         help="which registered zoo workload to sweep (the workload name "
         "is folded into the store fingerprint)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["serial", "batched", "ensemble"],
-        default="serial",
-        help="execution engine — all three produce identical numbers "
-        "(trace-equivalence contract); ensemble is fastest",
     )
     p.add_argument(
         "--store",
@@ -809,14 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="steps discarded before latency percentiles (default steps/10)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["serial", "batched"],
-        default="batched",
-        help="execution engine (bit-identical by the trace-equivalence "
-        "contract; contention schedulers are observed and drawn once per "
-        "step on both)",
     )
     p.add_argument(
         "--epsilons",

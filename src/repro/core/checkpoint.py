@@ -3,17 +3,17 @@
 Every replicate is pure deterministic work keyed by
 ``(seed, n, replicate)``, so a sweep becomes *resumable* by journaling
 its finished triples under a fingerprint of the sweep
-(:func:`sweep_fingerprint`: seed, steps, engine, ``n_values``,
+(:func:`sweep_fingerprint`: seed, steps, scheduler, ``n_values``,
 repeats, burn-in, workload and a hash of the resolved crash
-configuration).  A resumed sweep that re-runs only the missing
-replicates is bit-identical to an uninterrupted one; the journal never
-stores partial simulator state, only finished numbers.  The one result
-journal is :class:`repro.core.store.ColumnarSweepStore`; the service's
-:class:`repro.service.ledger.JobLedger` journals job events the same
-way.
+configuration; not the engine, since every engine gives the same bits).
+A resumed sweep that re-runs only the missing replicates is
+bit-identical to an uninterrupted one; the journal never stores partial
+simulator state, only finished numbers.  The one result journal is
+:class:`repro.core.store.ColumnarSweepStore`; the service's
+:class:`repro.service.ledger.JobLedger` journals job events the same way.
 
-This module holds what those journals share: the fingerprint and the
-crash-configuration hash, the point-record validator
+This module holds what those journals share: the fingerprint with its
+scheduler identity and crash hash, the point-record validator
 (:func:`parse_point_record`), torn-tail repair for JSONL files
 (:func:`repair_jsonl_tail`), the single-writer lock, the registry of
 open journals that ``repro.cli`` flushes on Ctrl-C/SIGTERM
@@ -139,14 +139,35 @@ def crash_config_hash(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def scheduler_identity(scheduler: object) -> Dict[str, object]:
+    """A freshly built scheduler's identity, for :func:`sweep_fingerprint`.
+
+    Its class ``__qualname__`` plus its public attributes, which hold the
+    constructor parameters (private ones hold run state), passed through
+    JSON with ndarrays as lists so it equals what a store header reads
+    back.  Parameters kept private or as callables are not seen.
+    """
+    identity = {
+        name: value
+        for name, value in vars(scheduler).items()
+        if not name.startswith("_")
+    }
+    identity["class"] = type(scheduler).__qualname__
+    blob = json.dumps(
+        identity,
+        default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v),
+    )
+    return json.loads(blob)
+
+
 def sweep_fingerprint(
     *,
     seed: int,
     steps: int,
-    engine: str,
     n_values: Sequence[int],
     repeats: int,
     burn_in: Optional[int],
+    scheduler: object = None,
     crash_times: CrashTimesLike = None,
     workload: Optional[str] = None,
 ) -> Dict[str, object]:
@@ -156,15 +177,18 @@ def sweep_fingerprint(
     ``(n, replicate)`` triples, so their journals are interchangeable;
     anything else must be rejected on resume.
 
-    ``workload`` names the registered workload being swept
-    (:mod:`repro.algorithms.registry`); ``None`` is the historical CAS
-    counter default.  Folding the name in means a msqueue sweep can
-    never resume from (or dedupe against) a counter store.
+    ``scheduler`` is a freshly built scheduler instance, stored as its
+    :func:`scheduler_identity`.  ``workload`` names the registered
+    workload being swept (:mod:`repro.algorithms.registry`); ``None`` is
+    the historical CAS counter default.  Folding both in means a sweep
+    never resumes from (or dedupes against) a store of another scheduler
+    or structure.
     """
+    identity = None if scheduler is None else scheduler_identity(scheduler)
     return {
         "seed": int(seed),
         "steps": int(steps),
-        "engine": str(engine),
+        "scheduler": identity,
         "n_values": [int(n) for n in n_values],
         "repeats": int(repeats),
         "burn_in": None if burn_in is None else int(burn_in),

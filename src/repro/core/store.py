@@ -64,8 +64,8 @@ from repro.core.checkpoint import (
 #: Warn-once flag for degraded compaction (see :meth:`ColumnarSweepStore.compact`).
 _warned_compact_failure = False
 
-#: Bumped whenever the on-disk layout changes incompatibly.
-STORE_SCHEMA_VERSION = 1
+#: Bumped whenever the on-disk layout or the fingerprint changes.
+STORE_SCHEMA_VERSION = 2
 
 #: The metric columns of every chunk, in triple order.
 METRIC_COLUMNS = ("system_latency", "completion_rate", "fairness_ratio")

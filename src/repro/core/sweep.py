@@ -9,14 +9,14 @@ process (``max_workers=1``) or fanned out over worker processes
 way, so the two produce bit-identical results.  :func:`parallel_sweep`
 is the historical pooled entry point and forwards to it.
 
-Three engines drive the replicates (``engine=``): ``"serial"`` steps the
-simulator one step at a time, ``"batched"`` uses the trace-equivalent
-block fast path (:meth:`repro.sim.Simulator.run_batched`), and
-``"ensemble"`` resolves all replicates of a sweep point together as array
-operations (:class:`repro.sim.EnsembleSimulator`) — the fastest path for
-multi-replicate work, available for SCU-shaped workloads whose factory
-exposes a ``vector_kernel``.  All three produce bit-identical numbers
-for the same seeds.
+Three engines drive the replicates: ``"serial"`` steps the simulator
+one step at a time, ``"batched"`` uses the trace-equivalent block fast
+path (:meth:`repro.sim.Simulator.run_batched`), and ``"ensemble"``
+resolves all replicates together as array operations
+(:class:`repro.sim.EnsembleSimulator`).  All three produce bit-identical
+numbers for the same seeds, so the engine is a speed choice that sweeps
+make themselves (:func:`select_engine`) and that no fingerprint holds;
+``engine=`` names one only as the bit-identity suites' oracle selector.
 
 Long sweeps are *fault-tolerant*: pooled sweeps run on a
 :class:`repro.core.runner.ResilientExecutor` (worker crashes, hangs and
@@ -67,7 +67,7 @@ from repro.stats.estimators import (
     StreamingMeanEstimator,
 )
 
-_ENGINES = ("serial", "batched", "ensemble")
+_ENGINES = ("auto", "serial", "batched", "ensemble")
 _DISPATCHES = ("auto", "pickle", "sharedmem")
 
 # Crash schedules for sweeps (``CrashTimesLike``): one ``{pid: time}``
@@ -104,6 +104,20 @@ class SweepPoint:
     system_latency: MeanEstimate
     completion_rate: MeanEstimate
     fairness_ratio: MeanEstimate
+
+
+def select_engine(factory: ProcessFactory, scheduler: Scheduler) -> str:
+    """The engine ``engine="auto"`` runs for this factory and scheduler.
+
+    ``"ensemble"`` when the factory carries a ``vector_kernel`` and the
+    scheduler has no ``observe_pending`` hook (whole schedules are drawn
+    ahead), else ``"batched"``.
+    """
+    if getattr(factory, "vector_kernel", None) is None:
+        return "batched"
+    if getattr(scheduler, "observe_pending", None) is not None:
+        return "batched"
+    return "ensemble"
 
 
 def _run_replicate(
@@ -518,7 +532,7 @@ def latency_sweep(
     scheduler_builder: Optional[Callable[[], Scheduler]] = None,
     confidence: float = 0.95,
     seed: int = 0,
-    engine: str = "serial",
+    engine: str = "auto",
     burn_in: Optional[int] = None,
     crash_times: CrashTimesLike = None,
     store=None,
@@ -539,12 +553,12 @@ def latency_sweep(
     the replicates are independent and the confidence intervals honest
     (the ensemble engine never calls ``memory_builder``: it measures
     without rebuilding final memory).
-    ``engine`` selects the execution engine (see the module docstring);
-    ``engine="ensemble"`` resolves the replicates together as array
-    operations — same seeds, same numbers, least wall-clock.
+    ``engine="auto"`` runs :func:`select_engine`'s pick, made once in
+    this process; ``"serial"``/``"batched"``/``"ensemble"`` force one (an
+    ensemble the workload cannot run raises ``ValueError``).
     ``engine_kernel`` picks the ensemble engine's resolve backend (see
-    :class:`~repro.sim.EnsembleSimulator`); every backend is
-    bit-identical, they trade wall-clock only.
+    :class:`~repro.sim.EnsembleSimulator`) and is validated whichever
+    engine runs; every engine and backend gives the same bits.
 
     ``max_workers`` is the number of processes.  ``1`` (the default)
     runs every replicate in this process.  Any larger int sends the
@@ -616,6 +630,13 @@ def latency_sweep(
     validate_burn_in(burn_in, steps)
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    from repro.sim.kernels import KERNEL_NAMES
+
+    if engine_kernel not in KERNEL_NAMES:
+        raise ValueError(
+            f"unknown engine kernel {engine_kernel!r}; expected one of "
+            f"{KERNEL_NAMES}"
+        )
     validate_max_workers(max_workers)
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -627,21 +648,25 @@ def latency_sweep(
         raise ValueError("resume=True requires store=<dir>")
     if scheduler_builder is None:
         scheduler_builder = UniformStochasticScheduler
-    if engine == "ensemble":
+    scheduler = scheduler_builder()
+    factory = factory_builder()
+    selected = select_engine(factory, scheduler)
+    if engine == "auto":
+        engine = selected
+    elif engine == "ensemble" and selected != "ensemble":
         # Fail here rather than in (and again in every retry of) a worker.
-        resolve_vector_kernel(factory_builder())
-        if getattr(scheduler_builder(), "observe_pending", None) is not None:
-            raise ValueError(
-                "the ensemble engine draws whole schedules and cannot feed "
-                "a contention scheduler's observe_pending hook; use the "
-                "serial or batched engine"
-            )
+        resolve_vector_kernel(factory)
+        raise ValueError(
+            "the ensemble engine draws whole schedules and cannot feed "
+            "a contention scheduler's observe_pending hook; use the "
+            "serial or batched engine"
+        )
     telemetry_on = telemetry is not None and telemetry.enabled
     schedule = ResolvedCrashSchedule.resolve(crash_times, n_values)
     fingerprint = sweep_fingerprint(
         seed=seed,
         steps=steps,
-        engine=engine,
+        scheduler=scheduler,
         n_values=n_values,
         repeats=repeats,
         burn_in=burn_in,
@@ -767,9 +792,9 @@ def latency_sweep(
 
 
 def parallel_sweep(
-    *args, engine: str = "batched", max_workers: Optional[int] = None, **kwargs
+    *args, max_workers: Optional[int] = None, **kwargs
 ) -> List[SweepPoint]:
-    """:func:`latency_sweep` on a process pool, with the batched engine.
+    """:func:`latency_sweep` on a process pool.
 
     ``max_workers=None`` means one worker per *available* CPU
     (:func:`~repro.core.runner.available_cpu_count`); every other
@@ -777,7 +802,7 @@ def parallel_sweep(
     """
     if max_workers is None:
         max_workers = available_cpu_count()
-    return latency_sweep(*args, engine=engine, max_workers=max_workers, **kwargs)
+    return latency_sweep(*args, max_workers=max_workers, **kwargs)
 
 
 def sweep_table(points: Sequence[SweepPoint], *, precision: int = 3) -> str:

@@ -64,8 +64,6 @@ CHAOS_LEASE_PAUSE_ENV = "REPRO_SERVICE_CHAOS_LEASE_PAUSE"
 #: Memo namespace for per-point write-through entries.
 POINT_MEMO_NAME = "service-point"
 
-_ENGINES = ("serial", "batched", "ensemble")
-
 
 def _normalize_scheduler(name: Any) -> str:
     """Validate and canonicalize a spec's scheduler name.
@@ -186,25 +184,7 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
             f"burn_in must be None or an integer in [0, steps), got {burn_in!r}"
         )
     out["burn_in"] = burn_in
-    engine = spec.get("engine", "batched")
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    out["engine"] = engine
     out["scheduler"] = _normalize_scheduler(spec.get("scheduler", "uniform"))
-    if out["engine"] == "ensemble":
-        # The ensemble engine resolves the CAS counter's vector kernel
-        # and draws whole schedules upfront — neither generic registry
-        # workloads nor per-step contention state fit that shape.
-        if workload not in ("scu", "cas-counter"):
-            raise ValueError(
-                f"engine 'ensemble' only supports the 'scu' and "
-                f"'cas-counter' workloads, not {workload!r}"
-            )
-        if out["scheduler"].startswith("contention"):
-            raise ValueError(
-                "engine 'ensemble' cannot honour the contention "
-                "scheduler's per-step state; use 'serial' or 'batched'"
-            )
     crash = spec.get("crash")
     if crash is not None:
         if not isinstance(crash, dict):
@@ -287,7 +267,7 @@ def spec_fingerprint(spec: Dict[str, Any]) -> Dict[str, Any]:
     return sweep_fingerprint(
         seed=spec["seed"],
         steps=spec["steps"],
-        engine=spec["engine"],
+        scheduler=build_scheduler(spec["scheduler"])(),
         n_values=spec["n_values"],
         repeats=spec["repeats"],
         burn_in=spec["burn_in"],
@@ -300,11 +280,10 @@ def point_memo_args(spec: Dict[str, Any], n: int, r: int) -> Tuple:
     """The full identity of one ``(n, replicate)`` point for the memo.
 
     Everything that can change the triple's bits participates: the
-    workload (and its parameters), scheduler, engine family, steps,
-    burn-in, the resolved crash hash, the seed, and the point itself.
-    Engines are bit-identical to each other, but the engine string
-    still participates because it participates in the store fingerprint
-    — conservative beats clever for a cache key.
+    workload (and its parameters), scheduler, steps, burn-in, the
+    resolved crash hash, the seed, and the point itself.  The engine
+    does not: every engine computes the same bits, so an entry warm
+    starts the point whichever engine computed it.
     """
     crash_hash = crash_config_hash(_crash_times(spec), spec["n_values"])
     return (
@@ -312,7 +291,6 @@ def point_memo_args(spec: Dict[str, Any], n: int, r: int) -> Tuple:
         spec.get("q", -1),
         spec.get("s", -1),
         spec["scheduler"],
-        spec["engine"],
         spec["steps"],
         -1 if spec["burn_in"] is None else spec["burn_in"],
         crash_hash,
@@ -399,7 +377,6 @@ def run_sweep_job(
         repeats=spec["repeats"],
         scheduler_builder=build_scheduler(spec["scheduler"]),
         seed=spec["seed"],
-        engine=spec["engine"],
         burn_in=spec["burn_in"],
         crash_times=_crash_times(spec),
         store=store_dir,

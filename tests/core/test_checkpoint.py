@@ -28,7 +28,6 @@ def fingerprint(**overrides):
     base = dict(
         seed=7,
         steps=10_000,
-        engine="batched",
         n_values=[2, 4],
         repeats=3,
         burn_in=None,
@@ -351,3 +350,27 @@ class TestWriterLock:
         # The mismatch rejection did not leave the lock held.
         ColumnarSweepStore.open(path, fingerprint(), resume=True).close()
         assert not (path / "writer.lock").exists()
+
+
+class TestSchedulerIdentity:
+    def test_class_and_public_parameters_only(self):
+        from repro.core.checkpoint import scheduler_identity
+        from repro.core.scheduler import (
+            HardwareLikeScheduler,
+            SkewedStochasticScheduler,
+        )
+
+        # Private attributes hold run state (quantum, weights drawn so
+        # far) and stay out; ndarrays read back from JSON as lists.
+        assert scheduler_identity(HardwareLikeScheduler(mean_quantum=2.0)) == {
+            "class": "HardwareLikeScheduler",
+            "mean_quantum": 2.0,
+            "jitter": 0.1,
+            "jitter_rate": 0.01,
+        }
+        skewed = scheduler_identity(SkewedStochasticScheduler([1, 2]))
+        assert skewed == {
+            "class": "SkewedStochasticScheduler",
+            "weights": [1.0, 2.0],
+        }
+        assert json.loads(json.dumps(skewed)) == skewed

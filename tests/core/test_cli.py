@@ -131,8 +131,10 @@ class TestFigure5:
         assert report["schema"] == 2
         assert report["command"] == "figure5"
         counters = report["metrics"]["counters"]
-        assert counters["sim.runs"] == 2
-        assert counters["sim.steps"] == 8000
+        # cas-counter under the uniform scheduler runs on the ensemble
+        # engine, one replicate per thread count.
+        assert counters["ensemble.replicates"] == 2
+        assert counters["ensemble.steps"] == 8000
         uniformity = report["uniformity"]
         assert set(uniformity["per_n"]) == {"2", "4"}
         # The uniform scheduler drove both runs: TV distance near zero.
@@ -157,13 +159,14 @@ class TestFigure5:
         first = capsys.readouterr().out
 
         calls = []
-        real = latency_module.measure_latencies
+        for name in ("measure_latencies", "measure_latencies_ensemble"):
+            real = getattr(latency_module, name)
 
-        def counting(*a, **kw):
-            calls.append(1)
-            return real(*a, **kw)
+            def counting(*a, _real=real, **kw):
+                calls.append(1)
+                return _real(*a, **kw)
 
-        monkeypatch.setattr(latency_module, "measure_latencies", counting)
+            monkeypatch.setattr(latency_module, name, counting)
         assert main(args + ["--resume"]) == 0
         assert capsys.readouterr().out == first
         assert calls == []  # every thread count came from the store
@@ -210,7 +213,7 @@ class TestFigure5:
 
     def test_workload_flag_runs_zoo_member(self, capsys):
         code = main(["figure5", "--workload", "msqueue", "--points", "2",
-                     "--steps", "3000", "--engine", "batched"])
+                     "--steps", "3000"])
         assert code == 0
         out = capsys.readouterr().out
         # Non-SCU(0,1) members have no exact chain column.
@@ -226,17 +229,59 @@ class TestFigure5:
             main(["figure5", "--workload", "msqueue", "--points", "2",
                   "--steps", "3000", "--checkpoint", str(path), "--resume"])
 
+    def test_scheduler_folds_into_checkpoint_fingerprint(self, tmp_path):
+        from repro.core.checkpoint import CheckpointMismatchError
+
+        path = tmp_path / "fig5.store"
+        assert main(["figure5", "--scheduler", "epsilon:0.2", "--points",
+                     "2", "--steps", "3000", "--checkpoint", str(path)]) == 0
+        with pytest.raises(CheckpointMismatchError, match="scheduler"):
+            main(["figure5", "--scheduler", "epsilon:0.4", "--points", "2",
+                  "--steps", "3000", "--checkpoint", str(path), "--resume"])
+
     def test_unknown_workload_rejected(self, capsys):
         code = main(["figure5", "--workload", "nope", "--points", "1",
                      "--steps", "1000"])
         assert code == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_ensemble_engine_restricted_to_cas_counter(self, capsys):
-        code = main(["figure5", "--workload", "treiber", "--points", "1",
-                     "--steps", "1000", "--engine", "ensemble"])
-        assert code == 2
-        assert "ensemble" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["latency", "figure5", "zoo"])
+    def test_engine_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--engine", "batched"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workload, scheduler, engine",
+        [
+            ("cas-counter", "uniform", "ensemble"),
+            ("cas-counter", "hardware", "ensemble"),
+            ("cas-counter", "contention:4", "batched"),
+            ("treiber", "uniform", "batched"),
+        ],
+    )
+    def test_per_n_path_follows_the_sweep_selector(
+        self, tmp_path, workload, scheduler, engine
+    ):
+        # Ensemble runs count ensemble.replicates; batched runs count
+        # the executor's sim.blocks.
+        import json
+
+        report = tmp_path / "report.json"
+        assert main(["figure5", "--workload", workload, "--scheduler",
+                     scheduler, "--points", "2", "--steps", "2000",
+                     "--telemetry", str(report)]) == 0
+        counters = json.loads(report.read_text())["metrics"]["counters"]
+        ran = {
+            name
+            for name, counter in (
+                ("ensemble", "ensemble.replicates"),
+                ("batched", "sim.blocks"),
+            )
+            if counters.get(counter)
+        }
+        assert ran == {engine}
 
 
 class TestLatencyWorkload:
@@ -250,8 +295,7 @@ class TestLatencyWorkload:
 
     def test_contention_scheduler_accepted(self, capsys):
         code = main(["latency", "--workload", "rtas-lock", "-n", "4",
-                     "--steps", "8000", "--scheduler", "contention:4",
-                     "--engine", "batched"])
+                     "--steps", "8000", "--scheduler", "contention:4"])
         assert code == 0
         assert "rtas-lock" in capsys.readouterr().out
 
@@ -316,7 +360,7 @@ class TestKeyboardInterrupt:
         store = ColumnarSweepStore.open(
             tmp_path / "sweep.store",
             sweep_fingerprint(
-                seed=0, steps=100, engine="batched", n_values=[2],
+                seed=0, steps=100, n_values=[2],
                 repeats=2, burn_in=None,
             ),
         )
@@ -389,7 +433,7 @@ class TestSigtermParity:
         store = ColumnarSweepStore.open(
             tmp_path / "sweep.store",
             sweep_fingerprint(
-                seed=0, steps=100, engine="batched", n_values=[2],
+                seed=0, steps=100, n_values=[2],
                 repeats=2, burn_in=None,
             ),
         )

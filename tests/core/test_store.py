@@ -10,6 +10,7 @@ from repro.core.checkpoint import (
     CheckpointMismatchError,
     sweep_fingerprint,
 )
+from repro.core.scheduler import UniformStochasticScheduler
 from repro.core.store import (
     METRIC_COLUMNS,
     STORE_SCHEMA_VERSION,
@@ -22,7 +23,7 @@ def fingerprint(**overrides):
     base = dict(
         seed=7,
         steps=10_000,
-        engine="batched",
+        scheduler=UniformStochasticScheduler(),
         n_values=[2, 4],
         repeats=3,
         burn_in=None,

@@ -68,7 +68,7 @@ class TestLatencySweep:
         # bit-identical, not merely statistically close.
         kwargs = dict(steps=20_000, repeats=3, seed=11)
         serial = latency_sweep(
-            cas_counter, make_counter_memory, [2, 4], **kwargs
+            cas_counter, make_counter_memory, [2, 4], engine="serial", **kwargs
         )
         batched = latency_sweep(
             cas_counter, make_counter_memory, [2, 4], engine="batched", **kwargs
@@ -284,7 +284,9 @@ class TestPooledSweep:
                 cas_counter, make_counter_memory, [2], max_workers=bad
             )
 
-    def test_parallel_sweep_forwards_with_batched_defaults(self, monkeypatch):
+    def test_parallel_sweep_forwards_without_an_engine(self, monkeypatch):
+        # The engine is latency_sweep's own choice ("auto"); the pooled
+        # forwarder only fills in the worker count.
         from repro.core import sweep as sweep_mod
 
         seen = {}
@@ -295,7 +297,7 @@ class TestPooledSweep:
 
         monkeypatch.setattr(sweep_mod, "latency_sweep", fake)
         assert parallel_sweep(cas_counter, make_counter_memory, [2]) == "points"
-        assert seen["engine"] == "batched"
+        assert "engine" not in seen
         assert seen["max_workers"] == sweep_mod.available_cpu_count()
 
 
@@ -457,3 +459,188 @@ class TestCrashScheduleResolution:
             **kwargs,
         )
         assert serial == parallel
+
+
+def _engines_run(**sweep_kwargs):
+    """The engines a sweep ran, read from its ``sim.run`` events."""
+    from repro.core.telemetry import EVENT_RUN, MetricsRegistry
+
+    registry = MetricsRegistry()
+    events = []
+    registry.subscribe(EVENT_RUN, events.append)
+    points = latency_sweep(telemetry=registry, **sweep_kwargs)
+    return {event["engine"] for event in events}, points
+
+
+class TestAutoEngine:
+    """``engine="auto"`` (the default) picks the fastest engine that can
+    honour the workload and scheduler; the choice never changes a bit."""
+
+    SWEEP = dict(n_values=[2, 3], steps=600, repeats=2, seed=9)
+
+    def test_cas_counter_under_uniform_runs_ensemble(self):
+        engines, points = _engines_run(
+            factory_builder=cas_counter,
+            memory_builder=make_counter_memory,
+            **self.SWEEP,
+        )
+        assert engines == {"ensemble"}
+        assert points == latency_sweep(
+            cas_counter, make_counter_memory, engine="serial", **self.SWEEP
+        )
+
+    @pytest.mark.parametrize(
+        "workload, scheduler",
+        [
+            ("cas-counter", "contention:2"),
+            ("msqueue", "uniform"),
+            ("treiber", "uniform"),
+        ],
+    )
+    def test_other_shapes_run_batched(self, workload, scheduler):
+        from repro.algorithms.registry import get_workload
+        from repro.service.daemon import build_scheduler
+
+        member = get_workload(workload)
+        kwargs = dict(
+            factory_builder=member.factory_builder,
+            memory_builder=member.memory_builder,
+            scheduler_builder=build_scheduler(scheduler),
+            **self.SWEEP,
+        )
+        engines, points = _engines_run(**kwargs)
+        assert engines == {"batched"}
+        assert points == latency_sweep(engine="serial", **kwargs)
+
+    def test_selector_reads_vector_kernel_and_observe_pending(self):
+        from repro.core.scheduler import (
+            ContentionScheduler,
+            HardwareLikeScheduler,
+        )
+        from repro.core.sweep import select_engine
+
+        uniform = UniformStochasticScheduler()
+        assert select_engine(cas_counter(), uniform) == "ensemble"
+        assert select_engine(cas_counter(), HardwareLikeScheduler()) == (
+            "ensemble"
+        )
+        assert select_engine(cas_counter(), ContentionScheduler()) == (
+            "batched"
+        )
+        assert select_engine(cas_counter(calls=2), uniform) == "batched"
+
+    @pytest.mark.parametrize("engine", ["serial", "batched", "ensemble", "auto"])
+    def test_bad_engine_kernel_rejected_on_every_engine(self, engine):
+        with pytest.raises(ValueError, match="unknown engine kernel 'bogus'"):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2],
+                steps=200,
+                repeats=2,
+                engine=engine,
+                engine_kernel="bogus",
+            )
+
+
+class TestEngineFreeResume:
+    """A store fingerprints the sweep's scheduler, not its engine."""
+
+    SWEEP = dict(steps=800, repeats=3, seed=13)
+
+    def interrupted_store(self, path, engine, stop_after=2, **kwargs):
+        """A store holding the first ``stop_after`` replicates."""
+
+        class Stop(Exception):
+            pass
+
+        def stop(done, total, key):
+            if done == stop_after:
+                raise Stop
+
+        with pytest.raises(Stop):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                engine=engine,
+                store=path,
+                on_progress=stop,
+                **self.SWEEP,
+                **kwargs,
+            )
+
+    @pytest.mark.parametrize("resume_engine", ["ensemble", "auto", "serial"])
+    def test_batched_store_resumes_on_any_engine(self, tmp_path, resume_engine):
+        from repro.core.store import ColumnarSweepStore
+
+        path = tmp_path / "sweep.store"
+        self.interrupted_store(path, "batched")
+        stored = ColumnarSweepStore.load_completed(path)
+        assert len(stored) == 2
+        resumed = latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            [2, 4],
+            engine=resume_engine,
+            store=path,
+            resume=True,
+            **self.SWEEP,
+        )
+        reference = latency_sweep(
+            cas_counter, make_counter_memory, [2, 4], engine="batched",
+            **self.SWEEP,
+        )
+        assert resumed == reference
+        completed = ColumnarSweepStore.load_completed(path)
+        assert {key: completed[key] for key in stored} == stored
+
+    @pytest.mark.parametrize(
+        "written, resumed",
+        [
+            ("uniform", "hardware"),
+            ("epsilon:0.2", "epsilon:0.4"),
+        ],
+    )
+    def test_scheduler_change_is_a_mismatch(self, tmp_path, written, resumed):
+        from repro.core.checkpoint import CheckpointMismatchError
+        from repro.service.daemon import build_scheduler
+
+        path = tmp_path / "sweep.store"
+        self.interrupted_store(
+            path, "batched", scheduler_builder=build_scheduler(written)
+        )
+        with pytest.raises(CheckpointMismatchError, match="scheduler"):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                engine="batched",
+                scheduler_builder=build_scheduler(resumed),
+                store=path,
+                resume=True,
+                **self.SWEEP,
+            )
+
+    def test_schema_1_store_fails_naming_the_version(self, tmp_path):
+        import json
+
+        from repro.core.checkpoint import CheckpointError
+
+        path = tmp_path / "sweep.store"
+        self.interrupted_store(path, "batched")
+        header_path = path / "header.json"
+        header = json.loads(header_path.read_text())
+        fingerprint = dict(header["fingerprint"], engine="batched")
+        del fingerprint["scheduler"]
+        header.update(version=1, fingerprint=fingerprint)
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match="schema version 1"):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                store=path,
+                resume=True,
+                **self.SWEEP,
+            )

@@ -393,6 +393,7 @@ class TestSweepTelemetry:
             [2, 4],
             steps=10_000,
             repeats=2,
+            engine="serial",
             telemetry=registry,
         )
         assert registry.counters["sweep.points"] == 2

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checkpoint import CheckpointError, sweep_fingerprint
+from repro.core.scheduler import (
+    EpsilonUniformScheduler,
+    UniformStochasticScheduler,
+)
 from repro.core.store import ColumnarSweepStore
 from repro.service.ledger import JobLedger
 
@@ -24,7 +28,14 @@ fingerprints = st.fixed_dictionaries(
     {
         "seed": st.integers(min_value=0, max_value=2**31 - 1),
         "steps": st.integers(min_value=1, max_value=10**7),
-        "engine": st.sampled_from(["serial", "batched", "ensemble"]),
+        "scheduler": st.one_of(
+            st.none(),
+            st.builds(UniformStochasticScheduler),
+            st.builds(
+                EpsilonUniformScheduler,
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+        ),
         "repeats": st.integers(min_value=2, max_value=64),
         "burn_in": st.one_of(
             st.none(), st.integers(min_value=0, max_value=10**6)
@@ -64,7 +75,6 @@ def test_load_completed_matches_open(tmp_path_factory, data):
     fingerprint = sweep_fingerprint(
         seed=0,
         steps=100,
-        engine="batched",
         n_values=[2],
         repeats=2,
         burn_in=None,
@@ -86,7 +96,6 @@ def test_load_completed_matches_open(tmp_path_factory, data):
 FINGERPRINT = sweep_fingerprint(
     seed=0,
     steps=100,
-    engine="batched",
     n_values=[2, 4],
     repeats=4,
     burn_in=None,

@@ -32,7 +32,6 @@ class TestValidateSpec:
     def test_defaults_filled_in(self):
         spec = validate_spec({"n_values": [2]})
         assert spec["workload"] == "cas-counter"
-        assert spec["engine"] == "batched"
         assert spec["scheduler"] == "uniform"
         assert spec["repeats"] == 5
 
@@ -89,19 +88,30 @@ class TestValidateSpec:
         with pytest.raises(ValueError, match="epsilon"):
             validate_spec({"n_values": [2], "scheduler": "epsilon:1.5"})
 
-    def test_ensemble_engine_restricted_to_scu_shapes(self):
-        with pytest.raises(ValueError, match="ensemble"):
-            validate_spec(
-                {"workload": "treiber", "n_values": [2], "engine": "ensemble"}
-            )
-        with pytest.raises(ValueError, match="contention"):
-            validate_spec(
-                {
-                    "n_values": [2],
-                    "engine": "ensemble",
-                    "scheduler": "contention:2",
-                }
-            )
+    @pytest.mark.parametrize("engine", ["serial", "batched", "ensemble"])
+    def test_engine_field_is_unknown(self, engine):
+        # The engine is chosen by the sweep, never by the spec: an old
+        # client's spec that still names one is refused by name.
+        with pytest.raises(
+            ValueError, match=r"unknown spec fields: \['engine'\]"
+        ):
+            validate_spec({"n_values": [2], "engine": engine})
+
+    def test_scheduler_folds_into_spec_fingerprint(self):
+        from repro.core.checkpoint import scheduler_identity
+        from repro.core.scheduler import EpsilonUniformScheduler
+        from repro.service.daemon import spec_fingerprint
+
+        fingerprints = [
+            spec_fingerprint(validate_spec({"n_values": [2], "scheduler": name}))
+            for name in ("uniform", "epsilon:0.2", "epsilon:0.4", "hardware")
+        ]
+        assert "engine" not in fingerprints[0]
+        assert fingerprints[1]["scheduler"] == scheduler_identity(
+            EpsilonUniformScheduler(0.2)
+        )
+        schedulers = [fp["scheduler"] for fp in fingerprints]
+        assert len({repr(identity) for identity in schedulers}) == 4
 
     def test_workload_folds_into_spec_fingerprint(self):
         from repro.service.daemon import spec_fingerprint
@@ -389,3 +399,127 @@ class TestRunSweepJobStoreOpens:
         assert warm["warm_points"] == 9
         assert warm["triples"] == novel["triples"]
         assert len(novel["triples"]) == 9
+
+
+class TestEngineFreeJobs:
+    """The engine is no part of a job: not of its spec, its store
+    fingerprint or its point-memo key."""
+
+    def test_memo_warm_starts_whatever_engine_computed_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import sweep as sweep_mod
+        from repro.core.memo import DiskMemo
+        from repro.service import run_sweep_job
+
+        spec = validate_spec(
+            {"n_values": [2, 3], "steps": 300, "repeats": 2, "seed": 4}
+        )
+        memo = DiskMemo(tmp_path / "memo")
+        auto_sweep = sweep_mod.latency_sweep
+        monkeypatch.setattr(
+            sweep_mod,
+            "latency_sweep",
+            lambda *args, **kwargs: auto_sweep(*args, engine="serial", **kwargs),
+        )
+        serial = run_sweep_job(spec, tmp_path / "serial.store", memo=memo)
+        assert serial["recomputed"] == 4
+        monkeypatch.setattr(sweep_mod, "latency_sweep", auto_sweep)
+        warm = run_sweep_job(spec, tmp_path / "auto.store", memo=memo)
+        assert warm["warm_points"] == 4
+        assert warm["recomputed"] == 0
+        assert warm["triples"] == serial["triples"]
+        cold = run_sweep_job(spec, tmp_path / "cold.store")
+        assert cold["recomputed"] == 4
+        assert cold["triples"] == serial["triples"]
+
+    @pytest.mark.parametrize(
+        "scheduler", ["epsilon:0.4", "hardware", "contention:2"]
+    )
+    def test_spec_fingerprint_matches_the_sweep_under_any_scheduler(
+        self, tmp_path, scheduler
+    ):
+        # run_sweep_job opens the store with spec_fingerprint, then the
+        # sweep re-opens it with its own; a mismatch would raise.
+        from repro.core.store import ColumnarSweepStore
+        from repro.service import run_sweep_job
+        from repro.service.daemon import spec_fingerprint
+
+        spec = validate_spec(
+            {"n_values": [2], "steps": 300, "repeats": 2,
+             "scheduler": scheduler}
+        )
+        store = tmp_path / "job.store"
+        result = run_sweep_job(spec, store)
+        assert result["recomputed"] == 2
+        assert ColumnarSweepStore.load_fingerprint(store) == (
+            spec_fingerprint(spec)
+        )
+
+    def _old_ledger(self, root, old_spec, *events):
+        """A ledger as a daemon that still took ``engine`` left it."""
+        from repro.service.daemon import job_digest
+        from repro.service.ledger import JobLedger
+
+        job_id = job_digest(old_spec)
+        with JobLedger(root / "ledger.jsonl") as ledger:
+            ledger.append("submitted", job_id, spec=old_spec)
+            for event, fields in events:
+                ledger.append(event, job_id, **fields)
+        return job_id
+
+    def test_old_ledger_job_carrying_engine_runs(self, tmp_path):
+        from repro.algorithms.counter import cas_counter, make_counter_memory
+        from repro.core.sweep import latency_sweep
+
+        old_spec = dict(validate_spec(SPEC), engine="batched")
+        job_id = self._old_ledger(tmp_path, old_spec)
+        with SweepService(tmp_path, workers=1) as service:
+            status = wait_terminal(service, job_id)
+            assert status["state"] == "completed", status["error"]
+            result = service.result(job_id)
+        direct = latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            SPEC["n_values"],
+            steps=SPEC["steps"],
+            repeats=SPEC["repeats"],
+            seed=SPEC["seed"],
+            engine="batched",
+        )
+        assert [p["system_latency"]["mean"] for p in result["points"]] == [
+            point.system_latency.mean for point in direct
+        ]
+
+    def test_old_ledger_job_with_schema_1_store_fails_by_name(self, tmp_path):
+        import json
+
+        old_spec = dict(validate_spec(SPEC), engine="batched")
+        # The old daemon died mid-job: leased, with a partial store
+        # written under the schema-1 fingerprint (engine, no scheduler).
+        job_id = self._old_ledger(
+            tmp_path,
+            old_spec,
+            ("leased", {"owner": "4194305:worker-0", "attempt": 1,
+                        "expires": 0.0}),
+        )
+        store = tmp_path / "stores" / job_id
+        store.mkdir(parents=True)
+        (store / "header.json").write_text(json.dumps({
+            "kind": "header",
+            "version": 1,
+            "fingerprint": {"engine": "batched", "seed": SPEC["seed"]},
+            "metrics": ["system_latency", "completion_rate",
+                        "fairness_ratio"],
+        }))
+        with SweepService(
+            tmp_path,
+            workers=1,
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.0),
+        ) as service:
+            status = wait_terminal(service, job_id)
+            assert status["state"] in ("failed", "poisoned")
+            assert "schema version 1" in status["error"]
+            # The daemon keeps serving new work.
+            fresh = service.submit(dict(SPEC, seed=8))["job_id"]
+            assert wait_terminal(service, fresh)["state"] == "completed"

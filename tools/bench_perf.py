@@ -723,7 +723,6 @@ def bench_store_compaction(quick):
         fingerprint = sweep_fingerprint(
             seed=0,
             steps=steps,
-            engine="batched",
             n_values=[64],
             repeats=journal_records,
             burn_in=None,

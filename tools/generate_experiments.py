@@ -88,8 +88,7 @@ from repro.core.sweep import latency_sweep
 
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
-    steps=200_000, repeats=32, seed=0, engine="batched",
-    store="fig5.store",
+    steps=200_000, repeats=32, seed=0, store="fig5.store",
 )
 ```
 
@@ -100,8 +99,12 @@ missing ones execute, and the final table is bit-identical to an
 uninterrupted run — the chaos suites in `tests/core/test_chaos_sweep.py`
 enforce this across the serial, batched and ensemble engines.  A
 store recorded under different sweep parameters (seed, steps,
-engine, crash schedule, ...) is rejected with a loud mismatch error
-naming the differing fields.  A hard kill (SIGKILL, power loss) can
+scheduler class and parameters, crash schedule, ...) is rejected with
+a loud mismatch error naming the differing fields.  The engine is not
+one of them: the sweep picks it (`engine="auto"`: ensemble for
+SCU-shaped workloads under a scheduler that draws ahead, batched
+otherwise), every engine gives the same bits, and a store written on
+one engine resumes on any other.  A hard kill (SIGKILL, power loss) can
 tear the final line of the store's JSONL write-ahead tail mid-append;
 resume repairs the tail — the torn fragment is dropped (or its lost
 newline restored) before appending — so repeated crash/resume cycles
@@ -139,18 +142,18 @@ through zero-copy shared-memory segments instead of the pickle pipe:
 from repro.algorithms.counter import cas_counter, make_counter_memory
 from repro.core.sweep import latency_sweep
 
-# One process: stacked resolution, fastest available kernel.
+# One process: the ensemble engine (auto's pick for the CAS counter),
+# stacked resolution, fastest available kernel.
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
-    steps=200_000, repeats=32, seed=0,
-    engine="ensemble", engine_kernel="auto",
+    steps=200_000, repeats=32, seed=0, engine_kernel="auto",
 )
 
 # Worker pool: zero-copy shared-memory dispatch.
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0,
-    engine="batched", max_workers=4, dispatch="sharedmem",
+    max_workers=4, dispatch="sharedmem",
 )
 ```
 
@@ -184,7 +187,7 @@ from repro.core.sweep import latency_sweep
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=32, seed=0,
-    engine="ensemble", max_workers=available_cpu_count(),
+    max_workers=available_cpu_count(),
 )
 ```
 
@@ -220,7 +223,7 @@ configure_memo("~/.cache/repro-memo")   # or REPRO_MEMO_DIR=...
 points = latency_sweep(
     cas_counter, make_counter_memory, [8, 16, 32, 64],
     steps=200_000, repeats=1_000_000, seed=0,
-    engine="ensemble", max_workers=4, store="fig5.store",
+    max_workers=4, store="fig5.store",
 )
 ```
 
@@ -258,7 +261,7 @@ telemetry = MetricsRegistry()
 observer = SchedulerUniformityObserver().attach(telemetry)
 latency_sweep(
     cas_counter, make_counter_memory, [4, 8, 16],
-    steps=100_000, repeats=8, seed=0, engine="batched",
+    steps=100_000, repeats=8, seed=0,
     telemetry=telemetry,
 )
 print(observer.total_variation_distance(n=16))  # ~0: uniform scheduling
@@ -347,10 +350,13 @@ PY
 $ kill -TERM %1    # graceful: drain, flush, release leases, exit 0
 ```
 
-Jobs are content-addressed by their sweep fingerprint: resubmitting the
-same spec returns the finished job (`service.dedupe_hits` counts it),
-and an *overlapping* grid warm-starts every already-computed `(n, r)`
-point from the shared disk memo, recomputing only the novel points —
+Specs name no engine: the daemon runs the same automatic choice as
+`latency_sweep`, and a spec that still carries `engine` is refused as
+an unknown field.  Jobs are content-addressed by their sweep
+fingerprint: resubmitting the same spec returns the finished job
+(`service.dedupe_hits` counts it), and an *overlapping* grid
+warm-starts every already-computed `(n, r)` point from the shared disk
+memo, recomputing only the novel points —
 the result is bit-identical to a direct `latency_sweep` either way.
 Failed jobs retry with deterministic backoff and are quarantined as
 `poisoned` after the retry budget; a full queue rejects loudly with a
