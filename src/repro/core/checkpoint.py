@@ -26,13 +26,15 @@ the one failure mode a journal must never have.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import types
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 try:  # advisory file locking is POSIX-only; degrade gracefully elsewhere
     import fcntl
@@ -139,25 +141,116 @@ def crash_config_hash(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+#: Stands in an identity for a callable that has none stable across
+#: processes: a lambda or a function local to another.
+_NO_STABLE_IDENTITY = "<no stable identity>"
+
+
 def scheduler_identity(scheduler: object) -> Dict[str, object]:
     """A freshly built scheduler's identity, for :func:`sweep_fingerprint`.
 
-    Its class ``__qualname__`` plus its public attributes, which hold the
-    constructor parameters (private ones hold run state), passed through
-    JSON with ndarrays as lists so it equals what a store header reads
-    back.  Parameters kept private or as callables are not seen.
+    Its class ``__qualname__`` plus its parameters: the public attributes
+    and the private ones named after a constructor parameter (``_pi``
+    for ``pi``, stored as ``pi``); other private attributes hold run
+    state and stay out.  A parameter that is an object, such as an
+    adversary's strategy, folds in the same way (class plus parameters,
+    not run state such as a rotation's last pid); a function folds in
+    by module and qualified name.  A callable with no stable identity —
+    a lambda or a function local to another — is recorded as
+    ``"<no stable identity>"`` and its path listed under ``"unstable"``,
+    so resuming a store of the sweep fails (:func:`check_resumable`)
+    instead of trusting two such schedulers to be the same.  Passed
+    through JSON, ndarrays as lists, so it equals what a store header
+    reads back.
     """
-    identity = {
-        name: value
-        for name, value in vars(scheduler).items()
-        if not name.startswith("_")
-    }
-    identity["class"] = type(scheduler).__qualname__
-    blob = json.dumps(
-        identity,
-        default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v),
-    )
-    return json.loads(blob)
+    unstable: List[str] = []
+    identity = _object_identity(scheduler, "", unstable)
+    if unstable:
+        identity["unstable"] = unstable
+    return json.loads(json.dumps(identity, default=repr))
+
+
+def _constructor_parameters(cls: type) -> set:
+    """Parameter names of every ``__init__`` along ``cls``'s MRO."""
+    names = set()
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if isinstance(init, types.FunctionType):
+            code = init.__code__
+            names.update(
+                code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+            )
+    return names
+
+
+def _object_identity(
+    obj: object, path: str, unstable: List[str]
+) -> Dict[str, object]:
+    parameters = _constructor_parameters(type(obj))
+    identity: Dict[str, object] = {}
+    for name, value in vars(obj).items():
+        key = name[1:] if name.startswith("_") else name
+        if key.startswith("_") or (key != name and key not in parameters):
+            continue
+        identity[key] = _encode(value, path + key, unstable)
+    identity["class"] = type(obj).__qualname__
+    return identity
+
+
+def _encode(value: object, path: str, unstable: List[str]) -> object:
+    """One parameter value as JSON-ready data (see :func:`scheduler_identity`)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [
+            _encode(item, f"{path}[{index}]", unstable)
+            for index, item in enumerate(value)
+        ]
+    if isinstance(value, dict):
+        return {
+            str(key): _encode(item, f"{path}[{key!r}]", unstable)
+            for key, item in value.items()
+        }
+    if hasattr(value, "tolist"):  # ndarrays and numpy scalars
+        return value.tolist()
+    if isinstance(value, functools.partial):
+        return {
+            "class": "functools.partial",
+            "func": _encode(value.func, path + ".func", unstable),
+            "args": _encode(value.args, path + ".args", unstable),
+            "keywords": _encode(value.keywords, path + ".keywords", unstable),
+        }
+    if isinstance(value, types.MethodType):
+        return {
+            "method": value.__func__.__name__,
+            "of": _encode(value.__self__, path + ".__self__", unstable),
+        }
+    if isinstance(value, (types.FunctionType, types.BuiltinFunctionType, type)):
+        qualname = value.__qualname__
+        if "<lambda>" in qualname or "<locals>" in qualname:
+            unstable.append(path)
+            return _NO_STABLE_IDENTITY
+        return f"{value.__module__}.{qualname}"
+    if hasattr(value, "__dict__"):
+        return _object_identity(value, path + ".", unstable)
+    return repr(value)
+
+
+def check_resumable(fingerprint: Dict[str, object]) -> None:
+    """Refuse to resume a sweep whose scheduler cannot be identified.
+
+    Raises :class:`CheckpointError` naming the scheduler and the
+    parameters :func:`scheduler_identity` listed as ``"unstable"``.
+    """
+    identity = fingerprint.get("scheduler")
+    if isinstance(identity, dict) and identity.get("unstable"):
+        raise CheckpointError(
+            f"cannot resume a sweep of scheduler {identity.get('class')}: "
+            f"its parameters {identity['unstable']} are callables with no "
+            "stable identity (a lambda or a function local to another), so "
+            "the store cannot tell whether it was written under the same "
+            "scheduler; pass a module-level function or a strategy object"
+        )
 
 
 def sweep_fingerprint(

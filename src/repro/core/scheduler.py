@@ -334,26 +334,26 @@ class _RotationStrategy:
 
     def __init__(self, avoid: Optional[int] = None) -> None:
         self.avoid = avoid
-        self.last = -1
+        self._last = -1
 
     def peek(self, time: int, active: Sequence[int]) -> int:
         """The pid :meth:`__call__` would return, without advancing."""
         candidates = [pid for pid in active if pid != self.avoid]
         if not candidates:
             return active[0]
-        later = [pid for pid in candidates if pid > self.last]
+        later = [pid for pid in candidates if pid > self._last]
         return min(later) if later else min(candidates)
 
     def state_snapshot(self) -> int:
-        return self.last
+        return self._last
 
     def state_restore(self, snapshot: int) -> None:
-        self.last = snapshot
+        self._last = snapshot
 
     def __call__(self, time: int, active: Sequence[int]) -> int:
         pid = self.peek(time, active)
         if pid != self.avoid:
-            self.last = pid
+            self._last = pid
         return pid
 
 

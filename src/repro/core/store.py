@@ -57,6 +57,7 @@ from repro.core.checkpoint import (
     Triple,
     WriterLock,
     acquire_writer_lock,
+    check_resumable,
     parse_point_record,
     repair_jsonl_tail,
 )
@@ -182,6 +183,7 @@ class ColumnarSweepStore:
         lock = acquire_writer_lock(path / "writer")
         try:
             if exists:
+                check_resumable(fingerprint)
                 stored, completed, tail_records, next_chunk = cls._load(path)
                 if stored != fingerprint:
                     differing = sorted(

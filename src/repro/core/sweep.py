@@ -35,6 +35,7 @@ would have produced.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -364,6 +365,33 @@ class StreamingSweepAggregator:
 
 _GRID_FUSE_STEPS = 32_000_000  # upfront-drawn schedule budget per grid chunk
 
+#: One :class:`~repro.sim.ensemble.EnsembleWorkspace` per thread, so the
+#: daemon's worker threads never share one; a forked pool worker starts
+#: from a private copy of its parent's.
+_THREAD_STATE = threading.local()
+
+
+def _thread_workspace():
+    """The calling thread's ensemble workspace, made on first use."""
+    from repro.sim.ensemble import EnsembleWorkspace
+
+    workspace = getattr(_THREAD_STATE, "workspace", None)
+    if workspace is None:
+        workspace = _THREAD_STATE.workspace = EnsembleWorkspace()
+    return workspace
+
+
+def release_thread_workspace() -> None:
+    """Let the calling thread's ensemble workspace memory go.
+
+    A long-lived thread calls this when it goes idle (the daemon's
+    workers do when their queue is empty), so it holds no sweep memory
+    between bursts of jobs; its next sweep maps afresh.
+    """
+    workspace = getattr(_THREAD_STATE, "workspace", None)
+    if workspace is not None:
+        workspace.release()
+
 
 def _run_ensemble_grid(
     factory_builder: Callable[[], ProcessFactory],
@@ -387,7 +415,10 @@ def _run_ensemble_grid(
     their ``(seed, n, r)`` seeds and dedicated scheduler instances, so
     results are bit-identical to the per-point path.  They carry no
     memory, so no final memory is rebuilt: only the measurement triples
-    are kept.  ``note`` fires in ``pending`` order.
+    are kept.  Chunks run in the calling thread's ensemble workspace, so
+    steady-state sweeps reuse their block stacks and success buffers;
+    each chunk's result is dropped once measured, before the next chunk
+    overwrites it.  ``note`` fires in ``pending`` order.
     """
     from repro.sim.ensemble import EnsembleReplicate, EnsembleSimulator
 
@@ -401,6 +432,7 @@ def _run_ensemble_grid(
             crash_of[n] = dict(crash) if crash else None
     grid_started = time.perf_counter() if telemetry is not None else 0.0
     chunk = max(1, _GRID_FUSE_STEPS // max(steps, 1))
+    workspace = _thread_workspace()
     for start in range(0, len(pending), chunk):
         block = pending[start : start + chunk]
         members = [
@@ -417,8 +449,10 @@ def _run_ensemble_grid(
             members,
             telemetry=telemetry,
             engine_kernel=engine_kernel,
+            workspace=workspace,
         ).run(steps)
         measurements = result.measurements(burn_in=burn_in)
+        del result
         for key, measurement in zip(block, measurements):
             note(
                 key,

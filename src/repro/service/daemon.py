@@ -52,6 +52,7 @@ from ..core.checkpoint import crash_config_hash, sweep_fingerprint
 from ..core.memo import _MISS, DiskMemo
 from ..core.runner import RetryPolicy
 from ..core.store import ColumnarSweepStore
+from ..core.sweep import release_thread_workspace
 from .ledger import JobLedger, JobRecord, TERMINAL_STATES
 from .leases import DEFAULT_LEASE_TTL, LeaseTable, make_owner
 
@@ -681,6 +682,8 @@ class SweepService:
             try:
                 job_id = self._queue.get(timeout=0.1)
             except queue.Empty:
+                # Idle: keep no ensemble memory until the next job.
+                release_thread_workspace()
                 if self._stopping.is_set():
                     return
                 continue

@@ -19,6 +19,7 @@ from repro.sim.ensemble import (
     EnsembleReplicate,
     EnsembleResult,
     EnsembleSimulator,
+    EnsembleWorkspace,
     ReplicateOutcome,
 )
 from repro.sim.executor import SimulationResult, Simulator
@@ -44,6 +45,7 @@ __all__ = [
     "EnsembleReplicate",
     "EnsembleResult",
     "EnsembleSimulator",
+    "EnsembleWorkspace",
     "FetchAndIncrement",
     "History",
     "Invocation",

@@ -67,6 +67,16 @@ is the draw's only copy.  Measurements are taken a block at a time too
 (:meth:`EnsembleResult.measurements`), from the same arrays the
 outcomes' completion times and pids are views of.
 
+Buffer ownership: a run needs int64 memory for the block stacks and
+the kernels' success rows, and both sizes follow from the plan before
+anything is drawn.  Without a workspace the run allocates them and its
+result owns the success rows its outcomes' completion arrays are views
+of.  With an :class:`EnsembleWorkspace` (sweeps keep one per thread)
+both are carved out of the workspace's kept buffer, so steady-state
+runs map no new pages; the result's views then hold its numbers only
+until the workspace's next run, and measuring a result (or an outcome)
+after that raises instead of reading the later run's numbers.
+
 Crash schedules (halting failures, Corollary 2) are handled by **segmented
 whole-schedule execution**: the horizon is split at the replicate's crash
 boundaries, each segment's schedule is drawn with one ``select_batch``
@@ -86,13 +96,19 @@ replicates — equivalence is enforced across every scheduler family in
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.sim.executor import SimulationResult, validate_crash_times
-from repro.sim.kernels import get_kernel, resolve_flat, resolve_heap
+from repro.sim.kernels import (
+    get_kernel,
+    resolve_flat,
+    resolve_heap,
+    success_capacity,
+)
 
 # Bound here, unused, so that code wrapping this module's resolver names
 # (perfbench's tracer wraps all four) finds the stacked variants too.
@@ -117,6 +133,82 @@ _BLOCK_STEPS = 1_000_000
 #: per-event Python loop that gains nothing from stacking (1.37-1.59 on
 #: the same grids), so it never stacks; compiled backends always do.
 _NUMPY_FLAT_STACK_MAX_STEPS = 4096
+
+#: The most an :class:`EnsembleWorkspace` holds.  A workspace exists to
+#: serve repeated sweeps of one size without re-faulting their pages,
+#: not to pin the memory of a one-off large run: a run needing more
+#: allocates its buffers for itself.  A Figure 5 CAS grid (5 points x
+#: 16 replicates x 20k steps) needs ~32 MiB.
+_WORKSPACE_CAP_BYTES = 64 << 20
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+class EnsembleWorkspace:
+    """Working memory for :class:`EnsembleSimulator` runs, kept across runs.
+
+    One int64 buffer holds a run's schedule stacks (all blocks) followed
+    by the kernels' success rows (``(3, success_capacity)`` per block).
+    A run given the workspace (``EnsembleSimulator(..., workspace=ws)``)
+    carves every block's stack and success rows out of it, so repeated
+    runs of the same size reuse memory whose pages are already mapped
+    instead of allocating (and page-faulting) it afresh.  The buffer is
+    sized exactly from a run's plan: a run that needs more than it
+    holds drops it and maps exactly what it needs; a run that needs
+    less uses a prefix.  A run needing more than
+    ``_WORKSPACE_CAP_BYTES`` leaves the workspace untouched and
+    allocates for itself, so the workspace never holds more than the
+    cap.
+
+    The caller owns the workspace, and a run's results are views into
+    it: outcomes' ``completion_times``/``completion_pids`` hold its
+    numbers only until the workspace runs again.  ``generation`` counts
+    the runs it served; measuring an outcome (or materializing its
+    recorder) from an earlier generation raises :class:`RuntimeError`
+    instead of reading overwritten numbers.  A workspace is not
+    thread-safe: give each thread its own.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = _EMPTY
+        self.generation = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes currently held."""
+        return self._buffer.nbytes
+
+    def release(self) -> None:
+        """Let the buffer go; the next run maps afresh."""
+        self._buffer = _EMPTY
+
+    def _claim(self, length: int) -> Optional[np.ndarray]:
+        """Start a run: an exact-length view of the buffer, or ``None``
+        (nothing claimed) for a run larger than the cap."""
+        if 8 * length > _WORKSPACE_CAP_BYTES:
+            return None
+        self.generation += 1
+        if self._buffer.shape[0] < length:
+            self._buffer = _EMPTY
+            self._buffer = _mapped(length)
+        return self._buffer[:length]
+
+
+def _mapped(length: int) -> np.ndarray:
+    """``length`` int64s in an anonymous mapping of their own.
+
+    numpy advises huge pages for large arrays, and a success row is
+    written only up to its run's success count, so whole 2 MiB pages
+    of a sparsely written row would stay resident in a kept buffer;
+    plain pages keep resident only what runs write.  The mapping is
+    private (``mmap``'s default is shared), so a forked worker writes
+    its own copy, and it goes back to the OS when the last view of it
+    is dropped.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):  # pragma: no cover — non-POSIX
+        return np.empty(length, dtype=np.int64)
+    region = mmap.mmap(-1, max(length, 1) * 8, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(region, dtype=np.int64)[:length]
 
 
 @dataclass
@@ -156,7 +248,15 @@ class EnsembleReplicate:
 @dataclass
 class ReplicateOutcome:
     """Resolved results of one replicate — the ensemble-side analogue of
-    :class:`repro.sim.SimulationResult`, with arrays instead of lists."""
+    :class:`repro.sim.SimulationResult`, with arrays instead of lists.
+
+    An outcome of a run given an :class:`EnsembleWorkspace` keeps the
+    workspace and its generation (``_workspace``, ``_generation``): its
+    completion arrays are views into the workspace, valid until the
+    workspace runs again, and :meth:`recorder`, :meth:`measurement` and
+    :meth:`EnsembleResult.measurements` raise :class:`RuntimeError`
+    after that.
+    """
 
     n_processes: int
     steps_executed: int
@@ -172,6 +272,25 @@ class ReplicateOutcome:
     #: ``steps_executed`` only when the run stopped early.  ``None`` on
     #: outcomes built by hand — treated as ``steps_executed``.
     horizon: Optional[int] = None
+    _workspace: Optional[EnsembleWorkspace] = field(
+        default=None, repr=False, compare=False
+    )
+    _generation: int = field(default=0, repr=False, compare=False)
+
+    def _check_fresh(self) -> None:
+        """Raise if a later run of this outcome's workspace has
+        overwritten its completion arrays."""
+        workspace = self._workspace
+        if workspace is not None and workspace.generation != self._generation:
+            raise RuntimeError(
+                f"this ensemble outcome is stale: its completion arrays are "
+                f"views into an EnsembleWorkspace that was reused by a later "
+                f"run (outcome generation {self._generation}, workspace "
+                f"generation {workspace.generation}), so they now hold that "
+                "run's numbers; take measurements before the workspace runs "
+                "again, or give runs whose results must outlive it their own "
+                "workspace"
+            )
 
     @property
     def total_completions(self) -> int:
@@ -184,6 +303,7 @@ class ReplicateOutcome:
         """Materialize a :class:`TraceRecorder` equal to what the serial
         engines would have produced, so every existing estimator
         (``system_latency`` and friends) applies unchanged."""
+        self._check_fresh()
         recorder = TraceRecorder(
             self.n_processes,
             record_schedule=self.schedule is not None,
@@ -357,7 +477,9 @@ class EnsembleResult:
     are available from :meth:`ReplicateOutcome.recorder`.  ``_blocks``
     are the resolved stacks the outcomes' completion arrays are views
     of (empty on a result built by hand: each replicate then measures
-    as a block of its own).
+    as a block of its own).  The arrays of a run given an
+    :class:`EnsembleWorkspace` are views into it, valid until the
+    workspace runs again (see :class:`ReplicateOutcome`).
     """
 
     replicates: List[ReplicateOutcome]
@@ -379,8 +501,11 @@ class EnsembleResult:
         there).  Computed array-side, once per resolved block
         (:meth:`_ResolvedBlock.measure`) — no recorders are materialized.
         A replicate with no process completing twice raises, the first
-        such replicate in replicate order."""
+        such replicate in replicate order, and so does a result whose
+        workspace has run again since (:class:`RuntimeError`)."""
         outcomes = self.replicates
+        for outcome in outcomes:
+            outcome._check_fresh()
         blocks = self._blocks or [
             _ResolvedBlock.of(index, outcome)
             for index, outcome in enumerate(outcomes)
@@ -399,11 +524,13 @@ class EnsembleResult:
 
 @dataclass
 class _Stack:
-    """A block's layout: which replicates, their bases, the stack itself.
+    """A block's layout: which replicates, their bases, its buffers.
 
     Replicate ``k`` of the block occupies pids ``[pid_base[k],
     pid_base[k+1])`` and schedule positions ``[time_base[k],
-    time_base[k+1])`` of ``sched``.
+    time_base[k+1])`` of ``sched``.  ``sched`` (``steps`` long) and the
+    kernel's ``(3, successes)`` success rows ``succ`` are carved out of
+    the run's memory by :meth:`EnsembleSimulator._carve`.
     """
 
     indices: List[int]
@@ -412,7 +539,8 @@ class _Stack:
     s: int
     pid_base: np.ndarray
     time_base: np.ndarray
-    sched: np.ndarray
+    sched: Optional[np.ndarray] = None
+    succ: Optional[np.ndarray] = None
 
     @classmethod
     def layout(
@@ -426,15 +554,15 @@ class _Stack:
     ) -> "_Stack":
         pid_base = np.concatenate(([0], np.cumsum(n_values))).astype(np.int64)
         time_base = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-        return cls(
-            indices,
-            use_flat,
-            q,
-            s,
-            pid_base,
-            time_base,
-            np.empty(int(time_base[-1]), dtype=np.int64),
-        )
+        return cls(indices, use_flat, q, s, pid_base, time_base)
+
+    @property
+    def steps(self) -> int:
+        return int(self.time_base[-1])
+
+    @property
+    def successes(self) -> int:
+        return success_capacity(self.steps, self.q, self.s)
 
 
 class EnsembleSimulator:
@@ -464,6 +592,11 @@ class EnsembleSimulator:
         See :mod:`repro.sim.kernels`.  The backend also decides how many
         same-shape replicates share one stacked block (see the module
         docstring); results are bit-identical on every backend.
+    workspace:
+        Optional :class:`EnsembleWorkspace` to carve the block stacks and
+        success rows from.  ``None`` (the default) allocates them for
+        this run alone.  With a workspace the result's arrays are views
+        into it, valid until the workspace's next run.
 
     The engine is **one-shot**: :meth:`run` may be called once (the
     resolution consumes the drawn schedules; there is no incremental
@@ -483,6 +616,7 @@ class EnsembleSimulator:
         record_schedule: bool = False,
         telemetry: Optional[Any] = None,
         engine_kernel: str = "auto",
+        workspace: Optional[EnsembleWorkspace] = None,
         _resolver: str = "auto",
     ) -> None:
         members = list(replicates)
@@ -530,6 +664,7 @@ class EnsembleSimulator:
         self.telemetry = telemetry
         self._resolver = _resolver
         self._kernel = get_kernel(engine_kernel)
+        self._workspace = workspace
         self._ran = False
 
     def run(self, max_steps: int) -> EnsembleResult:
@@ -563,6 +698,7 @@ class EnsembleSimulator:
                 [sum(length for _, _, length in segs) for segs, _ in plans],
                 max_steps,
             )
+            workspace = self._carve(stacks)
         except Exception:
             self._ran = False
             raise
@@ -595,7 +731,12 @@ class EnsembleSimulator:
             self._resolve_block(stack, plans, max_steps, outcomes)
             for stack in stacks
         ]
-        return EnsembleResult(outcomes, blocks)  # type: ignore[arg-type]
+        result = EnsembleResult(outcomes, blocks)  # type: ignore[arg-type]
+        if workspace is not None:
+            for outcome in result.replicates:
+                outcome._workspace = workspace
+                outcome._generation = workspace.generation
+        return result
 
     # -- internals ---------------------------------------------------------------
 
@@ -636,8 +777,8 @@ class EnsembleSimulator:
 
         Each block is at most :meth:`_block_capacity` stacked steps (a
         single replicate larger than the capacity still forms a block of
-        its own — blocks never split a replicate); its stack is
-        allocated here, to be filled by the draws.
+        its own — blocks never split a replicate).  Only the layout is
+        made here; :meth:`_carve` gives the blocks their buffers.
         """
         groups: Dict[Tuple[bool, int, int], List[int]] = {}
         for index, (member, use_flat) in enumerate(zip(self.replicates, plan)):
@@ -669,6 +810,36 @@ class EnsembleSimulator:
                 start = stop
         return stacks
 
+    def _carve(self, stacks: List[_Stack]) -> Optional[EnsembleWorkspace]:
+        """Give every block its stack and success rows; return the
+        workspace they were carved from, or ``None`` when this run
+        allocated its own (no workspace given, or the run exceeds its
+        cap).
+
+        The plan fixes both sizes before anything is drawn: stack
+        lengths follow from the crash maps, success rows from each
+        block's steps and ``(q, s)``.
+        """
+        steps = sum(stack.steps for stack in stacks)
+        slots = 3 * sum(stack.successes for stack in stacks)
+        workspace = self._workspace
+        buffer = None if workspace is None else workspace._claim(steps + slots)
+        if buffer is None:
+            # Two allocations, so a result keeps only its success rows.
+            workspace = None
+            sched = np.empty(steps, dtype=np.int64)
+            succ = np.empty(slots, dtype=np.int64)
+        else:
+            sched, succ = buffer[:steps], buffer[steps:]
+        step = slot = 0
+        for stack in stacks:
+            stack.sched = sched[step : step + stack.steps]
+            step += stack.steps
+            width = stack.successes
+            stack.succ = succ[slot : slot + 3 * width].reshape(3, width)
+            slot += 3 * width
+        return workspace
+
     def _resolve_block(
         self,
         stack: _Stack,
@@ -687,9 +858,13 @@ class EnsembleSimulator:
         time_base, pid_base = stack.time_base, stack.pid_base
         n = int(pid_base[-1])
         if stack.use_flat:
-            resolved = resolve_flat(stack.sched, n, stack.s, self._kernel)
+            resolved = resolve_flat(
+                stack.sched, n, stack.s, self._kernel, out=stack.succ
+            )
         else:
-            resolved = resolve_heap(stack.sched, n, stack.q, stack.s, self._kernel)
+            resolved = resolve_heap(
+                stack.sched, n, stack.q, stack.s, self._kernel, out=stack.succ
+            )
 
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:

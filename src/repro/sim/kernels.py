@@ -58,6 +58,17 @@ live here.  ``EnsembleSimulator`` calls them on stacks of concatenated
 replicate schedules over ``pid_base[-1]`` processes;
 :func:`resolve_flat_stacked` and :func:`resolve_heap_stacked` are the
 same call spelled with the pid offset table.
+
+Buffer ownership: every resolver returns the three success rows
+(columns, pids, attempt numbers) as int64 arrays of the same length.
+Without ``out=`` (taken by :func:`resolve_flat`, :func:`resolve_heap`
+and the backends' methods) the resolver allocates them; with ``out=`` — a
+``(3, m)`` int64 array, rows contiguous, ``m >= success_capacity(steps,
+q, s)`` — they are views of ``out[:, :wins]``, so the caller owns the
+memory and the returned rows stay valid until the caller writes ``out``
+again.  The compiled scan writes straight into those rows; the numpy
+oracle copies its successes into them.  The per-process ``seq``,
+``phase`` and ``counts`` are always fresh arrays.
 """
 
 from __future__ import annotations
@@ -84,6 +95,7 @@ __all__ = [
     "kernel_diagnostics",
     "resolve_flat",
     "resolve_heap",
+    "success_capacity",
     "resolve_flat_stacked",
     "resolve_heap_stacked",
 ]
@@ -111,6 +123,53 @@ def _bad_pid(sched: np.ndarray, n: int, position: int) -> ValueError:
     )
 
 
+def success_capacity(steps: int, q: int, s: int) -> int:
+    """Columns an ``out=`` success buffer needs for a ``steps``-long
+    schedule of ``SCU(q, s)``.
+
+    Every success consumes ``q + s + 1`` local steps of its process, so
+    a schedule of ``T`` steps yields at most ``T // (q + s + 1)``
+    successes; the compiled scan needs one more slot, where its
+    unconditional candidate write lands after the last success.
+    """
+    return steps // (q + s + 1) + 1
+
+
+def _success_rows(
+    out: Optional[np.ndarray], steps: int, q: int, s: int
+) -> np.ndarray:
+    """The ``(3, m)`` success buffer: ``out`` once checked, else fresh."""
+    capacity = success_capacity(steps, q, s)
+    if out is None:
+        return np.empty((3, capacity), dtype=np.int64)
+    if (
+        not isinstance(out, np.ndarray)
+        or out.dtype != np.int64
+        or out.ndim != 2
+        or out.shape[0] != 3
+        or out.shape[1] < capacity
+        or out.strides[1] != out.itemsize
+    ):
+        raise ValueError(
+            f"out must be a (3, >= {capacity}) int64 array with contiguous "
+            f"rows for {steps} steps of SCU({q}, {s}), got "
+            f"{getattr(out, 'shape', None)} {getattr(out, 'dtype', type(out))}"
+        )
+    return out
+
+
+def _deliver(out: Optional[np.ndarray], *rows: Any) -> Tuple[np.ndarray, ...]:
+    """The numpy oracle's success rows as int64: copied into the first
+    columns of ``out`` (already checked) and returned as its views, or
+    fresh arrays without it."""
+    if out is None:
+        return tuple(np.asarray(row, dtype=np.int64) for row in rows)
+    view = out[:, : len(rows[0])]
+    for target, row in zip(view, rows):
+        target[...] = row
+    return tuple(view)
+
+
 # ---------------------------------------------------------------------------
 # numpy (pure-Python) backend — the oracle
 # ---------------------------------------------------------------------------
@@ -134,12 +193,20 @@ class NumpyKernel:
             position = int(np.flatnonzero((sched < 0) | (sched >= n))[0])
             raise _bad_pid(sched, n, position)
 
-    def resolve_flat(self, sched: np.ndarray, n: int, s: int) -> Resolution:
+    def resolve_flat(
+        self,
+        sched: np.ndarray,
+        n: int,
+        s: int,
+        out: Optional[np.ndarray] = None,
+    ) -> Resolution:
         """The vectorized ``q == 0`` resolver (see :func:`resolve_flat`)."""
+        if out is not None:
+            _success_rows(out, int(sched.shape[0]), 0, s)
         self._check_pids(sched, n)
         seq, phase, counts, pairs = _flat_prep(sched, n, s)
         if pairs is None:
-            return _EMPTY, _EMPTY, _EMPTY, seq, phase, counts
+            return (*_deliver(out, _EMPTY, _EMPTY, _EMPTY), seq, phase, counts)
         c_r, pid_r, seq_r, successor, suffix_argmin = pairs
 
         # The first success is the earliest CAS overall; after a success at
@@ -147,18 +214,23 @@ class NumpyKernel:
         # L.  Walking the successor pointers visits exactly the successes.
         events = self.chain_walk(successor, int(suffix_argmin[0]))
         return (
-            c_r[events].astype(np.int64),
-            pid_r[events].astype(np.int64),
-            seq_r[events].astype(np.int64),
+            *_deliver(out, c_r[events], pid_r[events], seq_r[events]),
             seq,
             phase,
             counts,
         )
 
     def resolve_heap(
-        self, sched: np.ndarray, n: int, q: int, s: int
+        self,
+        sched: np.ndarray,
+        n: int,
+        q: int,
+        s: int,
+        out: Optional[np.ndarray] = None,
     ) -> Resolution:
         """The ``heapq`` resolver, any ``SCU(q, s)`` (see :func:`resolve_heap`)."""
+        if out is not None:
+            _success_rows(out, int(sched.shape[0]), q, s)
         self._check_pids(sched, n)
         counts = np.bincount(sched, minlength=n)
         key_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
@@ -169,7 +241,12 @@ class NumpyKernel:
             order, offsets, n, q, s
         )
         phase = q + counts - next_read
-        return (succ_cols, succ_pids, succ_seqs, seq, phase, counts)
+        return (
+            *_deliver(out, succ_cols, succ_pids, succ_seqs),
+            seq,
+            phase,
+            counts,
+        )
 
     @staticmethod
     def chain_walk(successor: np.ndarray, start: int) -> np.ndarray:
@@ -359,26 +436,34 @@ class _CompiledKernelBase:
     """Buffer management around the compiled scan.
 
     Subclasses provide ``_scan_impl`` with the C signature of
-    ``repro_scu_scan``; this base allocates its buffers and serves both
-    resolvers from it (``q == 0`` is just the scan with no preamble).
-    Success counts are bounded a priori: every success consumes
-    ``q + s + 1`` local steps of its process, so a schedule of ``T``
-    steps yields at most ``T // (q + s + 1)`` successes.  The buffers
-    hold one more, the slot the scan's unconditional candidate write
-    lands in after the last success.
+    ``repro_scu_scan``; this base serves both resolvers from it
+    (``q == 0`` is just the scan with no preamble).  The scan writes its
+    successes into ``out`` when given, else into a buffer of
+    :func:`success_capacity` columns allocated here.
     """
 
-    def resolve_flat(self, sched: np.ndarray, n: int, s: int) -> Resolution:
-        return self.resolve_heap(sched, n, 0, s)
+    def resolve_flat(
+        self,
+        sched: np.ndarray,
+        n: int,
+        s: int,
+        out: Optional[np.ndarray] = None,
+    ) -> Resolution:
+        return self.resolve_heap(sched, n, 0, s, out)
 
     def resolve_heap(
-        self, sched: np.ndarray, n: int, q: int, s: int
+        self,
+        sched: np.ndarray,
+        n: int,
+        q: int,
+        s: int,
+        out: Optional[np.ndarray] = None,
     ) -> Resolution:
         if q < 0 or s < 0:
             raise ValueError(f"the scan needs q >= 0 and s >= 0, got q={q}, s={s}")
         sched = np.ascontiguousarray(sched, dtype=np.int64)
         steps = int(sched.shape[0])
-        succ = np.empty((3, steps // (q + s + 1) + 1), dtype=np.int64)
+        succ = _success_rows(out, steps, q, s)
         state = np.empty((n, 4), dtype=np.int64)
         wins = int(self._scan_impl(sched, steps, n, q, s, state, *succ))
         if wins < 0:
@@ -589,7 +674,12 @@ def _flat_prep(sched: np.ndarray, n: int, s: int):
 
 
 def resolve_flat(
-    sched: np.ndarray, n: int, s: int, kernel: Optional[Any] = None
+    sched: np.ndarray,
+    n: int,
+    s: int,
+    kernel: Optional[Any] = None,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> Resolution:
     """Resolve a ``q == 0`` schedule (``kernel`` defaults to numpy).
 
@@ -610,8 +700,12 @@ def resolve_flat(
     strictly after every earlier CAS, so each replicate's first attempt
     sees a fresh register), so the output is the per-replicate outputs
     concatenated.  A pid outside ``[0, n)`` raises :class:`ValueError`.
+    With ``out=`` the success rows are views of ``out`` (see the module
+    docstring).
     """
-    return (NumpyKernel() if kernel is None else kernel).resolve_flat(sched, n, s)
+    return (NumpyKernel() if kernel is None else kernel).resolve_flat(
+        sched, n, s, out
+    )
 
 
 def resolve_flat_stacked(
@@ -632,7 +726,13 @@ def resolve_flat_stacked(
 
 
 def resolve_heap(
-    sched: np.ndarray, n: int, q: int, s: int, kernel: Optional[Any] = None
+    sched: np.ndarray,
+    n: int,
+    q: int,
+    s: int,
+    kernel: Optional[Any] = None,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> Resolution:
     """Resolve a general ``SCU(q, s)`` schedule (``kernel`` defaults to numpy).
 
@@ -644,10 +744,11 @@ def resolve_heap(
     ``q == 0`` path.  Return contract matches :func:`resolve_flat`
     (``phase`` in ``[0, q + s]``), and replicate stacks resolve correctly for
     the same reason: replicates are time-partitioned, so the global CAS
-    order is the per-replicate orders concatenated.
+    order is the per-replicate orders concatenated.  ``out=`` as in
+    :func:`resolve_flat`.
     """
     return (NumpyKernel() if kernel is None else kernel).resolve_heap(
-        sched, n, q, s
+        sched, n, q, s, out
     )
 
 

@@ -37,6 +37,14 @@ def fingerprint(**overrides):
     return sweep_fingerprint(**base)
 
 
+def uniform_pi(time, active):
+    return {pid: 1.0 / len(active) for pid in active}
+
+
+def first_pi(time, active):
+    return {pid: float(pid == active[0]) for pid in active}
+
+
 def killed(store):
     """Leave ``store`` as a kill before compaction would: every record
     flushed to the write-ahead tail, no chunk written."""
@@ -374,3 +382,76 @@ class TestSchedulerIdentity:
             "weights": [1.0, 2.0],
         }
         assert json.loads(json.dumps(skewed)) == skewed
+
+    def test_strategies_and_private_parameters_fold_in(self):
+        from repro.core.checkpoint import scheduler_identity
+        from repro.core.scheduler import (
+            AdversarialScheduler,
+            DistributionScheduler,
+        )
+
+        adversaries = [
+            AdversarialScheduler.round_robin(),
+            AdversarialScheduler.starve(0),
+            AdversarialScheduler.starve(1),
+            AdversarialScheduler.alternating_spoiler(0),
+        ]
+        identities = [scheduler_identity(s) for s in adversaries]
+        assert len({json.dumps(i, sort_keys=True) for i in identities}) == 4
+        assert identities[1] == {
+            "class": "AdversarialScheduler",
+            "strategy": {"class": "_RotationStrategy", "avoid": 0},
+        }
+        # Run state (the rotation's last pid) stays out.
+        used = AdversarialScheduler.starve(0)
+        for time in range(1, 4):
+            used.select(time, [0, 1, 2], None)
+        assert scheduler_identity(used) == identities[1]
+
+        uniform = DistributionScheduler(uniform_pi, theta=0.25)
+        assert scheduler_identity(uniform) == {
+            "class": "DistributionScheduler",
+            "pi": f"{__name__}.uniform_pi",
+            "theta": 0.25,
+            "validate": True,
+        }
+        assert scheduler_identity(uniform) != scheduler_identity(
+            DistributionScheduler(first_pi, theta=0.25)
+        )
+
+    def test_store_of_one_adversary_does_not_resume_under_another(
+        self, tmp_path
+    ):
+        from repro.core.scheduler import AdversarialScheduler
+
+        path = tmp_path / "store"
+        written = fingerprint(scheduler=AdversarialScheduler.round_robin())
+        with ColumnarSweepStore.open(path, written) as store:
+            store.record(2, 0, (1.0, 1.0, 1.0))
+        with pytest.raises(CheckpointMismatchError, match="scheduler"):
+            ColumnarSweepStore.open(
+                path,
+                fingerprint(scheduler=AdversarialScheduler.starve(0)),
+                resume=True,
+            )
+        ColumnarSweepStore.open(path, written, resume=True).close()
+
+    def test_resume_with_a_lambda_parameter_fails_naming_the_scheduler(
+        self, tmp_path
+    ):
+        from repro.core.scheduler import DistributionScheduler
+
+        def unstable():
+            return fingerprint(
+                scheduler=DistributionScheduler(lambda t, a: {a[0]: 1.0})
+            )
+
+        path = tmp_path / "store"
+        # Writing works; resuming cannot check the scheduler and refuses.
+        with ColumnarSweepStore.open(path, unstable()) as store:
+            store.record(2, 0, (1.0, 1.0, 1.0))
+        with pytest.raises(
+            CheckpointError, match=r"DistributionScheduler.*\['pi'\]"
+        ):
+            ColumnarSweepStore.open(path, unstable(), resume=True)
+        assert not (path / "writer.lock").exists()

@@ -12,7 +12,6 @@ and :class:`TaskError` must be remapped back to the real pair.
 """
 
 import functools
-import glob
 import os
 
 import numpy as np
@@ -37,23 +36,13 @@ ROW_OF = {
 }
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay=0.01, max_delay=0.1)
 
-pytestmark = pytest.mark.skipif(
-    not shm.sharedmem_available(), reason="no multiprocessing.shared_memory"
-)
-
-
-def leaked_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover — non-Linux
-        return []
-    return glob.glob("/dev/shm/repro-*")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test in this file ends with a clean /dev/shm."""
-    assert leaked_segments() == []
-    yield
-    assert leaked_segments() == []
+pytestmark = [
+    pytest.mark.skipif(
+        not shm.sharedmem_available(), reason="no multiprocessing.shared_memory"
+    ),
+    # Every test ends with no dispatch segment of this process left.
+    pytest.mark.usefixtures("shm_segments"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +101,7 @@ class TestTransportIsInvisible:
 
 class TestChaos:
     def test_kill_hang_raise_leave_results_exact_and_no_orphans(
-        self, tmp_path, reference
+        self, tmp_path, reference, shm_segments
     ):
         plan = ChaosPlan(
             state_dir=str(tmp_path),
@@ -137,9 +126,9 @@ class TestChaos:
             **SWEEP,
         )
         assert points == reference
-        # The autouse fixture re-checks, but the point of this test is
-        # the chaos contract — assert it explicitly at the scene.
-        assert leaked_segments() == []
+        # The fixture re-checks, but the point of this test is the chaos
+        # contract — assert it explicitly at the scene.
+        assert shm_segments() == []
 
     def test_poison_task_error_names_the_replicate(self, tmp_path):
         plan = ChaosPlan(
@@ -185,7 +174,7 @@ class TestChaos:
 class TestBuffers:
     TASKS = [(2, 0), (2, 1), (4, 0)]
 
-    def test_roundtrip_and_cleanup(self):
+    def test_roundtrip_and_cleanup(self, shm_segments):
         telemetry = MetricsRegistry()
         buffers = SweepTaskBuffers(
             self.TASKS, segment_digest({"seed": 1}), telemetry=telemetry
@@ -197,7 +186,7 @@ class TestBuffers:
             buffers.results[1] = (1.5, 2.5, 3.5)
             assert buffers.triple(1) == (1.5, 2.5, 3.5)
             # Both segments exist while open...
-            assert len(leaked_segments()) == 2
+            assert len(shm_segments()) == 2
         finally:
             buffers.close()
         # ...and close() is idempotent and total.

@@ -12,11 +12,10 @@ changes wall-clock only:
   executor's recovery ladder without changing a bit, persistent poison
   ends in :class:`~repro.core.runner.TaskError` naming the replicate,
   and in every case the dispatch ``/dev/shm`` segments are unlinked
-  (autouse assertion);
+  (a fixture applied to every test);
 * the pool's telemetry and the validation of ``max_workers``.
 """
 
-import glob
 import os
 
 import pytest
@@ -33,24 +32,13 @@ STEPS = 400
 N_VALUES = [3, 4, 5]
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay=0.01, max_delay=0.1)
 
-pytestmark = pytest.mark.skipif(
-    not shm.sharedmem_available(), reason="no multiprocessing.shared_memory"
-)
-
-
-def leaked_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover — non-Linux
-        return []
-    return glob.glob("/dev/shm/repro-*")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test in this file ends with a clean /dev/shm — worker
-    kills, hangs and poison replicates included."""
-    assert leaked_segments() == []
-    yield
-    assert leaked_segments() == []
+pytestmark = [
+    pytest.mark.skipif(
+        not shm.sharedmem_available(), reason="no multiprocessing.shared_memory"
+    ),
+    # Every test ends with no dispatch segment of this process left.
+    pytest.mark.usefixtures("shm_segments"),
+]
 
 
 def scu21():
@@ -160,7 +148,7 @@ class TestChaos:
         )
         assert chaotic == reference
 
-    def poison(self, tmp_path, dispatch, fault_key):
+    def poison(self, tmp_path, shm_segments, dispatch, fault_key):
         plan = ChaosPlan(state_dir=tmp_path, faults={fault_key: "raise"}, once=False)
         with pytest.raises(TaskError) as excinfo:
             run_grid(
@@ -171,18 +159,22 @@ class TestChaos:
                 ),
                 retry=RetryPolicy(max_retries=1, base_delay=0.01, max_delay=0.02),
             )
-        # The autouse fixture re-checks, but the leak-free contract
-        # under poison is the point of these tests.
-        assert leaked_segments() == []
+        # The fixture re-checks, but the leak-free contract under poison
+        # is the point of these tests.
+        assert shm_segments() == []
         return excinfo.value.key
 
-    def test_persistent_poison_block_raises_task_error(self, tmp_path):
-        assert self.poison(tmp_path, "pickle", (4, 1)) == (4, 1)
+    def test_persistent_poison_block_raises_task_error(
+        self, tmp_path, shm_segments
+    ):
+        assert self.poison(tmp_path, shm_segments, "pickle", (4, 1)) == (4, 1)
 
-    def test_persistent_poison_row_is_named_by_its_replicate(self, tmp_path):
+    def test_persistent_poison_row_is_named_by_its_replicate(
+        self, tmp_path, shm_segments
+    ):
         # Shared-memory chaos plans key faults by row; row 5 of the
         # n-major task table is (4, 1), and the error names the pair.
-        assert self.poison(tmp_path, "sharedmem", 5) == (4, 1)
+        assert self.poison(tmp_path, shm_segments, "sharedmem", 5) == (4, 1)
 
     def test_serial_fallback_reuses_the_segments(self):
         """Pool creation failing forever degrades to in-parent serial
