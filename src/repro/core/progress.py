@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.sim.history import History
 
 
@@ -39,26 +41,26 @@ def empirical_minimal_progress_bound(history: History, end_time: int) -> int:
     intervals = history.pending_intervals(end_time)
     if not intervals:
         return 0
-    response_times = sorted(history.response_times())
-    # Candidate gap starts: each invocation time and each response time
-    # while something is pending afterwards.
-    worst = 0
-    events = sorted(
-        {t for _, t, _ in intervals}
-        | set(response_times)
+    # A gap can start at any invocation or response time while something
+    # is pending just after it, and runs to the next response (or to
+    # end_time).  Responses never precede their invocations, so the
+    # invocations pending just after t number #(invoke <= t) minus
+    # #(respond <= t): a sorted sweep instead of a scan per event.
+    invokes = np.sort(np.asarray([t for _, t, _ in intervals], dtype=np.int64))
+    responds = np.sort(
+        np.asarray([r for _, _, r in intervals if r is not None], dtype=np.int64)
     )
-    for start in events:
-        # Is something pending just after `start`?
-        pending = any(
-            invoke <= start and (respond is None or respond > start)
-            for _, invoke, respond in intervals
-        )
-        if not pending:
-            continue
-        nxt = next((t for t in response_times if t > start), None)
-        gap = (nxt if nxt is not None else end_time) - start
-        worst = max(worst, gap)
-    return worst
+    response_times = np.sort(np.asarray(history.response_times(), dtype=np.int64))
+    events = np.union1d(invokes, response_times)
+    pending = np.searchsorted(invokes, events, side="right") > np.searchsorted(
+        responds, events, side="right"
+    )
+    starts = events[pending]
+    if not starts.size:
+        return 0
+    following = np.searchsorted(response_times, starts, side="right")
+    ends = np.append(response_times, end_time)[following]
+    return max(0, int((ends - starts).max()))
 
 
 def empirical_maximal_progress_bound(history: History, end_time: int) -> int:

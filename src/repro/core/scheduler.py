@@ -27,7 +27,8 @@ pids; the ensemble engine passes the full set as ``range(n)``, which
 lets :class:`UniformStochasticScheduler` return its draw ungathered.
 The base class provides a
 sequential fallback; :class:`UniformStochasticScheduler` and
-:class:`SkewedStochasticScheduler` override it with vectorized draws, and
+:class:`SkewedStochasticScheduler` override it with vectorized draws
+(long uniform draws run in the cc library, bit-identical to numpy's), and
 :class:`HardwareLikeScheduler` expands whole quantum runs per iteration.
 
 Stateful schedulers additionally implement ``state_snapshot()`` /
@@ -66,6 +67,16 @@ from bisect import bisect_right
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
+
+from repro.sim.kernels import uniform_draw
+
+#: :meth:`UniformStochasticScheduler.select_batch` draws at least this
+#: many pids in the cc library rather than with ``rng.integers``.  The
+#: compiled draw costs ~1.6 ns a pid against numpy's ~4.2, but ~3 us
+#: more per call (the state getter and setter, the ctypes entry), so it
+#: breaks even at ~1,300 pids on a 2-CPU x86-64 host; the constant
+#: leaves margin for the per-call cost's spread.
+_COMPILED_DRAW_MIN_SIZE = 2048
 
 
 class Scheduler(abc.ABC):
@@ -148,10 +159,18 @@ class UniformStochasticScheduler(Scheduler):
         size: int,
     ) -> np.ndarray:
         # rng.integers(n, size=k) consumes the bit stream element by
-        # element, exactly like k scalar rng.integers(n) calls.  Over the
-        # full active set ``range(n)`` the indices are the pids already
-        # (int64, the default dtype), so they are returned ungathered.
-        indices = rng.integers(len(active), size=size)
+        # element, exactly like k scalar rng.integers(n) calls.  From
+        # _COMPILED_DRAW_MIN_SIZE draws on, a PCG64 generator's draw runs
+        # in the cc library instead (uniform_draw: the same pids and the
+        # same end state as rng.integers, or None when it cannot serve
+        # this generator or n).  Over the full active set ``range(n)``
+        # the indices are the pids already (int64, the default dtype),
+        # so they are returned ungathered.
+        indices = None
+        if size >= _COMPILED_DRAW_MIN_SIZE:
+            indices = uniform_draw(rng, len(active), size)
+        if indices is None:
+            indices = rng.integers(len(active), size=size)
         if isinstance(active, range) and active.start == 0 and active.step == 1:
             return indices
         return np.asarray(active, dtype=np.int64)[indices]

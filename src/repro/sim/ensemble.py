@@ -42,7 +42,14 @@ counters) in closed form from the per-process end state, for replicates
 that carry one, so each replicate's schedule, completion times and final
 memory are **bit-identical** to what ``Simulator.run_batched`` produces
 for the same seed — enforced replicate-by-replicate in
-``tests/sim/test_ensemble_equivalence.py``.
+``tests/sim/test_ensemble_equivalence.py``.  Seeds are numpy's too: a
+replicate whose ``rng`` is an ``int`` or a tuple of non-negative
+``int`` (the sweeps pass ``(seed, n, r)``) starts from the PCG64 state
+``np.random.default_rng(seed)`` would, computed for all of a run's
+replicates in one compiled pass (:func:`repro.sim.kernels.pcg64_seed_states`)
+and loaded into one reused generator; a ``Generator`` replicate draws
+from itself, and other seeds (or a host without the cc library) go
+through ``default_rng``.
 
 Resolution is **block-stacked**: replicates with the same resolver shape
 (same ``q``, ``s``, resolver kind — process counts may differ) are
@@ -69,9 +76,11 @@ outcomes' completion times and pids are views of.
 
 Buffer ownership: a run needs int64 memory for the block stacks and
 the kernels' success rows, and both sizes follow from the plan before
-anything is drawn.  Without a workspace the run allocates them and its
-result owns the success rows its outcomes' completion arrays are views
-of.  With an :class:`EnsembleWorkspace` (sweeps keep one per thread)
+anything is drawn.  Without a workspace (or past its cap) the run maps
+them for itself, the stacks and the success rows in two private
+anonymous mappings of plain pages (``_mapped``), and its result keeps
+only the rows its outcomes' completion arrays are views of.  With an
+:class:`EnsembleWorkspace` (sweeps keep one per thread)
 both are carved out of the workspace's kept buffer, so steady-state
 runs map no new pages; the result's views then hold its numbers only
 until the workspace's next run, and measuring a result (or an outcome)
@@ -105,6 +114,7 @@ import numpy as np
 from repro.sim.executor import SimulationResult, validate_crash_times
 from repro.sim.kernels import (
     get_kernel,
+    pcg64_seed_states,
     resolve_flat,
     resolve_heap,
     success_capacity,
@@ -712,16 +722,14 @@ class EnsembleSimulator:
             for stack in stacks
             for k, index in enumerate(stack.indices)
         }
-        for index, member in enumerate(self.replicates if max_steps else ()):
+        members = self.replicates if max_steps else []
+        rngs = _replicate_rngs([member.rng for member in members])
+        for index, (member, rng) in enumerate(zip(members, rngs)):
             stack, k = slots[index]
             self._draw_schedule(
                 member.scheduler,
                 member.n_processes,
-                (
-                    member.rng
-                    if isinstance(member.rng, np.random.Generator)
-                    else np.random.default_rng(member.rng)
-                ),
+                rng,
                 plans[index][0],
                 stack.sched[stack.time_base[k] : stack.time_base[k + 1]],
                 int(stack.pid_base[k]),
@@ -825,10 +833,10 @@ class EnsembleSimulator:
         workspace = self._workspace
         buffer = None if workspace is None else workspace._claim(steps + slots)
         if buffer is None:
-            # Two allocations, so a result keeps only its success rows.
+            # A one-shot run maps its own memory: the stacks apart from
+            # the success rows, so that a result keeps only the rows.
             workspace = None
-            sched = np.empty(steps, dtype=np.int64)
-            succ = np.empty(slots, dtype=np.int64)
+            sched, succ = _mapped(steps), _mapped(slots)
         else:
             sched, succ = buffer[:steps], buffer[steps:]
         step = slot = 0
@@ -1039,6 +1047,41 @@ class EnsembleSimulator:
                 )
             np.add(pids, pid_base, out=out[offset : offset + length])
             offset += length
+
+
+def _replicate_rngs(seeds: List[RngLike]) -> Iterator[np.random.Generator]:
+    """Each replicate's generator, in replicate order.
+
+    A :class:`numpy.random.Generator` is its own.  Seeds that are an
+    ``int`` or a tuple of non-negative ``int`` (the sweeps' ``(seed, n,
+    r)``) get the PCG64 state ``np.random.default_rng(seed)`` would
+    start from, all in one compiled pass (:func:`pcg64_seed_states`),
+    each loaded in turn into one reused generator, which therefore
+    holds a replicate's stream only until the next one is yielded.  Any
+    other seed, and every seed on a host without the cc library, goes
+    through ``np.random.default_rng`` itself, and so does a lone
+    replicate's: for one seed, the pass and the reused generator cost
+    more than ``default_rng``.
+    """
+    states = pcg64_seed_states(seeds) if len(seeds) > 1 else None
+    if states is None:
+        states = [None] * len(seeds)
+    shared: Optional[np.random.Generator] = None
+    for seed, state in zip(seeds, states):
+        if isinstance(seed, np.random.Generator):
+            yield seed
+        elif state is None:
+            yield np.random.default_rng(seed)
+        else:
+            if shared is None:
+                shared = np.random.Generator(np.random.PCG64(0))
+            shared.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state[0], "inc": state[1]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield shared
 
 
 def _plan_segments(

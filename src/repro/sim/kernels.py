@@ -59,6 +59,24 @@ replicate schedules over ``pid_base[-1]`` processes;
 :func:`resolve_flat_stacked` and :func:`resolve_heap_stacked` are the
 same call spelled with the pid offset table.
 
+The cc library also draws the schedules the scan resolves.
+:func:`uniform_draw` is ``Generator.integers(n, size=size)`` for a
+``PCG64`` generator and ``2 <= n < 2**32``: it runs PCG64's 128-bit LCG
+step and XSL-RR output inline and applies numpy's Lemire bound to each
+32-bit half, two pids per 64-bit word, carrying a left-over half in
+``has_uint32``/``uinteger`` exactly as numpy does, so the pids and the
+generator's end state are numpy's bit for bit.
+:class:`~repro.core.scheduler.UniformStochasticScheduler` draws through
+it from a measured crossover size on.  :func:`pcg64_seed_states` is
+``np.random.default_rng(seed)`` for ``int`` and tuple-of-``int`` seeds,
+a run's replicates at once: SeedSequence's pool mixing and
+``generate_state``, then PCG64's seeding, in one C call.  Both entry
+points need the compiler's 128-bit integers; without them, or without
+the library, numpy draws and seeds as before.  They re-implement
+numpy's streams, so ``tests/property/test_scheduler_batch_properties.py``
+pins them to numpy itself: a numpy release that changes
+``Generator.integers`` or SeedSequence fails there loudly.
+
 Buffer ownership: every resolver returns the three success rows
 (columns, pids, attempt numbers) as int64 arrays of the same length.
 Without ``out=`` (taken by :func:`resolve_flat`, :func:`resolve_heap`
@@ -76,6 +94,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import heapq
+import itertools
 import os
 import shutil
 import subprocess
@@ -98,6 +117,8 @@ __all__ = [
     "success_capacity",
     "resolve_flat_stacked",
     "resolve_heap_stacked",
+    "uniform_draw",
+    "pcg64_seed_states",
 ]
 
 KERNEL_NAMES = ("auto", "numpy", "numba", "cc")
@@ -361,6 +382,138 @@ int64_t repro_scu_scan(const int64_t *sched, int64_t steps, int64_t n,
     }
     return wins;
 }
+
+#ifdef __SIZEOF_INT128__
+typedef __uint128_t repro_u128;
+
+#define REPRO_U128(hi, lo) (((repro_u128)(hi) << 64) | (repro_u128)(lo))
+#define REPRO_PCG_MULT REPRO_U128(0x2360ED051FC65DA4ULL, 0x4385DF649FCCF645ULL)
+
+/* numpy's PCG64: one LCG step of the 128-bit state, then the XSL-RR
+ * output of the new state. */
+static inline uint64_t repro_pcg64_next(repro_u128 *state, repro_u128 inc) {
+    repro_u128 s = *state * REPRO_PCG_MULT + inc;
+    *state = s;
+    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+/* size draws of Generator.integers(n) for 2 <= n < 2**32 from numpy's
+ * PCG64, written to out and bit-identical to numpy's stream.  numpy
+ * draws each value with Lemire's bounded 32-bit method over the bit
+ * generator's 32-bit outputs: the low half of a 64-bit word first, its
+ * high half kept (has_uint32, uinteger) for the next 32-bit request.
+ * A 32-bit value u is rejected iff the low word of u * n is below
+ * 2**32 mod n.  `words` is the generator's state, read and written
+ * back: state (high, low), inc (high, low), has_uint32, uinteger.
+ * Whole words give two draws at once; a word holding a rejection, and
+ * a carried half, go through the one-at-a-time path. */
+void repro_uniform_draw(uint64_t *words, uint64_t n, int64_t size,
+                        int64_t *out) {
+    repro_u128 state = REPRO_U128(words[0], words[1]);
+    repro_u128 inc = REPRO_U128(words[2], words[3]);
+    int has = words[4] != 0;
+    uint32_t carry = (uint32_t)words[5];
+    uint32_t threshold = (uint32_t)(-(uint32_t)n) % (uint32_t)n;
+    int64_t i = 0;
+    while (i < size) {
+        if (!has && size - i >= 2) {
+            uint64_t w = repro_pcg64_next(&state, inc);
+            uint64_t m0 = (w & 0xFFFFFFFFULL) * n;
+            uint64_t m1 = (w >> 32) * n;
+            carry = (uint32_t)(w >> 32);
+            if ((uint32_t)m0 >= threshold && (uint32_t)m1 >= threshold) {
+                out[i] = (int64_t)(m0 >> 32);
+                out[i + 1] = (int64_t)(m1 >> 32);
+                i += 2;
+                continue;
+            }
+            has = 1;
+            if ((uint32_t)m0 >= threshold)
+                out[i++] = (int64_t)(m0 >> 32);
+            continue;
+        }
+        uint32_t u;
+        if (has) {
+            u = carry;
+            has = 0;
+        } else {
+            uint64_t w = repro_pcg64_next(&state, inc);
+            u = (uint32_t)w;
+            carry = (uint32_t)(w >> 32);
+            has = 1;
+        }
+        uint64_t m = (uint64_t)u * n;
+        if ((uint32_t)m >= threshold)
+            out[i++] = (int64_t)(m >> 32);
+    }
+    words[0] = (uint64_t)(state >> 64);
+    words[1] = (uint64_t)state;
+    words[4] = (uint64_t)has;
+    words[5] = carry;
+}
+
+static inline uint32_t repro_hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t repro_mix(uint32_t x, uint32_t y) {
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ (result >> 16);
+}
+
+/* numpy's default_rng(seed) state for `count` seeds at once.  Seed r's
+ * SeedSequence entropy is the uint32 words entropy[bounds[r] ..
+ * bounds[r + 1]); its pool of four words is mixed as SeedSequence
+ * does, generate_state(4, uint64) is drawn from the pool, and PCG64 is
+ * seeded from those words (initstate, initseq) as pcg64_set_seed does.
+ * out receives state (high, low) and inc (high, low), four words per
+ * seed. */
+void repro_pcg64_seed(const uint32_t *entropy, const int64_t *bounds,
+                      int64_t count, uint64_t *out) {
+    for (int64_t r = 0; r < count; r++) {
+        const uint32_t *e = entropy + bounds[r];
+        int64_t len = bounds[r + 1] - bounds[r];
+        uint32_t pool[4];
+        uint32_t hash_const = 0x43b0d7e5u;
+        for (int i = 0; i < 4; i++)
+            pool[i] = repro_hashmix(i < len ? e[i] : 0u, &hash_const);
+        for (int src = 0; src < 4; src++)
+            for (int dst = 0; dst < 4; dst++)
+                if (src != dst)
+                    pool[dst] = repro_mix(pool[dst],
+                                          repro_hashmix(pool[src], &hash_const));
+        for (int64_t src = 4; src < len; src++)
+            for (int dst = 0; dst < 4; dst++)
+                pool[dst] = repro_mix(pool[dst],
+                                      repro_hashmix(e[src], &hash_const));
+        uint64_t seed[4];
+        uint32_t hash_b = 0x8b51f9ddu;
+        for (int i = 0; i < 8; i++) {
+            uint32_t value = pool[i % 4] ^ hash_b;
+            hash_b *= 0x58f38dedu;
+            value *= hash_b;
+            value ^= value >> 16;
+            if (i % 2 == 0)
+                seed[i / 2] = value;
+            else
+                seed[i / 2] |= (uint64_t)value << 32;
+        }
+        repro_u128 inc = (REPRO_U128(seed[2], seed[3]) << 1) | 1u;
+        repro_u128 state = inc + REPRO_U128(seed[0], seed[1]);
+        state = state * REPRO_PCG_MULT + inc;
+        uint64_t *o = out + 4 * r;
+        o[0] = (uint64_t)(state >> 64);
+        o[1] = (uint64_t)state;
+        o[2] = (uint64_t)(inc >> 64);
+        o[3] = (uint64_t)inc;
+    }
+}
+#endif
 """
 
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -429,6 +582,25 @@ def _build_cc_library() -> ctypes.CDLL:
         raise KernelUnavailable(f"cannot load {so_path}: {error}") from None
     library.repro_scu_scan.argtypes = [_I64] + [ctypes.c_int64] * 4 + [_I64] * 4
     library.repro_scu_scan.restype = ctypes.c_int64
+    # The PCG64 entry points need 128-bit integers; a compiler without
+    # them builds the scan alone, and draws and seeding stay with numpy.
+    if hasattr(library, "repro_uniform_draw"):
+        # Plain pointers: an ndpointer argument costs microseconds per
+        # call, as much as a few thousand draws.
+        library.repro_uniform_draw.argtypes = [
+            ctypes.POINTER(ctypes.c_uint64),
+            ctypes.c_uint64,
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_int64),
+        ]
+        library.repro_uniform_draw.restype = None
+        library.repro_pcg64_seed.argtypes = [
+            ctypes.POINTER(ctypes.c_uint32),
+            ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_int64,
+            ctypes.POINTER(ctypes.c_uint64),
+        ]
+        library.repro_pcg64_seed.restype = None
     return library
 
 
@@ -483,6 +655,8 @@ class CcKernel(_CompiledKernelBase):
     def __init__(self, library: Optional[ctypes.CDLL] = None) -> None:
         self._library = library if library is not None else _build_cc_library()
         self._scan_impl = self._library.repro_scu_scan
+        self._draw = getattr(self._library, "repro_uniform_draw", None)
+        self._seed = getattr(self._library, "repro_pcg64_seed", None)
 
 
 def _build_numba_scan() -> Any:
@@ -609,6 +783,139 @@ def kernel_diagnostics() -> Dict[str, str]:
             "available" if _try_backend(name) is not None else _FAILURES[name]
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# compiled PCG64 draw and seeding
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+#: ``repro_uniform_draw``'s state words: state and inc (high, low
+#: halves), ``has_uint32``, ``uinteger``.
+_StateWords = ctypes.c_uint64 * 6
+
+
+def _pcg64_entry(name: str) -> Optional[Any]:
+    """The cc library's ``_draw`` or ``_seed`` entry point, or ``None``
+    when the library cannot be loaded or was built without 128-bit
+    integers."""
+    kernel = _try_backend("cc")
+    return None if kernel is None else getattr(kernel, name)
+
+
+def uniform_draw(
+    rng: np.random.Generator, n: int, size: int
+) -> Optional[np.ndarray]:
+    """``rng.integers(n, size=size)`` drawn by the compiled PCG64 step.
+
+    The pids and the generator's end state (``has_uint32`` and
+    ``uinteger`` included) are bit-identical to numpy's.  Returns
+    ``None``, having consumed nothing, unless ``rng`` runs on exactly
+    ``np.random.PCG64``, ``2 <= n < 2**32``, ``size >= 1`` and the cc
+    library carries the draw.  The state goes in and out through the public
+    ``bit_generator.state`` getter and setter, under the bit generator's
+    lock as numpy's own draws are; each call has its own state words,
+    so concurrent calls on different generators are safe without the
+    GIL.
+    """
+    bit_generator = rng.bit_generator
+    if (
+        type(bit_generator) is not np.random.PCG64
+        or not 2 <= n < 1 << 32
+        or size < 1
+    ):
+        return None
+    draw = _pcg64_entry("_draw")
+    if draw is None:
+        return None
+    out = np.empty(size, dtype=np.int64)
+    with bit_generator.lock:
+        state = bit_generator.state
+        pcg = state["state"]
+        words = _StateWords(
+            pcg["state"] >> 64,
+            pcg["state"] & _MASK64,
+            pcg["inc"] >> 64,
+            pcg["inc"] & _MASK64,
+            state["has_uint32"],
+            state["uinteger"],
+        )
+        draw(words, n, size, ctypes.c_int64.from_buffer(out))
+        high, low, _, _, has_uint32, uinteger = words
+        pcg["state"] = (high << 64) | low
+        state["has_uint32"] = has_uint32
+        state["uinteger"] = uinteger
+        bit_generator.state = state
+    return out
+
+
+def _seed_words(seed: Any) -> Optional[List[int]]:
+    """SeedSequence's uint32 entropy words for an ``int`` or a tuple of
+    ``int`` seed (each non-negative, least significant word first), or
+    ``None`` for any other seed."""
+    if type(seed) is int:
+        values: Tuple[Any, ...] = (seed,)
+    elif type(seed) is tuple:
+        values = seed
+    else:
+        return None
+    words: List[int] = []
+    for value in values:
+        if type(value) is not int or value < 0:
+            return None
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    return words
+
+
+def pcg64_seed_states(
+    seeds: List[Any],
+) -> Optional[List[Optional[Tuple[int, int]]]]:
+    """``np.random.default_rng(seed)``'s PCG64 ``(state, inc)`` per seed.
+
+    All seeds go through one compiled pass.  Entries for seeds that are
+    not an ``int`` or a tuple of ``int`` (all non-negative) are
+    ``None``; so is the whole answer when the cc library does not carry
+    the seeder.  The pass computes SeedSequence's
+    pool mixing and ``generate_state(4, uint64)``, then PCG64's seeding
+    from those words; ``has_uint32`` and ``uinteger`` start at 0.
+    """
+    entropy = [_seed_words(seed) for seed in seeds]
+    known = [words for words in entropy if words is not None]
+    if not known:
+        return [None] * len(seeds)
+    seed_pass = _pcg64_entry("_seed")
+    if seed_pass is None:
+        return None
+    bounds = np.array(
+        list(itertools.accumulate(map(len, known), initial=0)), dtype=np.int64
+    )
+    # One spare word: an all-empty entropy still needs a buffer.
+    flat = np.array([*itertools.chain.from_iterable(known), 0], dtype=np.uint32)
+    out = np.empty(4 * len(known), dtype=np.uint64)
+    seed_pass(
+        ctypes.c_uint32.from_buffer(flat),
+        ctypes.c_int64.from_buffer(bounds),
+        len(known),
+        ctypes.c_uint64.from_buffer(out),
+    )
+    words_out = out.tolist()
+    states = (words_out[i : i + 4] for i in range(0, len(words_out), 4))
+    answer: List[Optional[Tuple[int, int]]] = []
+    for words in entropy:
+        if words is None:
+            answer.append(None)
+            continue
+        state_high, state_low, inc_high, inc_low = next(states)
+        answer.append(
+            ((state_high << 64) | state_low, (inc_high << 64) | inc_low)
+        )
+    return answer
 
 
 # ---------------------------------------------------------------------------

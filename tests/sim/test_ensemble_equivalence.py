@@ -26,6 +26,7 @@ from repro.algorithms.scu import (
 )
 from repro.core.latency import measure_latencies, measure_latencies_ensemble
 from repro.core.scheduler import (
+    _COMPILED_DRAW_MIN_SIZE,
     HardwareLikeScheduler,
     LotteryScheduler,
     SkewedStochasticScheduler,
@@ -103,15 +104,17 @@ def assert_replicate_matches_batched(
     steps,
     seed,
     resolver="auto",
+    serial=False,
 ):
-    reference = Simulator(
+    simulator = Simulator(
         factory_builder(),
         scheduler_builder(),
         n_processes=n,
         memory=memory_builder(),
         record_schedule=True,
         rng=seed,
-    ).run_batched(steps)
+    )
+    reference = simulator.run(steps) if serial else simulator.run_batched(steps)
     ensemble = EnsembleSimulator(
         [
             EnsembleReplicate(
@@ -193,6 +196,28 @@ def test_edge_sizes_bit_identical(kernel_name):
             n=n,
             steps=steps,
             seed=(n, steps),
+        )
+
+
+@pytest.mark.parametrize("kernel_name", ["counter", "scu21"])
+def test_draw_above_compiled_crossover_matches_serial(kernel_name):
+    # The serial engine draws one pid per step with numpy's scalar
+    # rng.integers and seeds with default_rng; the ensemble seeds its
+    # (seed, n, r)-style tuple in the compiled pass and draws this
+    # replicate's whole schedule in one select_batch call, past the
+    # size from which the compiled PCG64 draw serves it.
+    steps = 3 * _COMPILED_DRAW_MIN_SIZE + 5
+    kernel, factory_builder, memory_builder = KERNEL_CASES[kernel_name]
+    for n in (3, 8):
+        assert_replicate_matches_batched(
+            kernel,
+            factory_builder,
+            memory_builder,
+            UniformStochasticScheduler,
+            n=n,
+            steps=steps,
+            seed=(29, n, 2**40 + 3),
+            serial=True,
         )
 
 
