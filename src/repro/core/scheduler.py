@@ -37,6 +37,14 @@ consumed block (a process finishing or a stop condition firing mid-block)
 and replay exactly the consumed prefix, keeping batched runs
 trace-equivalent to step-by-step runs.
 
+A scheduler whose choice depends on the pending operations takes an
+``observe_pending(pending)`` hook and must then also provide
+``select_from_uniform(active, u)``: the pick ``select`` makes when its one
+``rng.random()`` returns ``u``.  The batched executor draws a block of
+uniforms and calls the hook and ``select_from_uniform`` once per step;
+:class:`~repro.sim.executor.Simulator` refuses such a scheduler without
+the second method.
+
 Schedulers provided:
 
 * :class:`UniformStochasticScheduler` — ``gamma_i = 1/|A_tau|``; the model
@@ -771,16 +779,20 @@ class ContentionScheduler(Scheduler):
     :meth:`select`.  That split is what keeps the batched contract
     trivially true: for a fixed active set and a fixed contending set,
     :meth:`select_batch` consumes the identical RNG stream as sequential
-    :meth:`select` calls.  Both engines fire the hook before every step
-    and then call :meth:`select` once; ``run_batched`` keeps its blocks
-    (the active set is fixed within one) but draws nothing ahead.
+    :meth:`select` calls.  Both engines fire the hook before every step.
+    The serial engine then calls :meth:`select`; ``run_batched`` draws
+    one block of uniforms up front (its active set is fixed within a
+    block) and calls :meth:`select_from_uniform` on each step's uniform.
 
-    :meth:`select` inverts the same cdf ``Generator.choice(p=...)`` would
-    build (``probs.cumsum()``, then divided by its last entry) with one
-    ``rng.random()`` and a bisection, so it is draw-for-draw identical
-    to ``choice`` at a fraction of the cost.  The cdfs are cached per
-    (active set, contending set), at most ``_CDF_CACHE_LIMIT`` of them,
-    oldest dropped first.
+    :meth:`select` is ``select_from_uniform(active, rng.random())``: it
+    inverts the same cdf ``Generator.choice(p=...)`` would build
+    (``probs.cumsum()``, then divided by its last entry) with one uniform
+    and a bisection, so it is draw-for-draw identical to ``choice`` at a
+    fraction of the cost.  The contending set is kept as an int bitmask
+    (bit ``pid`` set iff ``pid`` contends); the cdfs are cached per
+    (active set, bitmask), at most ``_CDF_CACHE_LIMIT`` of them, oldest
+    dropped first.  :meth:`state_snapshot` still hands out the
+    contending set as a frozenset of pids.
 
     The scheduler remains stochastic: every active process keeps share at
     least ``theta = 1 / (1 + focus * (n - 1))``.  Crash containment is
@@ -793,7 +805,7 @@ class ContentionScheduler(Scheduler):
         if focus < 1.0:
             raise ValueError("focus must be >= 1 (1.0 degenerates to uniform)")
         self.focus = float(focus)
-        self._contending: frozenset = frozenset()
+        self._mask = 0
         self._cdfs: Dict[tuple, List[float]] = {}
 
     def observe_pending(self, pending: Mapping[int, Optional[str]]) -> None:
@@ -804,26 +816,30 @@ class ContentionScheduler(Scheduler):
         other process form the contending set until the next observation.
         """
         first: Dict[str, int] = {}
-        contending = set()
+        mask = 0
         for pid, register in pending.items():
             if register is not None:
                 holder = first.setdefault(register, pid)
                 if holder != pid:
-                    contending.add(holder)
-                    contending.add(pid)
-        self._contending = frozenset(contending)
+                    mask |= (1 << holder) | (1 << pid)
+        self._mask = mask
 
     def _probabilities(self, active: Sequence[int]) -> np.ndarray:
+        mask = self._mask
         weights = np.array(
-            [self.focus if pid in self._contending else 1.0 for pid in active]
+            [self.focus if mask >> pid & 1 else 1.0 for pid in active]
         )
         return weights / weights.sum()
 
-    def select(
-        self, time: int, active: Sequence[int], rng: np.random.Generator
-    ) -> int:
+    def select_from_uniform(self, active: Sequence[int], u: float) -> int:
+        """The pick :meth:`select` makes when ``rng.random()`` returns ``u``.
+
+        The batched engine draws a block of uniforms at once and feeds
+        them here one step at a time, after each step's
+        :meth:`observe_pending`.
+        """
         cdfs = self._cdfs
-        key = (tuple(active), self._contending)
+        key = (tuple(active), self._mask)
         cdf = cdfs.get(key)
         if cdf is None:
             cdf = self._probabilities(active).cumsum()
@@ -832,7 +848,12 @@ class ContentionScheduler(Scheduler):
             if len(cdfs) >= _CDF_CACHE_LIMIT:
                 del cdfs[next(iter(cdfs))]
             cdfs[key] = cdf
-        return int(active[bisect_right(cdf, rng.random())])
+        return int(active[bisect_right(cdf, u)])
+
+    def select(
+        self, time: int, active: Sequence[int], rng: np.random.Generator
+    ) -> int:
+        return self.select_from_uniform(active, rng.random())
 
     def select_batch(
         self,
@@ -853,11 +874,17 @@ class ContentionScheduler(Scheduler):
         probs = self._probabilities(active)
         return {pid: float(p) for pid, p in zip(active, probs)}
 
-    def state_snapshot(self):
-        return self._contending
+    def state_snapshot(self) -> frozenset:
+        mask = self._mask
+        return frozenset(
+            pid for pid in range(mask.bit_length()) if mask >> pid & 1
+        )
 
     def state_restore(self, snapshot) -> None:
-        self._contending = snapshot
+        mask = 0
+        for pid in snapshot:
+            mask |= 1 << pid
+        self._mask = mask
 
     def threshold(self, n_processes: int) -> float:
         return 1.0 / (1.0 + self.focus * (n_processes - 1))

@@ -145,8 +145,9 @@ def measure_departure_point(
     reproducible independently of which curve it belongs to.  ``batched``
     selects the fast engine, bit-identical to serial for every scheduler:
     contention schedulers run its block loop with the ``observe_pending``
-    hook and one ``select`` per step, so both engines consume the same
-    draws and leave the RNG and scheduler in the same state.
+    hook once per step and pick with ``select_from_uniform`` from a block
+    of uniforms drawn at once, so both engines consume the same draws and
+    leave the RNG and scheduler in the same state.
     """
     if steps < 1:
         raise ValueError("steps must be positive")

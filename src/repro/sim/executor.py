@@ -205,9 +205,22 @@ class Simulator:
         self._primed = False
         # Contention hook (ContentionScheduler): when the scheduler wants
         # to see which registers the pending operations target, it is fed
-        # before every scheduling decision, on both engines (run_batched
-        # then asks the scheduler once per step instead of once per block).
+        # before every scheduling decision, on both engines.  run_batched
+        # then draws the block's uniforms at once and picks per step
+        # through select_from_uniform, so the hook requires that method.
         self._observe_pending = getattr(scheduler, "observe_pending", None)
+        self._select_from_uniform = getattr(
+            scheduler, "select_from_uniform", None
+        )
+        if (
+            self._observe_pending is not None
+            and self._select_from_uniform is None
+        ):
+            raise TypeError(
+                f"{type(scheduler).__name__} has observe_pending but no "
+                "select_from_uniform(active, u); a scheduler fed the "
+                "pending operations must pick from a given uniform"
+            )
         self.telemetry = telemetry
         self._crashes_fired = 0
         # Target of the single reusable marker callback; set just before
@@ -427,19 +440,26 @@ class Simulator:
 
         Blocks never span a crash time, so the active set handed to
         ``select_batch`` is exact.  When a block is cut short — a process
-        finished its (finite) workload or a stop condition fired — the RNG
-        and scheduler state are rewound and only the consumed prefix is
-        replayed, keeping the stream aligned with the serial path.
+        finished its (finite) workload, a stop condition fired, a step
+        raised or the scheduler picked an inactive pid — the RNG and
+        scheduler state are rewound and only the selects the serial path
+        made are replayed, keeping the stream aligned with it.
 
         Schedulers with an ``observe_pending`` hook (contention
         schedulers) must see the pending operations before every single
         decision, so they run through the same blocks and the same inline
-        dispatch but are asked once per step: the hook fires on a
-        pid -> register map of the block's active set (one map per block,
-        only the stepped pid's entry refreshed after a step, so a hook
-        must read it, not keep it), then ``select`` picks.
-        Nothing is drawn ahead, so no block needs a rewind, and the RNG,
-        scheduler and clock end exactly where :meth:`run` leaves them.
+        dispatch but are asked once per step.  The block's uniforms are
+        drawn up front with one ``rng.random(block)``, which yields the
+        values and end state of ``block`` scalar ``rng.random()`` calls.
+        Each step the hook fires on a pid -> register map of the block's
+        active set (one map per block, only the stepped pid's entry
+        refreshed after a step, so a hook must read it, not keep it), then
+        ``select_from_uniform`` picks from that step's uniform, as
+        ``select`` would from its one draw.  A block cut short rewinds the
+        RNG and replays one uniform per pick made, even when a step
+        raised; the scheduler needs no rewind, since its last observation
+        was of its last pick.  The RNG, scheduler and clock end exactly
+        where :meth:`run` leaves them.
 
         Parameters are those of :meth:`run`, plus ``batch_size``: the
         maximum number of steps per block (scheduler choices drawn at
@@ -476,7 +496,7 @@ class Simulator:
 
         observe = self._observe_pending
         observed = observe is not None
-        select = scheduler.select
+        select_from_uniform = self._select_from_uniform
         select_batch = getattr(scheduler, "select_batch", None)
         snapshot_state = getattr(scheduler, "state_snapshot", None)
         restore_state = getattr(scheduler, "state_restore", None)
@@ -534,8 +554,8 @@ class Simulator:
                 if boundary > next_t:
                     block = min(block, boundary - next_t)
                     break
+            rng_state = bit_generator.state
             if not observed:
-                rng_state = bit_generator.state
                 scheduler_state = (
                     snapshot_state() if snapshot_state is not None else None
                 )
@@ -549,8 +569,10 @@ class Simulator:
                 invalid_at = -1 if valid.all() else int(np.argmax(~valid))
                 picks = (pids if invalid_at < 0 else pids[:invalid_at]).tolist()
             else:
-                # Observed scheduler: one hook + select per step below.
-                # The register map's keys are the block's active set.
+                # Observed scheduler: one hook + select_from_uniform per
+                # step below.  The register map's keys are the block's
+                # active set.
+                uniforms = rng.random(block).tolist()
                 invalid_at = -1
                 registers = {
                     pid: getattr(pendings[pid], "register", None)
@@ -558,8 +580,9 @@ class Simulator:
                 }
                 picks = []
             executed = 0
+            rejected = 0
             try:
-                for pid in range(block) if observed else picks:
+                for pick in uniforms if observed else picks:
                     if check_stops and executed:
                         if (
                             stop_after_completions is not None
@@ -577,10 +600,12 @@ class Simulator:
                                 pendings[last], "register", None
                             )
                         observe(registers)
-                        pid = select(time + 1, active, rng)
+                        pid = select_from_uniform(active, pick)
+                        picks.append(pid)
                         if pid not in registers:
                             raise _inactive_selection(pid, time + 1, active)
-                        picks.append(pid)
+                    else:
+                        pid = pick
                     time += 1
                     executed += 1
                     # Inlined Process.take_step + refill, with markers
@@ -642,6 +667,9 @@ class Simulator:
                         ):
                             stopped_early = True
                         else:
+                            # The serial path drew this pick before
+                            # refusing it.
+                            rejected = 1
                             raise _inactive_selection(
                                 int(pids[invalid_at]), time + 1, active
                             )
@@ -652,7 +680,7 @@ class Simulator:
                 recorder.total_steps += executed
                 if executed:
                     stepped = (
-                        np.array(picks, dtype=np.int64)
+                        np.array(picks[:executed], dtype=np.int64)
                         if observed
                         else pids[:executed]
                     )
@@ -664,17 +692,26 @@ class Simulator:
                     if schedule is not None:
                         schedule.extend(stepped)
                 self.time = time
+                # The block was cut short (a stop, a raising step or an
+                # inactive pick): rewind and replay exactly the selects
+                # the serial path made, so the RNG and scheduler state
+                # end up where the step-by-step path leaves them.
+                consumed = len(picks) if observed else executed + rejected
+                if consumed < block:
+                    bit_generator.state = rng_state
+                    if observed:
+                        # Only the uniforms were drawn ahead; the
+                        # scheduler's state is already that of its last
+                        # observation.
+                        if consumed:
+                            rng.random(consumed)
+                    else:
+                        if restore_state is not None:
+                            restore_state(scheduler_state)
+                        if consumed:
+                            select_batch(next_t, active, rng, consumed)
             if executed:
                 blocks_executed += 1
-            if executed < block and not observed:
-                # The block was cut short: rewind RNG and scheduler state,
-                # then replay exactly the consumed prefix so both end up
-                # where the step-by-step path would be.
-                bit_generator.state = rng_state
-                if restore_state is not None:
-                    restore_state(scheduler_state)
-                if executed:
-                    select_batch(next_t, active, rng, executed)
             if stopped_early:
                 break
         if not stopped_early:

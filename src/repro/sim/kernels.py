@@ -170,10 +170,11 @@ def _success_rows(
         or out.shape[0] != 3
         or out.shape[1] < capacity
         or out.strides[1] != out.itemsize
+        or not out.flags.writeable
     ):
         raise ValueError(
-            f"out must be a (3, >= {capacity}) int64 array with contiguous "
-            f"rows for {steps} steps of SCU({q}, {s}), got "
+            f"out must be a writable (3, >= {capacity}) int64 array with "
+            f"contiguous rows for {steps} steps of SCU({q}, {s}), got "
             f"{getattr(out, 'shape', None)} {getattr(out, 'dtype', type(out))}"
         )
     return out
@@ -516,9 +517,6 @@ void repro_pcg64_seed(const uint32_t *entropy, const int64_t *bounds,
 #endif
 """
 
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-
-
 def _kernel_cache_dir() -> str:
     configured = os.environ.get("REPRO_KERNEL_CACHE")
     if configured:
@@ -580,13 +578,15 @@ def _build_cc_library() -> ctypes.CDLL:
         library = ctypes.CDLL(so_path)
     except OSError as error:
         raise KernelUnavailable(f"cannot load {so_path}: {error}") from None
-    library.repro_scu_scan.argtypes = [_I64] + [ctypes.c_int64] * 4 + [_I64] * 4
+    # Plain pointers on every entry point: an ndpointer argument costs
+    # microseconds of conversion per call, as much as a few thousand
+    # draws.  The callers vouch for dtype and contiguity instead.
+    _i64p = ctypes.POINTER(ctypes.c_int64)
+    library.repro_scu_scan.argtypes = [_i64p] + [ctypes.c_int64] * 4 + [_i64p] * 4
     library.repro_scu_scan.restype = ctypes.c_int64
     # The PCG64 entry points need 128-bit integers; a compiler without
     # them builds the scan alone, and draws and seeding stay with numpy.
     if hasattr(library, "repro_uniform_draw"):
-        # Plain pointers: an ndpointer argument costs microseconds per
-        # call, as much as a few thousand draws.
         library.repro_uniform_draw.argtypes = [
             ctypes.POINTER(ctypes.c_uint64),
             ctypes.c_uint64,
@@ -633,7 +633,9 @@ class _CompiledKernelBase:
     ) -> Resolution:
         if q < 0 or s < 0:
             raise ValueError(f"the scan needs q >= 0 and s >= 0, got q={q}, s={s}")
-        sched = np.ascontiguousarray(sched, dtype=np.int64)
+        # Writable too: the compiled scan takes a pointer only from a
+        # writable buffer (it never writes the schedule).
+        sched = np.require(sched, np.int64, "CW")
         steps = int(sched.shape[0])
         succ = _success_rows(out, steps, q, s)
         state = np.empty((n, 4), dtype=np.int64)
@@ -647,6 +649,12 @@ class _CompiledKernelBase:
         return succ_cols, succ_pids, succ_seqs, seq, q + counts - next_read, counts
 
 
+def _pointer(array: np.ndarray) -> Optional[Any]:
+    """A ``c_int64`` view of a writable int64 array's first element, or
+    ``None`` (a null pointer) when it is empty and nothing is read."""
+    return ctypes.c_int64.from_buffer(array) if array.size else None
+
+
 class CcKernel(_CompiledKernelBase):
     """The scan in C, built with the system compiler, via ctypes."""
 
@@ -654,9 +662,37 @@ class CcKernel(_CompiledKernelBase):
 
     def __init__(self, library: Optional[ctypes.CDLL] = None) -> None:
         self._library = library if library is not None else _build_cc_library()
-        self._scan_impl = self._library.repro_scu_scan
+        self._scan = self._library.repro_scu_scan
         self._draw = getattr(self._library, "repro_uniform_draw", None)
         self._seed = getattr(self._library, "repro_pcg64_seed", None)
+
+    def _scan_impl(
+        self,
+        sched: np.ndarray,
+        steps: int,
+        n: int,
+        q: int,
+        s: int,
+        state: np.ndarray,
+        *succ: np.ndarray,
+    ) -> int:
+        """``repro_scu_scan`` on plain pointers into the arrays.
+
+        :meth:`resolve_heap` builds every argument C-contiguous, writable
+        int64: ``sched`` by ``np.require``, ``state`` by ``np.empty`` and
+        the success rows by :func:`_success_rows`, which raises
+        ``ValueError`` on any other ``out``; nothing is checked again
+        here.
+        """
+        return self._scan(
+            _pointer(sched),
+            steps,
+            n,
+            q,
+            s,
+            _pointer(state),
+            *map(_pointer, succ),
+        )
 
 
 def _build_numba_scan() -> Any:

@@ -20,6 +20,16 @@ Operation results:
                        preamble memory traffic that does not touch the
                        analysed registers)
 =====================  =======================================================
+
+Operations are values: two compare equal when their class and fields do.
+They are immutable by convention only.  Every simulated step builds one,
+so they are ``@dataclass(slots=True)`` rather than frozen: a frozen
+dataclass's ``__init__`` pays one ``object.__setattr__`` per field, and
+constructing a ``Read`` took 400-515 ns frozen against 200 ns slotted,
+a ``CAS`` 750-795 ns against 220 ns (CPython 3.11, Xeon).  The price is
+that an operation is unhashable and nothing stops a caller from
+assigning to a field; the simulator neither hashes nor mutates one, and
+algorithms must not either.
 """
 
 from __future__ import annotations
@@ -28,26 +38,26 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Operation:
     """Base class for all shared-memory operations."""
 
     register: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Read(Operation):
     """Atomic read of a register."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Write(Operation):
     """Atomic write of ``value`` to a register."""
 
     value: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CAS(Operation):
     """Classic compare-and-swap: succeed iff the register holds ``expected``.
 
@@ -60,7 +70,7 @@ class CAS(Operation):
     new: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadModifyWrite(Operation):
     """General atomic read-modify-write: ``register <- update(old)``.
 
@@ -72,14 +82,14 @@ class ReadModifyWrite(Operation):
     update: Callable[[Any], Any] = lambda old: old
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FetchAndIncrement(Operation):
     """Atomic fetch-and-increment; returns the previous value."""
 
     amount: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Nop(Operation):
     """A step that performs no semantic update.
 

@@ -15,6 +15,11 @@ process's step is applied, its generator is resumed (consuming any markers
 at the current time) until it produces the next operation.  This pins
 completion events to the exact time step of the operation that caused them
 — a successful CAS completes the method call at the CAS's own step.
+
+Markers, like operations, are ``@dataclass(slots=True)`` values: equal
+by value, unhashable, and immutable by convention only.  Every method
+call builds two of them, and a frozen dataclass would pay one
+``object.__setattr__`` per field to build each (see :mod:`repro.sim.ops`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Any, Callable, Generator, Optional, Union
 from repro.sim.ops import Operation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Invoke:
     """Zero-cost marker: a method call begins.
 
@@ -38,7 +43,7 @@ class Invoke:
     argument: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Completion:
     """Zero-cost marker: the current method call returns ``result``."""
 

@@ -168,10 +168,11 @@ class TestExecutorContentionHook:
     def test_run_batched_leaves_rng_and_scheduler_state_where_run_does(
         self, name
     ):
-        """Under run_batched a contention scheduler is observed and asked
-        once per step, nothing drawn ahead, so both calls leave the RNG
-        stream, the scheduler's contending set and the clock in the same
-        place — and can interleave."""
+        """Under run_batched a contention scheduler is observed once per
+        step and picks from a block of uniforms drawn at once, rewound
+        to the consumed prefix when the block is cut short, so both
+        calls leave the RNG stream, the scheduler's contending set and
+        the clock in the same place — and can interleave."""
         workload = get_workload(name)
         ends = []
         for batched in (False, True):

@@ -1,14 +1,17 @@
 """Property tests: the contention adversary on the batched engine.
 
 ``ContentionScheduler`` is observed before every decision, so
-``Simulator.run_batched`` asks it once per step (hook, then ``select``)
-inside its usual crash-bounded blocks instead of drawing a block ahead.
-Two contracts keep that bit-identical to the step-by-step engine:
+``Simulator.run_batched`` fires its hook once per step inside its usual
+crash-bounded blocks.  It draws each block's uniforms at once
+(``rng.random(block)``) and picks per step with
+``select_from_uniform(active, u)``; a block cut short rewinds the RNG
+and replays only the consumed prefix.  Two contracts keep that
+bit-identical to the step-by-step engine:
 
 * ``select`` (one ``rng.random()`` bisected into a cached cdf) equals
   ``Generator.choice(p=...)`` draw for draw and leaves the same RNG
-  state — the serial and batched engines both call ``select``, so only
-  this oracle can catch a wrong draw;
+  state — ``select`` is ``select_from_uniform`` on one scalar draw, so
+  this oracle covers the pick both engines make;
 * ``run_batched`` equals ``run`` on everything observable, with crashes
   (contending pids included), stop conditions, finite workloads that end
   mid-block, any block size, ``run``/``run_batched`` interleaved, and

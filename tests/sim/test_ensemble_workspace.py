@@ -208,11 +208,14 @@ def test_out_too_small_or_mistyped_raises(backend_name):
     )
     sched = np.zeros(10, dtype=np.int64)
     capacity = success_capacity(10, 0, 1)
+    read_only = np.empty((3, capacity), np.int64)
+    read_only.flags.writeable = False
     for out in [
         np.empty((3, capacity - 1), np.int64),
         np.empty((3, capacity), np.int32),
         np.empty((2, capacity), np.int64),
         np.empty((capacity, 3), np.int64).T,
+        read_only,
     ]:
         with pytest.raises(ValueError, match="out must be"):
             resolve_heap(sched, 1, 0, 1, kernel, out=out)

@@ -70,11 +70,18 @@ def test_backend_matches_numpy_oracle(backend_name, q, s):
 def test_backend_edge_cases(backend_name):
     backend = compiled_backend(backend_name)
     empty = np.empty(0, dtype=np.int64)
-    # No steps at all; a schedule too short for any attempt; one process.
+    read_only = random_schedule(np.random.default_rng(5), 4, 300)
+    read_only.flags.writeable = False
+    strided = random_schedule(np.random.default_rng(6), 4, 600)[::2]
+    # No steps at all; a schedule too short for any attempt; one process;
+    # a read-only schedule and a strided one, which the compiled scan
+    # must not take a pointer into as they are.
     for sched, n in [
         (empty, 3),
         (np.zeros(1, dtype=np.int64), 2),
         (np.zeros(50, dtype=np.int64), 1),
+        (read_only, 4),
+        (strided, 4),
     ]:
         assert_resolution_equal(
             resolve_flat(sched, n, 1, ORACLE), resolve_flat(sched, n, 1, backend)
