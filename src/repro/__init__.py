@@ -27,28 +27,34 @@ Quickstart::
     print(m.system_latency, spec.predicted_system_latency(16))
 """
 
-from repro.core import (
-    SCU,
-    AdversarialScheduler,
-    DistributionScheduler,
-    HardwareLikeScheduler,
-    LatencyMeasurement,
-    LotteryScheduler,
-    Scheduler,
-    SkewedStochasticScheduler,
-    UniformStochasticScheduler,
-    measure_latencies,
-    measure_latencies_ensemble,
-    progress_report,
-)
-from repro.sim import (
-    EnsembleReplicate,
-    EnsembleResult,
-    EnsembleSimulator,
-    Memory,
-    SimulationResult,
-    Simulator,
-)
+from repro._lazy import lazy_exports
+
+#: Where each name in ``__all__`` is defined; imported on first use.
+_EXPORTS = {
+    "repro.core.latency": (
+        "LatencyMeasurement",
+        "measure_latencies",
+        "measure_latencies_ensemble",
+    ),
+    "repro.core.progress": ("progress_report",),
+    "repro.core.scheduler": (
+        "AdversarialScheduler",
+        "DistributionScheduler",
+        "HardwareLikeScheduler",
+        "LotteryScheduler",
+        "Scheduler",
+        "SkewedStochasticScheduler",
+        "UniformStochasticScheduler",
+    ),
+    "repro.core.scu": ("SCU",),
+    "repro.sim.ensemble": (
+        "EnsembleReplicate",
+        "EnsembleResult",
+        "EnsembleSimulator",
+    ),
+    "repro.sim.executor": ("SimulationResult", "Simulator"),
+    "repro.sim.memory": ("Memory",),
+}
 
 __version__ = "1.0.0"
 
@@ -73,3 +79,5 @@ __all__ = [
     "measure_latencies_ensemble",
     "progress_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,55 +15,63 @@ chain, a collapsed *system* chain, and the lifting map between them:
   chain over subset sizes, and the ``Z``-recurrence return times.
 """
 
-from repro.chains.counter import (
-    counter_global_chain,
-    counter_global_chain_enumerated,
-    counter_individual_chain,
-    counter_individual_latency_exact,
-    counter_lifting,
-    counter_lifting_map,
-    counter_system_latency_exact,
-)
-from repro.chains.parallel import (
-    parallel_individual_chain,
-    parallel_lifting,
-    parallel_lifting_map,
-    parallel_individual_latency_exact,
-    parallel_system_chain,
-    parallel_system_latency_exact,
-)
-from repro.chains.observe import scu_extended_state, scu_system_state
-from repro.chains.scu import (
-    CCAS,
-    OLD_CAS,
-    READ,
-    clear_exact_chain_caches,
-    scu_full_individual_chain,
-    scu_full_individual_latency_exact,
-    scu_full_lifting,
-    scu_full_system_chain,
-    scu_full_system_latency_exact,
-    scu_individual_chain,
-    scu_individual_latency_exact,
-    scu_lifting,
-    scu_lifting_map,
-    scu_stationary_profile,
-    scu_system_chain,
-    scu_system_chain_enumerated,
-    scu_system_latency_exact,
-)
-from repro.chains.gaps import (
-    counter_gap_mean,
-    counter_gap_pmf,
-    counter_gap_quantile,
-    scu_gap_mean,
-    scu_gap_pmf,
-    scu_gap_quantile,
-)
-from repro.chains.weighted import (
-    counter_weighted_latencies,
-    scu_weighted_latencies,
-)
+from repro._lazy import lazy_exports
+
+#: Where each name in ``__all__`` is defined; imported on first use.
+_EXPORTS = {
+    "repro.chains.counter": (
+        "counter_global_chain",
+        "counter_global_chain_enumerated",
+        "counter_individual_chain",
+        "counter_individual_latency_exact",
+        "counter_lifting",
+        "counter_lifting_map",
+        "counter_system_latency_exact",
+    ),
+    "repro.chains.parallel": (
+        "parallel_individual_chain",
+        "parallel_lifting",
+        "parallel_lifting_map",
+        "parallel_individual_latency_exact",
+        "parallel_system_chain",
+        "parallel_system_latency_exact",
+    ),
+    "repro.chains.observe": (
+        "scu_extended_state",
+        "scu_system_state",
+    ),
+    "repro.chains.scu": (
+        "CCAS",
+        "OLD_CAS",
+        "READ",
+        "clear_exact_chain_caches",
+        "scu_full_individual_chain",
+        "scu_full_individual_latency_exact",
+        "scu_full_lifting",
+        "scu_full_system_chain",
+        "scu_full_system_latency_exact",
+        "scu_individual_chain",
+        "scu_individual_latency_exact",
+        "scu_lifting",
+        "scu_lifting_map",
+        "scu_stationary_profile",
+        "scu_system_chain",
+        "scu_system_chain_enumerated",
+        "scu_system_latency_exact",
+    ),
+    "repro.chains.gaps": (
+        "counter_gap_mean",
+        "counter_gap_pmf",
+        "counter_gap_quantile",
+        "scu_gap_mean",
+        "scu_gap_pmf",
+        "scu_gap_quantile",
+    ),
+    "repro.chains.weighted": (
+        "counter_weighted_latencies",
+        "scu_weighted_latencies",
+    ),
+}
 
 __all__ = [
     "CCAS",
@@ -107,3 +115,5 @@ __all__ = [
     "scu_system_state",
     "scu_weighted_latencies",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -664,7 +664,7 @@ def latency_sweep(
     validate_burn_in(burn_in, steps)
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    from repro.sim.kernels import KERNEL_NAMES
+    from repro.sim.kernels import KERNEL_NAMES, get_kernel
 
     if engine_kernel not in KERNEL_NAMES:
         raise ValueError(
@@ -744,6 +744,11 @@ def latency_sweep(
 
     try:
         if max_workers > 1 and run_replicates > 1:
+            if engine == "ensemble":
+                # Load the kernel here, so forked workers inherit it
+                # instead of each loading it again, and an unavailable
+                # one fails here rather than in every retry of a worker.
+                get_kernel(engine_kernel)
             tasks = missing()
             _run_pooled(
                 tasks,

@@ -11,37 +11,57 @@ counter chains) live in :mod:`repro.chains` and are built on top of this
 package.
 """
 
-from repro.markov.chain import MarkovChain
-from repro.markov.hitting import (
-    expected_hitting_times,
-    expected_return_time,
-    fundamental_matrix,
-    return_times_from_stationary,
-)
-from repro.markov.lifting import (
-    Lifting,
-    collapse_chain,
-    collapse_distribution,
-    ergodic_flow_matrix,
-    verify_lifting,
-)
-from repro.markov.mixing import distance_to_stationary, mixing_time
-from repro.markov.phasetype import (
-    phase_type_mean,
-    phase_type_pmf,
-    phase_type_quantile,
-    phase_type_survival,
-)
-from repro.markov.properties import (
-    communicating_classes,
-    is_aperiodic,
-    is_ergodic,
-    is_irreducible,
-    period,
-)
-from repro.markov.spectral import relaxation_time, slem, spectral_gap
-from repro.markov.sampling import empirical_distribution, sample_path, sample_steps
-from repro.markov.stationary import stationary_distribution
+from repro._lazy import lazy_exports
+
+#: Where each name in ``__all__`` is defined; imported on first use.
+_EXPORTS = {
+    "repro.markov.chain": (
+        "MarkovChain",
+    ),
+    "repro.markov.hitting": (
+        "expected_hitting_times",
+        "expected_return_time",
+        "fundamental_matrix",
+        "return_times_from_stationary",
+    ),
+    "repro.markov.lifting": (
+        "Lifting",
+        "collapse_chain",
+        "collapse_distribution",
+        "ergodic_flow_matrix",
+        "verify_lifting",
+    ),
+    "repro.markov.mixing": (
+        "distance_to_stationary",
+        "mixing_time",
+    ),
+    "repro.markov.phasetype": (
+        "phase_type_mean",
+        "phase_type_pmf",
+        "phase_type_quantile",
+        "phase_type_survival",
+    ),
+    "repro.markov.properties": (
+        "communicating_classes",
+        "is_aperiodic",
+        "is_ergodic",
+        "is_irreducible",
+        "period",
+    ),
+    "repro.markov.spectral": (
+        "relaxation_time",
+        "slem",
+        "spectral_gap",
+    ),
+    "repro.markov.sampling": (
+        "empirical_distribution",
+        "sample_path",
+        "sample_steps",
+    ),
+    "repro.markov.stationary": (
+        "stationary_distribution",
+    ),
+}
 
 __all__ = [
     "MarkovChain",
@@ -73,3 +93,5 @@ __all__ = [
     "stationary_distribution",
     "verify_lifting",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.stats
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -38,7 +37,9 @@ def chi_square_uniformity(counts: np.ndarray) -> Tuple[float, float]:
         raise ValueError("counts must be a 1-D array with >= 2 categories")
     if counts.sum() <= 0:
         raise ValueError("counts must not be all zero")
-    statistic, p_value = scipy.stats.chisquare(counts)
+    from scipy.stats import chisquare
+
+    statistic, p_value = chisquare(counts)
     return float(statistic), float(p_value)
 
 

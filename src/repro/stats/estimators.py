@@ -7,7 +7,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.stats
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,13 @@ def _t_crit(confidence: float, df: int) -> float:
     """The two-sided Student-t critical value for ``df`` degrees of
     freedom.  Sweeps ask for the same few ``(confidence, df)`` pairs
     over and over (three estimates per point, one df per replicate
-    count), and ``scipy.stats.t.ppf`` costs tens of microseconds a call,
-    so the values are cached."""
-    return float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df))
+    count), and each quantile costs tens of microseconds, so the values
+    are cached.  ``scipy.stats.t.ppf(q, df)`` is ``stdtrit(df, q)``;
+    calling ``scipy.special`` directly keeps ``scipy.stats``, which
+    takes most of a second to import, off every sweep's path."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.5 + confidence / 2.0))
 
 
 def mean_confidence_interval(
@@ -49,6 +52,8 @@ def mean_confidence_interval(
     data = np.asarray(samples, dtype=float)
     if data.size < 2:
         raise ValueError("need at least two samples")
+    import scipy.stats
+
     mean = float(data.mean())
     sem = float(scipy.stats.sem(data))
     t_crit = _t_crit(confidence, data.size - 1)

@@ -269,6 +269,46 @@ class TestPooledSweep:
         )
         assert resumed == reference
 
+    def test_parent_loads_the_kernel_before_the_pool_forks(self, monkeypatch):
+        # Forked workers inherit the parent's loaded kernels; the
+        # parent's own table is the only one this process can see.
+        from repro.sim import kernels
+
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        monkeypatch.setattr(kernels, "_FAILURES", {})
+        kwargs = dict(self.KWARGS, engine="ensemble", engine_kernel="numpy")
+        pooled = latency_sweep(
+            cas_counter, make_counter_memory, [2, 4], max_workers=2, **kwargs
+        )
+        assert "numpy" in kernels._KERNELS
+        assert pooled == latency_sweep(
+            cas_counter, make_counter_memory, [2, 4], **kwargs
+        )
+
+    def test_unavailable_kernel_fails_in_the_parent(self, monkeypatch):
+        from repro.sim import kernels
+
+        def unavailable():
+            raise kernels.KernelUnavailable("forced off")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        monkeypatch.setattr(kernels, "_FAILURES", {})
+        monkeypatch.setattr(kernels, "_build_cc_library", unavailable)
+        with pytest.raises(kernels.KernelUnavailable, match="forced off"):
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                max_workers=2,
+                engine="ensemble",
+                engine_kernel="cc",
+                pool_factory=no_pool,
+                **self.KWARGS,
+            )
+
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "two", True, None])
     def test_bad_max_workers_rejected_naming_the_value(self, bad):
         with pytest.raises(ValueError, match=f"max_workers.*{bad!r}"):
