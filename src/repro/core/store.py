@@ -16,8 +16,13 @@ directory:
   in append order.
 * ``tail.jsonl`` — the write-ahead tail: every :meth:`record` appends
   one JSON point line (flushed immediately, fsync-batched).  When the
-  tail reaches ``compact_every`` records it is compacted into a fresh
-  columnar chunk and truncated.
+  tail reaches ``compact_every`` records, or a caller calls
+  :meth:`compact`, it is compacted into a fresh columnar chunk and
+  truncated.  Closing does not compact: a store of a dozen records
+  (a service job) stays ``header.json`` plus ``tail.jsonl``, since
+  writing and re-reading an npz chunk costs more than parsing that
+  many lines, while a big sweep still compacts every ``compact_every``
+  records, so a resume parses at most ``compact_every - 1`` lines.
 
 Durability: a record is durable once its tail line is flushed.
 Compaction writes the chunk to a temp file, fsyncs, atomically renames
@@ -34,7 +39,8 @@ Resume loads chunks then tail (last wins) into :attr:`completed`, so a
 resumed sweep re-runs exactly the missing replicates and aggregates the
 same bytes as an uninterrupted one.  :meth:`record` does not grow an
 in-memory dict of every triple — a fresh million-replicate sweep holds
-at most ``compact_every`` pending records plus the completed-key set.
+at most ``compact_every`` pending records plus the completed-key set;
+:meth:`triples` reads back only the chunks the handle itself compacted.
 The JSONL-only checkpoint format that preceded the store is not read:
 a file passed where a store directory belongs fails loudly.
 """
@@ -76,6 +82,28 @@ _TAIL_NAME = "tail.jsonl"
 _CHUNK_PREFIX = "chunk-"
 
 
+def _check_fingerprint(
+    path: Path, stored: Dict[str, object], requested: Dict[str, object]
+) -> None:
+    """Raise :class:`CheckpointMismatchError` unless the fingerprints match.
+
+    The message names every differing field with both values.
+    """
+    if stored == requested:
+        return
+    differing = sorted(
+        key
+        for key in set(stored) | set(requested)
+        if stored.get(key) != requested.get(key)
+    )
+    raise CheckpointMismatchError(
+        f"store {path} belongs to a different sweep: "
+        f"fields {differing} differ "
+        f"(stored {[stored.get(k) for k in differing]}, "
+        f"requested {[requested.get(k) for k in differing]})"
+    )
+
+
 def _atomic_write_json(path: Path, payload: dict) -> None:
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name, suffix=".tmp"
@@ -98,7 +126,8 @@ class ColumnarSweepStore:
     """Columnar sweep results with a JSONL write-ahead tail.
 
     Use :meth:`open`; :func:`repro.core.sweep.latency_sweep` opens one
-    for its ``store=`` argument.
+    for a directory passed as its ``store=`` argument, or records into
+    an open one passed there.
     """
 
     def __init__(
@@ -130,6 +159,8 @@ class ColumnarSweepStore:
         self.telemetry = telemetry
         self._keys: Set[Tuple[int, int]] = set(completed)
         self._keys.update((n, r) for n, r, _ in tail_records)
+        #: Chunks this handle compacted since it opened (see ``triples``).
+        self._own_chunks: List[Path] = []
         _ACTIVE.add(self)
 
     # -- construction ------------------------------------------------------
@@ -185,18 +216,7 @@ class ColumnarSweepStore:
             if exists:
                 check_resumable(fingerprint)
                 stored, completed, tail_records, next_chunk = cls._load(path)
-                if stored != fingerprint:
-                    differing = sorted(
-                        key
-                        for key in set(stored) | set(fingerprint)
-                        if stored.get(key) != fingerprint.get(key)
-                    )
-                    raise CheckpointMismatchError(
-                        f"store {path} belongs to a different sweep: "
-                        f"fields {differing} differ "
-                        f"(stored {[stored.get(k) for k in differing]}, "
-                        f"requested {[fingerprint.get(k) for k in differing]})"
-                    )
+                _check_fingerprint(path, stored, fingerprint)
                 repair_jsonl_tail(path / _TAIL_NAME)
                 handle = (path / _TAIL_NAME).open("a", encoding="utf-8")
                 if telemetry is not None and telemetry.enabled:
@@ -365,11 +385,17 @@ class ColumnarSweepStore:
                 f"store chunk {chunk_path} has ragged columns "
                 f"(lengths {sorted(lengths)})"
             )
-        n_col, r_col, *metric_cols = columns
-        for i in range(len(n_col)):
-            yield (int(n_col[i]), int(r_col[i])), tuple(
-                float(col[i]) for col in metric_cols
+        dtypes = [column.dtype for column in columns]
+        if dtypes != [np.dtype(np.int64)] * 2 + [np.dtype(np.float64)] * len(
+            METRIC_COLUMNS
+        ):
+            raise CheckpointError(
+                f"store chunk {chunk_path} has unexpected column dtypes "
+                f"{[str(dtype) for dtype in dtypes]}"
             )
+        # One tolist() per column yields Python ints and floats directly.
+        n_col, r_col, *metric_cols = [column.tolist() for column in columns]
+        yield from zip(zip(n_col, r_col), zip(*metric_cols))
 
     @classmethod
     def load_completed(
@@ -382,6 +408,22 @@ class ColumnarSweepStore:
     def load_fingerprint(cls, path: Union[str, Path]) -> Dict[str, object]:
         """Read a store's fingerprint without opening it."""
         return cls._load(Path(path))[0]
+
+    def triples(self) -> Dict[Tuple[int, int], Triple]:
+        """Every triple this handle holds, last wins.
+
+        That is :attr:`completed` (loaded at open) plus every record
+        appended since, in the order a later :meth:`load_completed`
+        would fold them.  Only chunks this handle compacted after it
+        opened are read back from disk; the rest is in memory.
+        """
+        triples = dict(self.completed)
+        for chunk_path in self._own_chunks:
+            for key, triple in self._read_chunk(chunk_path):
+                triples[key] = triple
+        for n, r, triple in self._tail_records:
+            triples[(n, r)] = triple
+        return triples
 
     # -- appending ---------------------------------------------------------
 
@@ -498,6 +540,7 @@ class ColumnarSweepStore:
                 pass
             raise
         self._next_chunk += 1
+        self._own_chunks.append(chunk_path)
         # The chunk is durable; now the tail can restart empty.
         self._handle.seek(0)
         self._handle.truncate()
@@ -542,10 +585,15 @@ class ColumnarSweepStore:
             self.telemetry.inc("store.fsync_batches")
 
     def close(self) -> None:
-        """Compact any pending tail, flush, and release (idempotent)."""
+        """Flush, fsync and release the writer lock (idempotent).
+
+        Closing does not compact: every record is already durable in
+        the tail, and a chunk only pays off once the tail is long, which
+        :meth:`record` handles at ``compact_every``.  Call
+        :meth:`compact` first to leave a store fully columnar.
+        """
         if self._handle is None:
             return
-        self.compact()
         self.flush()
         self._handle.close()
         self._handle = None

@@ -43,8 +43,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.checkpoint import (
+    CheckpointError,
     CrashTimesLike,
     ResolvedCrashSchedule,
+    check_resumable,
     sweep_fingerprint,
 )
 from repro.core.latency import (
@@ -62,7 +64,7 @@ from repro.core.runner import (
 from repro.core.scheduler import Scheduler, UniformStochasticScheduler
 from repro.sim.memory import Memory
 from repro.sim.process import ProcessFactory
-from repro.core.store import ColumnarSweepStore
+from repro.core.store import ColumnarSweepStore, _check_fingerprint
 from repro.stats.estimators import (
     MeanEstimate,
     StreamingMeanEstimator,
@@ -639,10 +641,19 @@ def latency_sweep(
     past the crash transient.
 
     ``store`` names a :class:`~repro.core.store.ColumnarSweepStore`
-    directory; finished replicates are appended as they land, and
-    ``resume=True`` skips the ones already recorded (after validating
-    the store belongs to *this* sweep).  Resuming, at any worker count,
-    is bit-identical to the uninterrupted run.  ``on_progress(done, total, (n, replicate))`` fires after each
+    directory, which the sweep opens and closes, or is a store its
+    caller opened, which the sweep records into and leaves open.
+    Finished replicates are appended as they land, and ``resume=True``
+    skips the ones already recorded (after validating the store belongs
+    to *this* sweep).  An open store must not be closed, must carry this
+    sweep's fingerprint (else :class:`CheckpointMismatchError` naming
+    the differing fields) and, when it already holds records, needs
+    ``resume=True``, as an existing directory does; all three are
+    checked before any replicate runs.  The aggregator starts from its
+    :meth:`~repro.core.store.ColumnarSweepStore.triples`, so records the
+    caller added after opening count as done.  Resuming, at any worker
+    count, is bit-identical to the uninterrupted run.
+    ``on_progress(done, total, (n, replicate))`` fires after each
     replicate.  None of this can change the numbers.
 
     ``telemetry`` (a :class:`~repro.core.telemetry.MetricsRegistry`)
@@ -708,14 +719,19 @@ def latency_sweep(
         workload=workload,
     )
     log = None
-    if store is not None:
+    owns_log = False
+    if isinstance(store, ColumnarSweepStore):
+        log = store
+        _check_open_store(log, fingerprint, resume)
+    elif store is not None:
         log = ColumnarSweepStore.open(
             store, fingerprint, resume=resume, telemetry=telemetry
         )
+        owns_log = True
     aggregator = StreamingSweepAggregator(n_values, repeats)
     recorded = set()
     if log is not None:
-        for key, triple in log.completed.items():
+        for key, triple in log.triples().items():
             aggregator.add(key, triple)
             recorded.add(key)
     total = len(n_values) * repeats
@@ -819,7 +835,7 @@ def latency_sweep(
                         time.perf_counter() - point_started,
                     )
     finally:
-        if log is not None:
+        if owns_log:
             log.close()
     if telemetry_on:
         elapsed = time.perf_counter() - sweep_started
@@ -828,6 +844,27 @@ def latency_sweep(
                 "sweep.replicates_per_sec", run_replicates / elapsed
             )
     return aggregator.points(confidence)
+
+
+def _check_open_store(
+    store: ColumnarSweepStore, fingerprint: Dict[str, object], resume: bool
+) -> None:
+    """Refuse an open store that :func:`latency_sweep` must not record into.
+
+    The same conditions :meth:`ColumnarSweepStore.open` checks for a
+    directory: it is open, it belongs to this sweep, and its records
+    are only reused under ``resume=True``.
+    """
+    if store.closed:
+        raise CheckpointError(f"store {store.path} is closed")
+    _check_fingerprint(store.path, store.fingerprint, fingerprint)
+    if store.keys:
+        if not resume:
+            raise CheckpointError(
+                f"store {store.path} already holds records; pass "
+                "resume=True to continue it"
+            )
+        check_resumable(fingerprint)
 
 
 def parallel_sweep(

@@ -320,14 +320,19 @@ def run_sweep_job(
 ) -> Dict[str, Any]:
     """Execute one job spec against its store; returns the result dict.
 
-    This is the service's default ``job_runner``.  The sequence is:
-    warm-start the store from the point memo (every overlapping point
-    some earlier job computed lands without running a single step),
-    run :func:`latency_sweep` with ``resume=True`` so only missing
-    points execute, then write every triple through to the memo for the
-    next overlapping job.  The result carries the per-point estimate
-    table *and* the raw replicate triples — the bit-identity contract
-    is stated in bytes, so the bytes are in the payload.
+    This is the service's default ``job_runner``.  The job's store is
+    opened once (resumed when a re-queued job's directory exists):
+    warm-start it from the point memo (every overlapping point some
+    earlier job computed lands without running a single step), run
+    :func:`latency_sweep` on the open store with ``resume=True`` so
+    only missing points execute, take the triples from the store handle
+    (:meth:`ColumnarSweepStore.triples`, nothing is read back), close
+    it, then write the new triples through to the memo for the next
+    overlapping job.  A job's store is small, so it stays a header plus
+    the JSONL tail: closing does not compact.  The result carries the
+    per-point estimate table *and* the raw replicate triples — the
+    bit-identity contract is stated in bytes, so the bytes are in the
+    payload.
     """
     from ..core.sweep import latency_sweep
 
@@ -340,17 +345,20 @@ def run_sweep_job(
         for r in range(spec["repeats"])
     ]
 
-    # Warm start: pull every already-known point out of the memo into
-    # the store before the sweep opens it.
+    def progress(done: int, total: int, key: Tuple[int, int]) -> None:
+        if on_point is not None:
+            on_point(done, total)
+
     warm = 0
-    resume = store_dir.exists()
     store = ColumnarSweepStore.open(
-        store_dir, fingerprint, resume=resume, telemetry=telemetry
+        store_dir, fingerprint, resume=store_dir.exists(), telemetry=telemetry
     )
     try:
+        # Warm start: pull every already-known point out of the memo
+        # into the store before the sweep looks at it.
         if memo is not None:
             for n, r in keys:
-                if (n, r) in store.completed:
+                if (n, r) in store:
                     continue
                 stored = memo.get(POINT_MEMO_NAME, point_memo_args(spec, n, r))
                 if stored is _MISS or not isinstance(stored, list):
@@ -359,41 +367,34 @@ def run_sweep_job(
                 warm += 1
         missing = store.missing(spec["n_values"], spec["repeats"])
         already = set(keys) - set(missing)
+        if telemetry_on and warm:
+            telemetry.inc("service.memo_warm_points", warm)
+
+        factory_builder, memory_builder = build_workload(spec)
+        points = latency_sweep(
+            factory_builder,
+            memory_builder,
+            spec["n_values"],
+            steps=spec["steps"],
+            repeats=spec["repeats"],
+            scheduler_builder=build_scheduler(spec["scheduler"]),
+            seed=spec["seed"],
+            burn_in=spec["burn_in"],
+            crash_times=_crash_times(spec),
+            store=store,
+            resume=True,
+            on_progress=progress,
+            telemetry=telemetry,
+            # Must match spec_fingerprint: the sweep checks the open
+            # store's fingerprint, workload key included.
+            workload=fingerprint["workload"],
+        )
+        completed = store.triples()
     finally:
         store.close()
-    if telemetry_on and warm:
-        telemetry.inc("service.memo_warm_points", warm)
-
-    factory_builder, memory_builder = build_workload(spec)
-
-    def progress(done: int, total: int, key: Tuple[int, int]) -> None:
-        if on_point is not None:
-            on_point(done, total)
-
-    points = latency_sweep(
-        factory_builder,
-        memory_builder,
-        spec["n_values"],
-        steps=spec["steps"],
-        repeats=spec["repeats"],
-        scheduler_builder=build_scheduler(spec["scheduler"]),
-        seed=spec["seed"],
-        burn_in=spec["burn_in"],
-        crash_times=_crash_times(spec),
-        store=store_dir,
-        resume=True,
-        on_progress=progress,
-        telemetry=telemetry,
-        # Must match spec_fingerprint: the sweep re-opens the store and
-        # validates its fingerprint, workload key included.
-        workload=fingerprint["workload"],
-    )
     if telemetry_on and missing:
         telemetry.inc("service.recomputed_points", len(missing))
 
-    # Read the final triples back (the sweep has closed the store, whose
-    # fingerprint it checked) and write them through to the memo.
-    completed = ColumnarSweepStore.load_completed(store_dir)
     if memo is not None:
         for (n, r), triple in completed.items():
             if (n, r) in already:

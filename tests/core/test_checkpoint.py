@@ -47,14 +47,10 @@ def first_pi(time, active):
 
 def killed(store):
     """Leave ``store`` as a kill before compaction would: every record
-    flushed to the write-ahead tail, no chunk written."""
-    store.flush()
-    tail = store.path / "tail.jsonl"
-    data = tail.read_bytes()
+    flushed to the write-ahead tail, no chunk written (closing does not
+    compact, and these stores stay under ``compact_every``)."""
     store.close()
-    for chunk in store.path.glob("chunk-*.npz"):
-        chunk.unlink()
-    tail.write_bytes(data)
+    assert not list(store.path.glob("chunk-*.npz"))
 
 
 class TestCrashConfigHash:

@@ -152,9 +152,10 @@ class TestCompaction:
         assert store.chunk_count == 2
         assert store.pending_tail_records == 2
         store.close()
-        # close() compacts the remainder.
-        assert len(sorted(path.glob("chunk-*.npz"))) == 3
-        assert (path / "tail.jsonl").read_text() == ""
+        # close() does not compact: the remainder stays in the tail.
+        assert len(sorted(path.glob("chunk-*.npz"))) == 2
+        tail_lines = (path / "tail.jsonl").read_text().splitlines()
+        assert [json.loads(line)["r"] for line in tail_lines] == [8, 9]
         loaded = ColumnarSweepStore.load_completed(path)
         assert loaded == {
             (2, r): (float(r), 0.5, 1.0) for r in range(10)
@@ -213,6 +214,22 @@ class TestCompaction:
         chunk.write_bytes(b"garbage not a zipfile")
         with pytest.raises(CheckpointError, match="corrupt"):
             ColumnarSweepStore.open(path, fingerprint(), resume=True)
+
+    def test_chunk_with_foreign_dtypes_is_an_error(self, tmp_path):
+        import numpy as np
+
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint(), compact_every=1)
+        store.record(2, 0, (1.0, 2.0, 3.0))
+        store.close()
+        chunk = next(path.glob("chunk-*.npz"))
+        with np.load(chunk) as arrays:
+            columns = {name: arrays[name] for name in arrays.files}
+        columns["n"] = columns["n"].astype(np.float64)
+        with chunk.open("wb") as handle:
+            np.savez(handle, **columns)
+        with pytest.raises(CheckpointError, match="dtypes"):
+            ColumnarSweepStore.load_completed(path)
 
     def test_torn_final_tail_line_tolerated_and_repaired(self, tmp_path):
         path = tmp_path / "store"
@@ -304,6 +321,149 @@ class TestRecording:
             assert store.pending_tail_records <= 4
         assert store.completed == {}
         store.close()
+
+
+class TestTriples:
+    def test_loaded_plus_recorded_last_wins(self, tmp_path):
+        path = tmp_path / "store"
+        with ColumnarSweepStore.open(
+            path, fingerprint(), compact_every=2
+        ) as store:
+            for r in range(3):
+                store.record(2, r, (float(r), 0.5, 1.0))
+            assert store.triples() == {
+                (2, r): (float(r), 0.5, 1.0) for r in range(3)
+            }
+        resumed = ColumnarSweepStore.open(
+            path, fingerprint(), resume=True, compact_every=2
+        )
+        try:
+            resumed.record(2, 0, (9.0, 9.0, 9.0))  # re-recorded: last wins
+            resumed.record(4, 0, (4.0, 4.0, 4.0))  # compacts the tail
+            resumed.record(4, 1, (5.0, 5.0, 5.0))
+            expected = {
+                (2, 0): (9.0, 9.0, 9.0),
+                (2, 1): (1.0, 0.5, 1.0),
+                (2, 2): (2.0, 0.5, 1.0),
+                (4, 0): (4.0, 4.0, 4.0),
+                (4, 1): (5.0, 5.0, 5.0),
+            }
+            assert resumed.triples() == expected
+            assert resumed.completed == {
+                (2, r): (float(r), 0.5, 1.0) for r in range(3)
+            }
+        finally:
+            resumed.close()
+        assert ColumnarSweepStore.load_completed(path) == expected
+
+    def test_reads_back_only_chunks_compacted_since_open(self, tmp_path):
+        path = tmp_path / "store"
+        with ColumnarSweepStore.open(
+            path, fingerprint(), compact_every=1
+        ) as store:
+            store.record(2, 0, (1.0, 2.0, 3.0))
+        resumed = ColumnarSweepStore.open(
+            path, fingerprint(), resume=True, compact_every=1
+        )
+        try:
+            resumed.record(2, 1, (4.0, 5.0, 6.0))
+            assert len(list(path.glob("chunk-*.npz"))) == 2
+            # The chunk loaded at open is not read again.
+            (path / "chunk-00000.npz").write_bytes(b"not a zipfile")
+            assert resumed.triples() == {
+                (2, 0): (1.0, 2.0, 3.0),
+                (2, 1): (4.0, 5.0, 6.0),
+            }
+        finally:
+            resumed.close()
+
+
+class TestOpenStoreSweep:
+    """``latency_sweep(store=<open store>)`` records into the caller's
+    handle and leaves it open; misuse fails before any replicate runs."""
+
+    KWARGS = dict(steps=2_000, repeats=3, seed=5)
+    FP = dict(seed=5, steps=2_000, n_values=[2, 4], repeats=3)
+
+    def sweep(self, store, **kwargs):
+        ran = []
+        points = latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            [2, 4],
+            store=store,
+            on_progress=lambda done, total, key: ran.append(key),
+            **{**self.KWARGS, **kwargs},
+        )
+        return points, ran
+
+    def test_records_into_open_store_and_leaves_it_open(self, tmp_path):
+        bare = latency_sweep(
+            cas_counter, make_counter_memory, [2, 4], **self.KWARGS
+        )
+        path = tmp_path / "store"
+        with ColumnarSweepStore.open(path, fingerprint(**self.FP)) as store:
+            points, ran = self.sweep(store)
+            assert not store.closed
+            assert len(ran) == 6
+            triples = store.triples()
+        assert points == bare
+        assert ColumnarSweepStore.load_completed(path) == triples
+        assert len(triples) == 6
+
+    def test_records_added_after_open_count_as_done(self, tmp_path):
+        full = tmp_path / "full"
+        bare, _ = self.sweep(full)
+        known = ColumnarSweepStore.load_completed(full)
+        with ColumnarSweepStore.open(
+            tmp_path / "store", fingerprint(**self.FP)
+        ) as store:
+            for key in [(2, 0), (4, 2)]:
+                store.record(*key, known[key])
+            points, ran = self.sweep(store, resume=True)
+            assert store.triples() == known
+        assert points == bare
+        assert sorted(ran) == [(2, 1), (2, 2), (4, 0), (4, 1)]
+
+    @pytest.fixture
+    def no_replicates(self, monkeypatch):
+        import repro.core.sweep as sweep_module
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a replicate ran before the store was checked")
+
+        monkeypatch.setattr(sweep_module, "_run_ensemble_grid", refuse)
+        monkeypatch.setattr(sweep_module, "_run_replicate", refuse)
+
+    def test_closed_store_raises_naming_its_path(self, tmp_path, no_replicates):
+        path = tmp_path / "store"
+        store = ColumnarSweepStore.open(path, fingerprint(**self.FP))
+        store.close()
+        with pytest.raises(CheckpointError, match="closed") as info:
+            self.sweep(store)
+        assert str(path) in str(info.value)
+        assert ColumnarSweepStore.load_completed(path) == {}
+
+    def test_other_sweeps_store_raises_naming_fields(
+        self, tmp_path, no_replicates
+    ):
+        other = fingerprint(**{**self.FP, "steps": 3_000, "seed": 6})
+        with ColumnarSweepStore.open(tmp_path / "store", other) as store:
+            with pytest.raises(CheckpointMismatchError) as info:
+                self.sweep(store)
+            assert store.triples() == {}
+        message = str(info.value)
+        assert "['seed', 'steps']" in message
+        assert "belongs to a different sweep" in message
+
+    def test_records_without_resume_raise(self, tmp_path, no_replicates):
+        with ColumnarSweepStore.open(
+            tmp_path / "store", fingerprint(**self.FP)
+        ) as store:
+            store.record(2, 0, (1.0, 1.0, 1.0))
+            with pytest.raises(CheckpointError, match="resume=True"):
+                self.sweep(store)
+            assert store.triples() == {(2, 0): (1.0, 1.0, 1.0)}
 
 
 class TestSweepIntegration:
@@ -472,20 +632,29 @@ class TestDegradedCompaction:
             seed=1, steps=400, n_values=[2], repeats=2
         )
         # The header must exist before the disk "fills": only chunk
-        # writes (an optimisation) may degrade, never the journal.
-        ColumnarSweepStore.open(tmp_path / "store", sweep_fp).close()
+        # writes (an optimisation) may degrade, never the journal.  A
+        # store compacting after every record makes the sweep attempt
+        # (and be refused) a chunk write per replicate.
+        store = ColumnarSweepStore.open(
+            tmp_path / "store", sweep_fp, compact_every=1
+        )
         monkeypatch.setattr(store_module.tempfile, "mkstemp", refuse)
-        with pytest.warns(RuntimeWarning, match="compaction failed"):
-            points = latency_sweep(
-                cas_counter,
-                make_counter_memory,
-                [2],
-                store=tmp_path / "store",
-                resume=True,
-                **sweep_kwargs,
-            )
+        try:
+            with pytest.warns(RuntimeWarning, match="compaction failed"):
+                points = latency_sweep(
+                    cas_counter,
+                    make_counter_memory,
+                    [2],
+                    store=store,
+                    resume=True,
+                    **sweep_kwargs,
+                )
+        finally:
+            store.close()
         assert len(points) == 1
         monkeypatch.undo()
+        assert list((tmp_path / "store").glob("chunk-*.npz")) == []
+        assert len(ColumnarSweepStore.load_completed(tmp_path / "store")) == 2
         direct = latency_sweep(
             cas_counter, make_counter_memory, [2], **sweep_kwargs
         )

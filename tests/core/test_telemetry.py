@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.counter import cas_counter, make_counter_memory
+from repro.core.checkpoint import sweep_fingerprint
 from repro.core.latency import measure_latencies, measure_latencies_ensemble
 from repro.core.runner import ResilientExecutor, RetryPolicy
 from repro.core.scheduler import (
@@ -21,6 +22,7 @@ from repro.core.scheduler import (
     ContentionScheduler,
     UniformStochasticScheduler,
 )
+from repro.core.store import ColumnarSweepStore
 from repro.core.sweep import latency_sweep, parallel_sweep
 from repro.core.telemetry import (
     EVENT_RUN,
@@ -423,17 +425,30 @@ class TestSweepTelemetry:
         path = tmp_path / "sweep.store"
         kwargs = dict(steps=10_000, repeats=2, seed=3)
         write_registry = MetricsRegistry()
-        latency_sweep(
-            cas_counter,
-            make_counter_memory,
-            [2, 4],
-            store=path,
-            telemetry=write_registry,
-            **kwargs,
+        fingerprint = sweep_fingerprint(
+            seed=3,
+            steps=10_000,
+            scheduler=UniformStochasticScheduler(),
+            n_values=[2, 4],
+            repeats=2,
+            burn_in=None,
+            crash_times=None,
         )
+        # A store compacting every two records turns the four records
+        # into two chunks; close() fsyncs, so at least one batch landed.
+        with ColumnarSweepStore.open(
+            path, fingerprint, compact_every=2, telemetry=write_registry
+        ) as store:
+            latency_sweep(
+                cas_counter,
+                make_counter_memory,
+                [2, 4],
+                store=store,
+                telemetry=write_registry,
+                **kwargs,
+            )
         assert write_registry.counters["store.records"] == 4
-        # close() compacts the tail and fsyncs, so one chunk and at
-        # least one batch landed.
+        assert write_registry.counters["store.compactions"] == 2
         assert write_registry.counters["store.compacted_records"] == 4
         assert write_registry.counters["store.fsync_batches"] >= 1
 

@@ -2,6 +2,8 @@
 no corruption of a store or of the service ledger escapes as anything
 but CheckpointError."""
 
+import shutil
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,13 +111,8 @@ def _journal_bytes(tmp_path_factory, data) -> tuple:
     with ColumnarSweepStore.open(root, FINGERPRINT) as store:
         for (n, r), triple in data.items():
             store.record(n, r, triple)
-        store.flush()
-        tail = root / "tail.jsonl"
-        original = tail.read_bytes()
-    for chunk in root.glob("chunk-*.npz"):
-        chunk.unlink()
-    tail.write_bytes(original)
-    return tail, original
+    tail = root / "tail.jsonl"
+    return tail, tail.read_bytes()
 
 
 def _assert_load_is_contained(tail):
@@ -228,6 +225,72 @@ def test_store_tail_and_chunk_corruption_never_raises_uncaught(
     except CheckpointError:
         return
     assert isinstance(completed, dict)
+
+
+# -- any interleaving of store operations ----------------------------------
+#
+# Whatever order records, compactions, closes and reopens come in, and
+# whether close-time tails are short or long, every reader agrees with
+# the last-wins fold of the records: the standalone loader, a resumed
+# handle's ``completed`` and an open handle's ``triples()``.  A kill
+# leaves the files as they are after the last flushed record, so a copy
+# of the directory taken then must load everything recorded so far.
+
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            st.tuples(
+                st.sampled_from([2, 4]),
+                st.integers(min_value=0, max_value=3),
+            ),
+            st.tuples(finite, finite, finite),
+        ),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(store_ops, st.sampled_from([1, 2, 5, 4096]))
+def test_any_interleaving_folds_last_wins(tmp_path_factory, ops, compact_every):
+    root = tmp_path_factory.mktemp("ops")
+    path = root / "store"
+    fold = {}
+    store = ColumnarSweepStore.open(
+        path, FINGERPRINT, compact_every=compact_every
+    )
+    try:
+        for op in ops:
+            if op[0] == "record":
+                _, key, triple = op
+                store.record(*key, triple)
+                fold[key] = triple
+                killed = root / f"killed-{len(fold)}-{key}"
+                shutil.copytree(path, killed)
+                assert ColumnarSweepStore.load_completed(killed) == fold
+                shutil.rmtree(killed)
+            elif op[0] == "compact":
+                store.compact()
+            else:
+                store.close()
+                store = ColumnarSweepStore.open(
+                    path, FINGERPRINT, resume=True, compact_every=compact_every
+                )
+                assert store.completed == fold
+            assert store.triples() == fold
+    finally:
+        store.close()
+    assert store.triples() == fold
+    assert ColumnarSweepStore.load_completed(path) == fold
+    reopened = ColumnarSweepStore.open(path, FINGERPRINT, resume=True)
+    try:
+        assert reopened.completed == fold
+        assert reopened.triples() == fold
+    finally:
+        reopened.close()
 
 
 # -- the service ledger ----------------------------------------------------

@@ -369,36 +369,55 @@ class TestRealSweepService:
 
 
 class TestRunSweepJobStoreOpens:
-    """``run_sweep_job`` opens a job's store twice: once to warm-start it
-    from the memo, once inside the sweep.  The final triples are read
-    back from the closed store without opening it a third time."""
+    """``run_sweep_job`` opens a job's store once: the memo warm start
+    and the sweep record into the same handle, and the final triples
+    come from that handle.  Closing does not compact, so a job's store
+    holds no npz chunk."""
 
-    def test_two_opens_per_job_novel_and_warm(self, tmp_path, monkeypatch):
+    def test_one_open_per_job_novel_and_warm(self, tmp_path, monkeypatch):
         from repro.core.memo import DiskMemo
         from repro.core.store import ColumnarSweepStore
         from repro.service import run_sweep_job
 
         opens = []
+        loads = []
         original = ColumnarSweepStore.open
+        original_load = ColumnarSweepStore.load_completed
 
         def counting_open(cls, *args, **kwargs):
             opens.append(args[0])
             return original(*args, **kwargs)
 
+        def counting_load(cls, *args, **kwargs):
+            loads.append(args[0])
+            return original_load(*args, **kwargs)
+
         monkeypatch.setattr(
             ColumnarSweepStore, "open", classmethod(counting_open)
+        )
+        monkeypatch.setattr(
+            ColumnarSweepStore, "load_completed", classmethod(counting_load)
         )
         spec = validate_spec(
             {"n_values": [2, 3, 4], "steps": 300, "repeats": 3, "seed": 3}
         )
         memo = DiskMemo(tmp_path / "memo")
         novel = run_sweep_job(spec, tmp_path / "novel.store", memo=memo)
-        assert len(opens) == 2
+        assert len(opens) == 1
         warm = run_sweep_job(spec, tmp_path / "warm.store", memo=memo)
-        assert len(opens) == 4
+        assert len(opens) == 2
+        assert loads == []
         assert warm["warm_points"] == 9
         assert warm["triples"] == novel["triples"]
         assert len(novel["triples"]) == 9
+        monkeypatch.undo()
+        for name in ("novel.store", "warm.store"):
+            store_dir = tmp_path / name
+            assert list(store_dir.glob("chunk-*.npz")) == []
+            completed = ColumnarSweepStore.load_completed(store_dir)
+            assert [
+                [n, r, list(completed[(n, r)])] for n, r in sorted(completed)
+            ] == novel["triples"]
 
 
 class TestEngineFreeJobs:
