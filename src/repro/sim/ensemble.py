@@ -21,7 +21,7 @@ the decision register acts as a version counter.  Resolution therefore
 reduces to one greedy pass over the schedule in time order: a CAS
 succeeds iff its process's pending read came after the last successful
 CAS, and a success makes the process take ``q`` preamble steps before
-its next read.  The compiled kernels (:mod:`repro.sim.kernels`) run
+its next read.  The compiled cc kernel (:mod:`repro.sim.kernels`) runs
 exactly that pass, keeping a few integers of state per process, for
 every ``SCU(q, s)`` shape.  The numpy kernel, the no-compiler fallback
 and the bit-identity oracle, keeps two independent algorithms:
@@ -61,12 +61,12 @@ replicate are strictly after every earlier CAS, so each replicate's first
 attempt sees a fresh register — making the stacked outputs the
 per-replicate outputs concatenated, bit for bit
 (``tests/sim/test_ensemble_fused.py``).  How many replicates share a
-block follows from the kernel, not from a setting: compiled backends
-stack up to ``_BLOCK_STEPS`` steps, the numpy flat resolver stacks only
+block follows from the kernel, not from a setting: the cc backend
+stacks up to ``_BLOCK_STEPS`` steps, the numpy flat resolver stacks only
 short replicates, and the numpy heap resolver takes one replicate per
 block (see ``EnsembleSimulator._block_capacity``).  The resolve pass
-runs on a pluggable kernel (:mod:`repro.sim.kernels`): a compiled
-C/numba backend when available, the pure-numpy oracle otherwise.
+runs on a pluggable kernel (:mod:`repro.sim.kernels`): the compiled C
+backend when available, the pure-numpy oracle otherwise.
 Draw lengths depend only on the crash maps and the horizon, so the
 stacks are laid out before anything is drawn and each replicate's draw
 is added, pid offset included, straight into its slot: the stack build
@@ -141,7 +141,7 @@ _BLOCK_STEPS = 1_000_000
 #: saved passes (CPU-time ratio stacked/per-replicate: 0.71 at 256 x 1k,
 #: 0.79 at 64 x 2k, 1.31 at 16 x 20k).  The numpy heap resolver is a
 #: per-event Python loop that gains nothing from stacking (1.37-1.59 on
-#: the same grids), so it never stacks; compiled backends always do.
+#: the same grids), so it never stacks; the cc backend always does.
 _NUMPY_FLAT_STACK_MAX_STEPS = 4096
 
 #: The most an :class:`EnsembleWorkspace` holds.  A workspace exists to
@@ -597,8 +597,8 @@ class EnsembleSimulator:
         per replicate after resolution — the array passes never see it
         and results are bit-identical either way.
     engine_kernel:
-        Backend for the resolve pass — one of ``"auto"`` (fastest
-        available, the default), ``"numpy"``, ``"numba"`` or ``"cc"``.
+        Backend for the resolve pass — one of ``"auto"`` (cc when
+        available, else numpy; the default), ``"numpy"`` or ``"cc"``.
         See :mod:`repro.sim.kernels`.  The backend also decides how many
         same-shape replicates share one stacked block (see the module
         docstring); results are bit-identical on every backend.
@@ -766,8 +766,8 @@ class EnsembleSimulator:
     def _block_capacity(self, use_flat: bool, max_steps: int) -> int:
         """Stacked steps one block of this resolver may hold.
 
-        Compiled backends pay one ctypes/jit entry per block, so they
-        stack up to ``_BLOCK_STEPS``.  The numpy flat resolver stacks
+        The cc backend pays one ctypes entry per block, so it
+        stacks up to ``_BLOCK_STEPS``.  The numpy flat resolver stacks
         below ``_NUMPY_FLAT_STACK_MAX_STEPS`` steps per replicate; the
         numpy heap resolver, and numpy flat past that length, get
         capacity 0: one replicate per block.

@@ -7,7 +7,7 @@ CAS succeeds iff its process's pending read came after the last
 successful CAS, and a success makes the process take ``q`` preamble
 steps before its next read.  This module resolves schedules under that
 rule behind a small kernel interface (``resolve_flat`` /
-``resolve_heap`` methods), with three backends:
+``resolve_heap`` methods), with two backends:
 
 ``numpy``
     Pure numpy and Python, always available, and the bit-identity
@@ -22,13 +22,9 @@ rule behind a small kernel interface (``resolve_flat`` /
     (``cc``/``gcc``) and loaded through :mod:`ctypes`.  No third-party
     packages required; the shared object is cached on disk keyed by a
     hash of the C source.
-``numba``
-    ``@njit``-compiled version of the same pass, used when numba is
-    importable (it is an optional dependency — CI has a dedicated job
-    for it).
 
-Both compiled backends run **one time-ordered scan** over the schedule
-for every ``SCU(q, s)`` shape, ``q == 0`` included.  It keeps one
+The cc backend runs **one time-ordered scan** over the schedule for
+every ``SCU(q, s)`` shape, ``q == 0`` included.  It keeps one
 interleaved 32-byte record per process — local step count, next read
 index, pending read time and CAS attempts, an ``(n, 4)`` ``int64``
 array, so a step touches one cache line — and decides each CAS the
@@ -38,20 +34,24 @@ all-ones/zero masks, and every step writes its candidate success at the
 next free slot, which the win count then keeps or leaves to be
 overwritten.  Only the out-of-range pid check branches.
 
-Every backend produces the same arrays, dtypes included: CAS columns
+Both backends produce the same arrays, dtypes included: CAS columns
 are unique schedule positions, so the successes come out in one
 deterministic order.  Equivalence is enforced in
 ``tests/sim/test_kernels.py`` and ``tests/property/test_kernel_properties.py``
-with the numpy backend as oracle.  Misuse fails loudly on every
-backend: a schedule pid outside ``[0, n)`` raises :class:`ValueError`
+with the numpy backend as oracle.  Misuse fails loudly on both
+backends: a schedule pid outside ``[0, n)`` raises :class:`ValueError`
 naming the pid and its position (the compiled scan stops at that step
 and writes nothing out of bounds).
 
 Selection goes through :func:`get_kernel`:
 
-* ``"auto"`` — fastest available backend (numba, then cc, then numpy).
-* ``"numpy"`` / ``"numba"`` / ``"cc"`` — that backend exactly
+* ``"auto"`` — cc when it can be built and loaded, else numpy.
+* ``"numpy"`` / ``"cc"`` — that backend exactly
   (:class:`KernelUnavailable` when it cannot be provided).
+
+One process builds at most one :class:`CcKernel`: selection holds a
+module lock, and a cold build compiles in a temp directory of its own,
+so builders that race (threads or processes) share one cached library.
 
 The full resolvers (:func:`resolve_flat`, :func:`resolve_heap`) also
 live here.  ``EnsembleSimulator`` calls them on stacks of concatenated
@@ -99,6 +99,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -107,7 +108,6 @@ __all__ = [
     "KernelUnavailable",
     "NumpyKernel",
     "CcKernel",
-    "NumbaKernel",
     "KERNEL_NAMES",
     "get_kernel",
     "available_backends",
@@ -121,10 +121,10 @@ __all__ = [
     "pcg64_seed_states",
 ]
 
-KERNEL_NAMES = ("auto", "numpy", "numba", "cc")
+KERNEL_NAMES = ("auto", "numpy", "cc")
 
 #: Explicitly selectable backends (everything but ``"auto"``).
-_EXPLICIT_BACKENDS = ("numpy", "numba", "cc")
+_EXPLICIT_BACKENDS = ("numpy", "cc")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -198,7 +198,7 @@ def _deliver(out: Optional[np.ndarray], *rows: Any) -> Tuple[np.ndarray, ...]:
 
 
 class NumpyKernel:
-    """Reference resolvers, the bit-identity oracle for compiled backends.
+    """Reference resolvers, the bit-identity oracle for the cc backend.
 
     ``resolve_flat`` is the vectorized ``q == 0`` path (:func:`_flat_prep`
     plus ``chain_walk``, which follows successor pointers through a
@@ -329,7 +329,7 @@ class NumpyKernel:
 
 
 # ---------------------------------------------------------------------------
-# compiled backends — one time-ordered scan
+# cc backend — one time-ordered scan
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = r"""
@@ -532,8 +532,9 @@ def _build_cc_library() -> ctypes.CDLL:
 
     The shared object is cached keyed by a hash of the source, so the
     compiler runs at most once per source revision per machine; the
-    build is crash-safe (compile to a temp name, ``os.replace`` into
-    place) so concurrent workers never load a torn file.
+    build is crash-safe (compile in a temp directory of its own, then
+    ``os.replace`` into place) so concurrent builders, processes or
+    threads, never load a torn file or remove each other's.
     """
     compiler = (
         os.environ.get("REPRO_CC")
@@ -547,11 +548,14 @@ def _build_cc_library() -> ctypes.CDLL:
     cache_dir = _kernel_cache_dir()
     so_path = os.path.join(cache_dir, f"resolve_{digest}.so")
     if not os.path.exists(so_path):
-        os.makedirs(cache_dir, exist_ok=True)
-        tag = f".{os.getpid()}.tmp"
-        c_path = so_path + tag + ".c"
-        tmp_so = so_path + tag
+        build_dir = None
         try:
+            os.makedirs(cache_dir, exist_ok=True)
+            # A directory of this build's own: threads of one process
+            # share a pid, so no name made from it is private.
+            build_dir = tempfile.mkdtemp(".tmp", f"resolve_{digest}.", cache_dir)
+            c_path = os.path.join(build_dir, "resolve.c")
+            tmp_so = os.path.join(build_dir, "resolve.so")
             with open(c_path, "w") as handle:
                 handle.write(_C_SOURCE)
             result = subprocess.run(
@@ -569,11 +573,8 @@ def _build_cc_library() -> ctypes.CDLL:
         except (OSError, subprocess.SubprocessError) as error:
             raise KernelUnavailable(f"C kernel build failed: {error}") from None
         finally:
-            for leftover in (c_path, tmp_so):
-                try:
-                    os.unlink(leftover)
-                except OSError:
-                    pass
+            if build_dir is not None:
+                shutil.rmtree(build_dir, ignore_errors=True)
     try:
         library = ctypes.CDLL(so_path)
     except OSError as error:
@@ -604,15 +605,28 @@ def _build_cc_library() -> ctypes.CDLL:
     return library
 
 
-class _CompiledKernelBase:
-    """Buffer management around the compiled scan.
+def _pointer(array: np.ndarray) -> Optional[Any]:
+    """A ``c_int64`` view of a writable int64 array's first element, or
+    ``None`` (a null pointer) when it is empty and nothing is read."""
+    return ctypes.c_int64.from_buffer(array) if array.size else None
 
-    Subclasses provide ``_scan_impl`` with the C signature of
-    ``repro_scu_scan``; this base serves both resolvers from it
-    (``q == 0`` is just the scan with no preamble).  The scan writes its
-    successes into ``out`` when given, else into a buffer of
-    :func:`success_capacity` columns allocated here.
+
+class CcKernel:
+    """The scan in C, built with the system compiler, via ctypes.
+
+    ``repro_scu_scan`` serves both resolvers (``q == 0`` is just the
+    scan with no preamble).  It writes its successes into ``out`` when
+    given, else into a buffer of :func:`success_capacity` columns
+    allocated here.
     """
+
+    name = "cc"
+
+    def __init__(self, library: Optional[ctypes.CDLL] = None) -> None:
+        self._library = library if library is not None else _build_cc_library()
+        self._scan = self._library.repro_scu_scan
+        self._draw = getattr(self._library, "repro_uniform_draw", None)
+        self._seed = getattr(self._library, "repro_pcg64_seed", None)
 
     def resolve_flat(
         self,
@@ -621,6 +635,7 @@ class _CompiledKernelBase:
         s: int,
         out: Optional[np.ndarray] = None,
     ) -> Resolution:
+        """The scan with no preamble (see :func:`resolve_flat`)."""
         return self.resolve_heap(sched, n, 0, s, out)
 
     def resolve_heap(
@@ -631,15 +646,30 @@ class _CompiledKernelBase:
         s: int,
         out: Optional[np.ndarray] = None,
     ) -> Resolution:
+        """The scan, any ``SCU(q, s)`` (see :func:`resolve_heap`)."""
         if q < 0 or s < 0:
             raise ValueError(f"the scan needs q >= 0 and s >= 0, got q={q}, s={s}")
-        # Writable too: the compiled scan takes a pointer only from a
-        # writable buffer (it never writes the schedule).
+        # Every scan argument is C-contiguous, writable int64, so the
+        # plain pointers below check nothing: ``sched`` by
+        # ``np.require`` (writable too, as ctypes takes a pointer only
+        # into a writable buffer; the scan never writes the schedule),
+        # ``state`` by ``np.empty`` and the success rows by
+        # :func:`_success_rows`, which raises on any other ``out``.
         sched = np.require(sched, np.int64, "CW")
         steps = int(sched.shape[0])
         succ = _success_rows(out, steps, q, s)
         state = np.empty((n, 4), dtype=np.int64)
-        wins = int(self._scan_impl(sched, steps, n, q, s, state, *succ))
+        wins = int(
+            self._scan(
+                _pointer(sched),
+                steps,
+                n,
+                q,
+                s,
+                _pointer(state),
+                *map(_pointer, succ),
+            )
+        )
         if wins < 0:
             raise _bad_pid(sched, n, -1 - wins)
         # Views, not copies: a copy would be one more pass over every
@@ -649,140 +679,38 @@ class _CompiledKernelBase:
         return succ_cols, succ_pids, succ_seqs, seq, q + counts - next_read, counts
 
 
-def _pointer(array: np.ndarray) -> Optional[Any]:
-    """A ``c_int64`` view of a writable int64 array's first element, or
-    ``None`` (a null pointer) when it is empty and nothing is read."""
-    return ctypes.c_int64.from_buffer(array) if array.size else None
-
-
-class CcKernel(_CompiledKernelBase):
-    """The scan in C, built with the system compiler, via ctypes."""
-
-    name = "cc"
-
-    def __init__(self, library: Optional[ctypes.CDLL] = None) -> None:
-        self._library = library if library is not None else _build_cc_library()
-        self._scan = self._library.repro_scu_scan
-        self._draw = getattr(self._library, "repro_uniform_draw", None)
-        self._seed = getattr(self._library, "repro_pcg64_seed", None)
-
-    def _scan_impl(
-        self,
-        sched: np.ndarray,
-        steps: int,
-        n: int,
-        q: int,
-        s: int,
-        state: np.ndarray,
-        *succ: np.ndarray,
-    ) -> int:
-        """``repro_scu_scan`` on plain pointers into the arrays.
-
-        :meth:`resolve_heap` builds every argument C-contiguous, writable
-        int64: ``sched`` by ``np.require``, ``state`` by ``np.empty`` and
-        the success rows by :func:`_success_rows`, which raises
-        ``ValueError`` on any other ``out``; nothing is checked again
-        here.
-        """
-        return self._scan(
-            _pointer(sched),
-            steps,
-            n,
-            q,
-            s,
-            _pointer(state),
-            *map(_pointer, succ),
-        )
-
-
-def _build_numba_scan() -> Any:
-    import numba  # noqa: F401 — optional dependency
-
-    @numba.njit(cache=False)
-    def scan(
-        sched, steps, n, q, s, state, succ_cols, succ_pids, succ_seqs
-    ):  # pragma: no cover — needs numba
-        # Mirrors repro_scu_scan in the C source line for line; state is
-        # the same (n, 4) interleaved record array.
-        for p in range(n):
-            state[p, 0] = 0
-            state[p, 1] = q
-            state[p, 2] = -1
-            state[p, 3] = 0
-        last = -1
-        wins = 0
-        for t in range(steps):
-            p = sched[t]
-            if p < 0 or p >= n:
-                return -1 - t
-            local = state[p, 0]
-            state[p, 0] = local + 1
-            read = state[p, 1]
-            is_read = -np.int64(local == read)
-            read_time = state[p, 2] ^ ((state[p, 2] ^ t) & is_read)
-            state[p, 2] = read_time
-            is_cas = -np.int64(local == read + s)
-            attempt = state[p, 3]
-            state[p, 3] = attempt - is_cas
-            win = is_cas & -np.int64(read_time > last)
-            last ^= (last ^ t) & win
-            succ_cols[wins] = t
-            succ_pids[wins] = p
-            succ_seqs[wins] = attempt
-            wins -= win
-            state[p, 1] = read + ((s + 1) & is_cas) + (q & win)
-        return wins
-
-    return scan
-
-
-class NumbaKernel(_CompiledKernelBase):
-    """The scan under ``@njit``; importable only when numba is present."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        try:
-            self._scan_impl = _build_numba_scan()
-        except ImportError:
-            raise KernelUnavailable("numba is not installed") from None
-
-
 # ---------------------------------------------------------------------------
 # backend selection
 # ---------------------------------------------------------------------------
 
 _KERNELS: Dict[str, Any] = {}
 _FAILURES: Dict[str, str] = {}
+#: Held while a backend is looked up or built, so threads that select
+#: at once wait for one build instead of racing their own.
+_SELECT_LOCK = threading.Lock()
 
 
 def _try_backend(name: str) -> Optional[Any]:
-    if name in _KERNELS:
-        return _KERNELS[name]
-    if name in _FAILURES:
-        return None
-    try:
-        if name == "numpy":
-            kernel: Any = NumpyKernel()
-        elif name == "cc":
-            kernel = CcKernel()
-        elif name == "numba":
-            kernel = NumbaKernel()
-        else:  # pragma: no cover — guarded by get_kernel
-            raise ValueError(f"unknown backend {name!r}")
-    except KernelUnavailable as error:
-        _FAILURES[name] = str(error)
-        return None
-    _KERNELS[name] = kernel
-    return kernel
+    with _SELECT_LOCK:
+        if name in _KERNELS:
+            return _KERNELS[name]
+        if name in _FAILURES:
+            return None
+        try:
+            kernel = NumpyKernel() if name == "numpy" else CcKernel()
+        except KernelUnavailable as error:
+            _FAILURES[name] = str(error)
+            return None
+        _KERNELS[name] = kernel
+        return kernel
 
 
 def get_kernel(name: str = "auto") -> Any:
     """Return a resolution kernel for ``name`` (see module docstring).
 
-    ``"auto"`` silently picks the fastest available backend, numpy when
-    no compiled backend can be provided; explicit names raise
-    :class:`KernelUnavailable` with the recorded reason.
+    ``"auto"`` silently picks cc, numpy when cc cannot be provided;
+    explicit names raise :class:`KernelUnavailable` with the recorded
+    reason.
     """
     if name not in KERNEL_NAMES:
         raise ValueError(
@@ -795,11 +723,7 @@ def get_kernel(name: str = "auto") -> Any:
                 f"kernel backend {name!r} unavailable: {_FAILURES[name]}"
             )
         return kernel
-    for candidate in ("numba", "cc"):
-        kernel = _try_backend(candidate)
-        if kernel is not None:
-            return kernel
-    return _try_backend("numpy")
+    return _try_backend("cc") or _try_backend("numpy")
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -1030,7 +954,7 @@ def resolve_flat(
     local steps ``[k(s+1), k(s+1)+s]`` — read first, CAS last.  The numpy
     backend exploits that: every (read time, CAS time) pair is a gather
     from the schedule grouped by pid, and the greedy reduces to following
-    a precomputed successor pointer.  Compiled backends run their one
+    a precomputed successor pointer.  The cc backend runs its one
     time-ordered scan with ``q = 0``.
 
     Returns ``(success_cols, success_pids, success_seqs, seq, phase,
@@ -1082,7 +1006,7 @@ def resolve_heap(
     Every call starts with ``q`` preamble steps, so a success shifts the
     process's subsequent event times — attempts are found as the scan
     reaches them.  The numpy backend keeps one pending CAS event per
-    process in a heap, popped in time order; compiled backends run their
+    process in a heap, popped in time order; the cc backend runs its
     time-ordered scan.  The greedy success condition is identical to the
     ``q == 0`` path.  Return contract matches :func:`resolve_flat`
     (``phase`` in ``[0, q + s]``), and replicate stacks resolve correctly for

@@ -570,17 +570,24 @@ class TestAutoEngine:
         assert select_engine(cas_counter(calls=2), uniform) == "batched"
 
     @pytest.mark.parametrize("engine", ["serial", "batched", "ensemble", "auto"])
-    def test_bad_engine_kernel_rejected_on_every_engine(self, engine):
-        with pytest.raises(ValueError, match="unknown engine kernel 'bogus'"):
-            latency_sweep(
-                cas_counter,
-                make_counter_memory,
-                [2],
-                steps=200,
-                repeats=2,
-                engine=engine,
-                engine_kernel="bogus",
-            )
+    def test_bad_engine_kernel_rejected_on_every_engine(self, engine, tmp_path):
+        # Rejected before any replicate runs or the store is created;
+        # numba, a backend no more, is just as unknown.
+        for name in ("bogus", "numba"):
+            store = tmp_path / f"{name}.store"
+            with pytest.raises(ValueError, match=f"unknown engine kernel '{name}'"):
+                latency_sweep(
+                    cas_counter,
+                    make_counter_memory,
+                    [2],
+                    steps=200,
+                    repeats=2,
+                    engine=engine,
+                    engine_kernel=name,
+                    store=store,
+                    on_progress=lambda *args: pytest.fail("a replicate ran"),
+                )
+            assert not store.exists()
 
 
 class TestEngineFreeResume:

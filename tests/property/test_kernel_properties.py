@@ -1,15 +1,15 @@
-"""Property test: every compiled resolve kernel equals the numpy oracle.
+"""Property test: the compiled resolve kernel equals the numpy oracle.
 
-The compiled backends (cc, and numba when installed) resolve every
-``SCU(q, s)`` schedule with one time-ordered scan.  The numpy backend
-shares no algorithm with that scan — a vectorized successor-chain walk
-for ``q == 0`` and a ``heapq`` scan otherwise — so agreement between
+The compiled cc backend resolves every ``SCU(q, s)`` schedule with one
+time-ordered scan.  The numpy backend shares no algorithm with that
+scan — a vectorized successor-chain walk for ``q == 0`` and a
+``heapq`` scan otherwise — so agreement between
 them, dtypes included, is an independent check.  Hypothesis draws fused
 replicate stacks with mixed process counts and pid offsets, including
 replicates whose processes crash (a pid that stops appearing
 mid-schedule); ``q == 0`` stacks are checked against both oracle
 algorithms.  One fixed-seed case runs the Figure 5 CAS grid at full
-scale.  The numba cases skip when numba is absent.
+scale.  The cases skip only on a host without a C compiler.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.sim.kernels import (
 )
 
 ORACLE = NumpyKernel()
-BACKENDS = ["cc", "numba"]
+BACKENDS = ["cc"]
 
 
 def compiled_backend(name):

@@ -1,13 +1,17 @@
 """Backend equivalence for the pluggable resolution kernels.
 
-The numpy backend is the oracle: every compiled backend (cc via ctypes,
-numba when installed) must produce bit-identical outputs from both
-resolvers on arbitrary schedules.  The suite also pins the selection
-semantics of :func:`get_kernel` — ``auto`` silently falling back to
-numpy, and loud :class:`KernelUnavailable` for explicit backends that
-cannot be provided.  The numba cases skip cleanly when
-numba is absent (CI runs them in a dedicated optional-numba job).
+The numpy backend is the oracle: the compiled cc backend (C via ctypes)
+must produce bit-identical outputs from both resolvers on arbitrary
+schedules.  The suite also pins the selection semantics of
+:func:`get_kernel` — ``auto`` silently falling back to numpy, loud
+:class:`KernelUnavailable` for an explicit backend that cannot be
+provided, ``ValueError`` for a name that is not a backend — and the cc
+library's build: cached on disk, and safe when threads build it at
+once.
 """
+
+import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -48,7 +52,7 @@ def compiled_backend(name):
 SHAPES = [(0, 1), (0, 3), (2, 1), (3, 2)]
 
 
-@pytest.mark.parametrize("backend_name", ["cc", "numba"])
+@pytest.mark.parametrize("backend_name", ["cc"])
 @pytest.mark.parametrize("q,s", SHAPES, ids=[f"q{q}s{s}" for q, s in SHAPES])
 def test_backend_matches_numpy_oracle(backend_name, q, s):
     backend = compiled_backend(backend_name)
@@ -66,7 +70,7 @@ def test_backend_matches_numpy_oracle(backend_name, q, s):
         assert_resolution_equal(expected, actual)
 
 
-@pytest.mark.parametrize("backend_name", ["cc", "numba"])
+@pytest.mark.parametrize("backend_name", ["cc"])
 def test_backend_edge_cases(backend_name):
     backend = compiled_backend(backend_name)
     empty = np.empty(0, dtype=np.int64)
@@ -92,7 +96,7 @@ def test_backend_edge_cases(backend_name):
         )
 
 
-@pytest.mark.parametrize("backend_name", ["cc", "numba"])
+@pytest.mark.parametrize("backend_name", ["cc"])
 @pytest.mark.parametrize("q,s", SHAPES, ids=[f"q{q}s{s}" for q, s in SHAPES])
 def test_success_buffer_boundary_single_process(backend_name, q, s):
     """One process wins every attempt, so a schedule of ``T`` steps
@@ -114,7 +118,7 @@ def test_success_buffer_boundary_single_process(backend_name, q, s):
             )
 
 
-@pytest.mark.parametrize("backend_name", ["cc", "numba"])
+@pytest.mark.parametrize("backend_name", ["cc"])
 def test_backend_heap_scan_on_fused_stack(backend_name):
     """The stacked-replicate layout the fused path feeds the kernels."""
     backend = compiled_backend(backend_name)
@@ -131,7 +135,7 @@ def test_backend_heap_scan_on_fused_stack(backend_name):
     )
 
 
-@pytest.mark.parametrize("backend_name", ["numpy", "cc", "numba"])
+@pytest.mark.parametrize("backend_name", ["numpy", "cc"])
 @pytest.mark.parametrize("bad_pid", [3, -1, 2**40])
 def test_out_of_range_pid_raises(backend_name, bad_pid):
     """A pid outside ``[0, n)`` fails loudly, naming the pid and its
@@ -210,10 +214,10 @@ def test_stacked_resolvers_match_single_pass_oracle(q, s):
         assert_resolution_equal(expected, actual)
 
 
-@pytest.mark.parametrize("backend_name", ["cc", "numba"])
+@pytest.mark.parametrize("backend_name", ["cc"])
 @pytest.mark.parametrize("q,s", SHAPES, ids=[f"q{q}s{s}" for q, s in SHAPES])
 def test_stacked_resolvers_match_oracle_on_backends(backend_name, q, s):
-    """Compiled backends resolve fused stacks bit-identically to the
+    """The cc backend resolves fused stacks bit-identically to the
     numpy oracle."""
     backend = compiled_backend(backend_name)
     rng = np.random.default_rng(41)
@@ -242,47 +246,54 @@ def test_numpy_backend_always_available():
 
 
 def test_unknown_kernel_name_rejected():
-    with pytest.raises(ValueError, match="unknown engine kernel"):
-        get_kernel("fortran")
-    assert "fortran" not in KERNEL_NAMES
+    """A name that is not a backend fails as unknown, naming itself, on
+    selection and on the engine; ``numba`` (a backend no more) is not
+    silently mapped to another backend."""
+    from repro.algorithms.scu import ScuStepKernel, make_scu_memory
+    from repro.core.scheduler import UniformStochasticScheduler
+    from repro.sim import EnsembleReplicate, EnsembleSimulator
+
+    member = EnsembleReplicate(
+        ScuStepKernel(0, 1), 3, UniformStochasticScheduler(), make_scu_memory(1)
+    )
+    for name in ("fortran", "compiled", "numba"):
+        assert name not in KERNEL_NAMES
+        message = f"unknown engine kernel '{name}'"
+        with pytest.raises(ValueError, match=message):
+            get_kernel(name)
+        with pytest.raises(ValueError, match=message):
+            EnsembleSimulator([member], engine_kernel=name)
 
 
-def test_explicit_unavailable_backend_raises():
-    missing = [
-        name
-        for name in ("numba", "cc")
-        if name not in available_backends()
-    ]
-    if not missing:
-        pytest.skip("every compiled backend is available here")
-    with pytest.raises(KernelUnavailable, match=missing[0]):
-        get_kernel(missing[0])
+@pytest.fixture
+def cc_forced_off(monkeypatch):
+    """Selection as on a host where cc cannot be built."""
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    monkeypatch.setattr(kernels, "_FAILURES", {"cc": "forced off"})
+
+
+def test_explicit_unavailable_backend_raises(cc_forced_off):
+    with pytest.raises(KernelUnavailable, match="'cc' unavailable: forced off"):
+        get_kernel("cc")
+    assert kernel_diagnostics() == {"numpy": "available", "cc": "forced off"}
 
 
 def test_auto_prefers_compiled_when_available():
     kernel = get_kernel("auto")
-    compiled = [n for n in ("numba", "cc") if n in available_backends()]
-    if compiled:
-        assert kernel.name in compiled
+    if "cc" in available_backends():
+        assert kernel.name == "cc"
     else:
         assert kernel.name == "numpy"
 
 
-def test_auto_falls_back_to_numpy_silently(monkeypatch):
-    """With no compiled backend, ``auto`` is the numpy kernel, without a
-    warning; ``compiled`` is not a kernel name."""
+def test_auto_falls_back_to_numpy_silently(cc_forced_off):
+    """Without cc, ``auto`` is the numpy kernel, without a warning."""
     import warnings
 
-    monkeypatch.setattr(kernels, "_KERNELS", {})
-    monkeypatch.setattr(
-        kernels, "_FAILURES", {"numba": "forced off", "cc": "forced off"}
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert isinstance(get_kernel("auto"), NumpyKernel)
-    assert KERNEL_NAMES == ("auto", "numpy", "numba", "cc")
-    with pytest.raises(ValueError, match="unknown engine kernel 'compiled'"):
-        get_kernel("compiled")
+    assert KERNEL_NAMES == ("auto", "numpy", "cc")
 
 
 def test_cc_build_caches_shared_object(tmp_path, monkeypatch):
@@ -296,3 +307,76 @@ def test_cc_build_caches_shared_object(tmp_path, monkeypatch):
     second = kernels._build_cc_library()
     assert built[0].stat().st_mtime_ns == mtime  # reused, not rebuilt
     assert first is not second  # fresh CDLL handles over the same file
+
+
+def _in_threads(count, target):
+    """Run ``target(i)`` on ``count`` threads; each result or exception."""
+    results = [None] * count
+
+    def call(index):
+        try:
+            results[index] = target(index)
+        except Exception as error:  # reported by the caller's asserts
+            results[index] = error
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return results
+
+
+def test_concurrent_cold_builds_share_the_cache(tmp_path, monkeypatch):
+    """Two threads of one process build the library at once on a cold
+    cache: both compilers run together, and both finish before either
+    build moves its output into place (barriers around
+    ``subprocess.run``).  Both load a library, and no temp file is
+    left."""
+    if "cc" not in available_backends():
+        pytest.skip("no C compiler on this machine")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    together = threading.Barrier(2, timeout=60)
+    run = subprocess.run
+
+    def run_together(*args, **kwargs):
+        together.wait()
+        result = run(*args, **kwargs)
+        together.wait()
+        return result
+
+    monkeypatch.setattr(subprocess, "run", run_together)
+    libraries = _in_threads(2, lambda index: kernels._build_cc_library())
+    for library in libraries:
+        assert hasattr(library, "repro_scu_scan"), library
+    assert len(list(tmp_path.glob("resolve_*.so"))) == 1
+    assert list(tmp_path.glob("*.tmp*")) == []
+
+
+def test_auto_from_threads_builds_cc_once(tmp_path, monkeypatch):
+    """Threads that select ``auto`` at once on a cold cache all get the
+    one cc kernel, built by one compiler run, and cc is not failed."""
+    if "cc" not in available_backends():
+        pytest.skip("no C compiler on this machine")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    monkeypatch.setattr(kernels, "_FAILURES", {})
+    compiles = []
+    run = subprocess.run
+
+    def counted_run(*args, **kwargs):
+        compiles.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted_run)
+    start = threading.Barrier(3, timeout=60)
+
+    def select(index):
+        start.wait()
+        return get_kernel("auto")
+
+    selected = _in_threads(3, select)
+    assert [getattr(kernel, "name", kernel) for kernel in selected] == ["cc"] * 3
+    assert all(kernel is selected[0] for kernel in selected)
+    assert "cc" not in kernels._FAILURES
+    assert len(compiles) == 1

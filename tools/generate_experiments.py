@@ -128,11 +128,11 @@ The ensemble engine stacks same-shape replicates — same `(q, s)` and
 resolver kind, across a point's replicate block and across the grid's
 thread counts — into schedules resolved in one vectorized pass on
 pluggable kernels: `cc` (a small C library compiled by the system
-compiler at first use) and `numba` (optional) run one time-ordered scan
-for every `SCU(q, s)` shape, and `numpy` (always available, the
-bit-identity oracle) keeps its successor-chain walk and `heapq` scan.
-The fastest kernel is the default, and how much to stack follows from
-it, not from a setting: compiled kernels stack every block, the numpy
+compiler at first use) runs one time-ordered scan for every `SCU(q, s)`
+shape, and `numpy` (always available, the bit-identity oracle) keeps
+its successor-chain walk and `heapq` scan.  `cc` is the default when a
+C compiler is present, and how much to stack follows from the kernel,
+not from a setting: `cc` stacks every block, the numpy
 chain walk stacks replicates shorter than 4096 steps, and the numpy
 `heapq` scan, which gains nothing from stacking, takes one replicate
 per block.  A pooled sweep additionally moves tasks and results
