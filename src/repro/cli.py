@@ -819,8 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         metavar="DIR",
         required=True,
-        help="service root: the job ledger, per-job stores, the point "
-        "memo and endpoint.json all live here",
+        help="service root: the job ledger, the point journal and "
+        "endpoint.json all live here",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(

@@ -10,7 +10,8 @@ A resumed sweep that re-runs only the missing replicates is
 bit-identical to an uninterrupted one; the journal never stores partial
 simulator state, only finished numbers.  The one result journal is
 :class:`repro.core.store.ColumnarSweepStore`; the service's
-:class:`repro.service.ledger.JobLedger` journals job events the same way.
+:class:`repro.service.ledger.JobLedger` journals job events, and its
+:class:`~repro.service.ledger.PointJournal` sweep points, the same way.
 
 This module holds what those journals share: the fingerprint with its
 scheduler identity and crash hash, the point-record validator

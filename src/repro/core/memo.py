@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import tempfile
 import warnings
@@ -62,21 +63,7 @@ _warned_put_failure = False
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _valid_value(value: Any) -> bool:
-    """Whether a decoded entry value is well-formed.
-
-    Scalars (the exact solvers' floats) and flat lists of numbers (the
-    service's per-point latency triples) are both admitted; anything
-    else is treated as corruption.
-    """
-    if _is_number(value):
-        return True
-    if isinstance(value, list) and value:
-        return all(_is_number(item) for item in value)
-    return False
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _count(name: str, telemetry=None) -> None:
@@ -135,7 +122,9 @@ class DiskMemo:
         Corrupt entries (unparseable, wrong schema, key mismatch from a
         hash collision or a partial legacy write, non-numeric value)
         count as misses; the caller recomputes and :meth:`put`
-        overwrites them.
+        overwrites them.  Only a number is a value: an entry holding a
+        list (a service point triple written before the service kept
+        its own journal) is corrupt too.
         """
         path = self.entry_path(name, args)
         try:
@@ -150,37 +139,35 @@ class DiskMemo:
             not isinstance(payload, dict)
             or payload.get("schema") != MEMO_SCHEMA_VERSION
             or payload.get("key") != self._canonical_key(name, args)
-            or not _valid_value(payload.get("value"))
+            or not _is_number(payload.get("value"))
         ):
             _count("disk_corrupt", self.telemetry)
             return _MISS
         _count("disk_hits", self.telemetry)
-        value = payload["value"]
-        if isinstance(value, list):
-            return [float(item) for item in value]
-        return float(value)
+        return float(payload["value"])
 
     def put(self, name: str, args: Tuple, value) -> None:
         """Atomically store ``value`` for ``(name, args)``.
 
-        ``value`` is a number or a flat sequence of numbers.  Written to
-        a temp file in the target directory, fsynced, then renamed into
-        place — readers see either the old entry or the complete new
-        one, never a torn write.  Storage failures (ENOSPC, EPERM, a
-        read-only memo) degrade instead of raising: the first is warned
-        once and counted (``memo.put_failures``), then the memo simply
-        stops warming future starts — it never breaks the solve.
+        ``value`` must be a real number (else ``TypeError`` naming its
+        type).  Written to a temp file in the target directory, fsynced,
+        then renamed into place — readers see either the old entry or the
+        complete new one, never a torn write.  Storage failures (ENOSPC,
+        EPERM, a read-only memo) degrade instead of raising: the first is
+        warned once and counted (``memo.put_failures``), then the memo
+        simply stops warming future starts — it never breaks the solve.
         """
         global _warned_put_failure
-        if isinstance(value, (list, tuple)):
-            encoded: Any = [float(item) for item in value]
-        else:
-            encoded = float(value)
+        if not _is_number(value):
+            raise TypeError(
+                f"a memo value must be a real number, not "
+                f"{type(value).__name__}"
+            )
         path = self.entry_path(name, args)
         payload = {
             "schema": MEMO_SCHEMA_VERSION,
             "key": self._canonical_key(name, args),
-            "value": encoded,
+            "value": float(value),
         }
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

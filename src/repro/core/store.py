@@ -19,7 +19,7 @@ directory:
   tail reaches ``compact_every`` records, or a caller calls
   :meth:`compact`, it is compacted into a fresh columnar chunk and
   truncated.  Closing does not compact: a store of a dozen records
-  (a service job) stays ``header.json`` plus ``tail.jsonl``, since
+  stays ``header.json`` plus ``tail.jsonl``, since
   writing and re-reading an npz chunk costs more than parsing that
   many lines, while a big sweep still compacts every ``compact_every``
   records, so a resume parses at most ``compact_every - 1`` lines.

@@ -35,6 +35,7 @@ would have produced.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -642,7 +643,10 @@ def latency_sweep(
 
     ``store`` names a :class:`~repro.core.store.ColumnarSweepStore`
     directory, which the sweep opens and closes, or is a store its
-    caller opened, which the sweep records into and leaves open.
+    caller opened, which the sweep records into and leaves open: a
+    ``ColumnarSweepStore``, or anything with its ``closed``, ``path``,
+    ``fingerprint``, ``keys``, ``triples()`` and ``record()`` (the
+    service passes one job's view of its point journal).
     Finished replicates are appended as they land, and ``resume=True``
     skips the ones already recorded (after validating the store belongs
     to *this* sweep).  An open store must not be closed, must carry this
@@ -720,14 +724,14 @@ def latency_sweep(
     )
     log = None
     owns_log = False
-    if isinstance(store, ColumnarSweepStore):
-        log = store
-        _check_open_store(log, fingerprint, resume)
-    elif store is not None:
+    if isinstance(store, (str, os.PathLike)):
         log = ColumnarSweepStore.open(
             store, fingerprint, resume=resume, telemetry=telemetry
         )
         owns_log = True
+    elif store is not None:
+        log = store
+        _check_open_store(log, fingerprint, resume)
     aggregator = StreamingSweepAggregator(n_values, repeats)
     recorded = set()
     if log is not None:
@@ -847,7 +851,7 @@ def latency_sweep(
 
 
 def _check_open_store(
-    store: ColumnarSweepStore, fingerprint: Dict[str, object], resume: bool
+    store, fingerprint: Dict[str, object], resume: bool
 ) -> None:
     """Refuse an open store that :func:`latency_sweep` must not record into.
 

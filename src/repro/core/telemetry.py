@@ -46,8 +46,9 @@ every resolved block, one-replicate blocks included), ``executor.*``
 ``service.*`` (the sweep job daemon of :mod:`repro.service` —
 ``service.submitted`` / ``completed`` / ``failed`` / ``poisoned`` /
 ``cancelled`` job outcomes, ``service.dedupe_hits`` for submissions
-answered by an existing job, ``service.memo_warm_points`` /
-``service.recomputed_points`` for the point-level cache split,
+answered by an existing job, ``service.memo_warm_points`` (points
+found in the point journal; the name predates the journal) /
+``service.recomputed_points`` for the point-level split,
 ``service.rejected`` admissions shed at the bounded queue,
 ``service.recovered_jobs`` re-queued after crash recovery, the
 ``service.ledger_*`` event counters, and ``service.queue_depth`` /

@@ -6,7 +6,7 @@ content-addressed id (the SHA-256 of its canonical JSON), journals every
 transition in a crash-safe :class:`~repro.service.ledger.JobLedger`,
 runs them on a small pool of worker threads under TTL leases renewed by
 heartbeats, and serves results that are **bit-identical to a direct
-``latency_sweep`` call** — the whole stack below (store, engines)
+``latency_sweep`` call** — the whole stack below (journal, engines)
 guarantees replicates are pure functions of ``(seed, n, replicate)``,
 so resume, retry, dedupe and recovery can shuffle *when* work happens
 but never *what* it produces.
@@ -16,11 +16,17 @@ Deduplication happens at two grains:
 * **job-level** — re-submitting a spec whose job already completed (or
   is in flight) returns the existing job, zero new work
   (``service.dedupe_hits``);
-* **point-level** — every finished ``(n, replicate)`` triple is written
-  through to a :class:`~repro.core.memo.DiskMemo` keyed by the full
-  point identity, so a *new* job whose grid overlaps an old one warm
-  starts from the memo and recomputes only genuinely novel points
+* **point-level** — every finished ``(n, replicate)`` triple is
+  appended to the root's one :class:`~repro.service.ledger.PointJournal`
+  keyed by the full point identity (:func:`point_memo_args`), so a *new*
+  job whose grid overlaps an old one warm starts from the journal and
+  recomputes only genuinely novel points
   (``service.memo_warm_points`` / ``service.recomputed_points``).
+
+The root holds no per-job files: ``ledger.jsonl`` and ``points.jsonl``
+(each with its writer lock) plus ``endpoint.json`` are all of it,
+however many jobs and points ran.  A job's points cost one flushed line
+each and the job one fsync, made before its ``completed`` event.
 
 Failure handling is the `ResilientExecutor` ladder one level up: a
 failed job retries with the same capped, deterministically-jittered
@@ -28,8 +34,8 @@ backoff (:class:`~repro.core.runner.RetryPolicy`), and a job that
 exhausts its attempts is *poisoned* — quarantined in a terminal state
 rather than allowed to wedge the queue.  A worker or daemon killed
 mid-job simply stops heartbeating; on restart,
-:meth:`JobLedger.recover` re-queues its jobs and the store's resume
-machinery skips every point that already landed.
+:meth:`JobLedger.recover` re-queues its jobs, and each resumes from
+the points it had already journaled.
 
 Admission control is a bounded queue: past ``max_queue`` waiting jobs,
 :meth:`SweepService.submit` raises :class:`AdmissionError` with a
@@ -49,11 +55,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.checkpoint import crash_config_hash, sweep_fingerprint
-from ..core.memo import _MISS, DiskMemo
 from ..core.runner import RetryPolicy
-from ..core.store import ColumnarSweepStore
 from ..core.sweep import release_thread_workspace
-from .ledger import JobLedger, JobRecord, TERMINAL_STATES
+from .ledger import JobLedger, JobRecord, PointJournal, TERMINAL_STATES
 from .leases import DEFAULT_LEASE_TTL, LeaseTable, make_owner
 
 #: Environment hook for the lease-recovery chaos test: a float number of
@@ -61,9 +65,6 @@ from .leases import DEFAULT_LEASE_TTL, LeaseTable, make_owner
 #: and the ``running``/first-heartbeat pair — the window the test
 #: SIGKILLs the daemon in.  Unset (the default) costs nothing.
 CHAOS_LEASE_PAUSE_ENV = "REPRO_SERVICE_CHAOS_LEASE_PAUSE"
-
-#: Memo namespace for per-point write-through entries.
-POINT_MEMO_NAME = "service-point"
 
 
 def _normalize_scheduler(name: Any) -> str:
@@ -258,7 +259,7 @@ def _crash_times(spec: Dict[str, Any]) -> Optional[Dict[int, float]]:
 
 
 def spec_fingerprint(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """The sweep fingerprint this spec's store carries."""
+    """The sweep fingerprint of this spec's :func:`latency_sweep`."""
     if spec["workload"] == "scu":
         workload = f"scu({spec['q']},{spec['s']})"
     elif spec["workload"] == "cas-counter":
@@ -278,13 +279,13 @@ def spec_fingerprint(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def point_memo_args(spec: Dict[str, Any], n: int, r: int) -> Tuple:
-    """The full identity of one ``(n, replicate)`` point for the memo.
+    """The full identity of one ``(n, replicate)`` point: its journal key.
 
     Everything that can change the triple's bits participates: the
     workload (and its parameters), scheduler, steps, burn-in, the
     resolved crash hash, the seed, and the point itself.  The engine
-    does not: every engine computes the same bits, so an entry warm
-    starts the point whichever engine computed it.
+    does not: every engine computes the same bits, so a journaled
+    point warm starts whichever engine computed it.
     """
     crash_hash = crash_config_hash(_crash_times(spec), spec["n_values"])
     return (
@@ -310,100 +311,108 @@ def _estimate_dict(est) -> Dict[str, Any]:
     }
 
 
+class _JobPoints:
+    """One job's slice of the point journal, as :func:`latency_sweep`'s store.
+
+    It holds, from the start, every point of the job's grid the journal
+    has; :meth:`record` appends a new point to the journal.  The sweep
+    uses it as it does an open
+    :class:`~repro.core.store.ColumnarSweepStore`.
+    """
+
+    def __init__(self, journal: PointJournal, spec: Dict[str, Any]):
+        self._journal = journal
+        self.path = journal.path
+        self.fingerprint = spec_fingerprint(spec)
+        self._keys = {
+            (n, r): point_memo_args(spec, n, r)
+            for n in spec["n_values"]
+            for r in range(spec["repeats"])
+        }
+        self._triples: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        for point, key in self._keys.items():
+            triple = journal.get(key)
+            if triple is not None:
+                self._triples[point] = triple
+        self.warm = len(self._triples)
+        self.added = 0
+
+    @property
+    def closed(self) -> bool:
+        return self._journal.closed
+
+    @property
+    def keys(self) -> set:
+        return set(self._triples)
+
+    def triples(self) -> Dict[Tuple[int, int], Tuple[float, float, float]]:
+        return dict(self._triples)
+
+    def record(self, n: int, replicate: int, triple) -> None:
+        point = (int(n), int(replicate))
+        self._journal.append(self._keys[point], triple)
+        self._triples[point] = tuple(float(value) for value in triple)
+        self.added += 1
+
+
 def run_sweep_job(
     spec: Dict[str, Any],
-    store_dir: Union[str, Path],
+    journal: PointJournal,
     *,
-    memo: Optional[DiskMemo] = None,
     on_point: Optional[Callable[[int, int], None]] = None,
     telemetry=None,
 ) -> Dict[str, Any]:
-    """Execute one job spec against its store; returns the result dict.
+    """Execute one job spec against the point journal; returns the result.
 
-    This is the service's default ``job_runner``.  The job's store is
-    opened once (resumed when a re-queued job's directory exists):
-    warm-start it from the point memo (every overlapping point some
-    earlier job computed lands without running a single step), run
-    :func:`latency_sweep` on the open store with ``resume=True`` so
-    only missing points execute, take the triples from the store handle
-    (:meth:`ColumnarSweepStore.triples`, nothing is read back), close
-    it, then write the new triples through to the memo for the next
-    overlapping job.  A job's store is small, so it stays a header plus
-    the JSONL tail: closing does not compact.  The result carries the
-    per-point estimate table *and* the raw replicate triples — the
+    This is the service's default ``job_runner``.  Every point of the
+    job's grid the journal already holds (an earlier job with an
+    overlapping grid computed it, or this job did before its daemon
+    died) lands without running a step: ``warm_points``.
+    :func:`latency_sweep` runs the rest, ``recomputed``, and journals
+    each as one flushed line the moment it finishes.  A job that added
+    points then fsyncs the journal once, before the daemon journals it
+    ``completed``; a job that added none does no fsync.  No file is
+    opened or created.  The result carries the per-point estimate table
+    (``points``) *and* the raw replicate triples (``triples``) — the
     bit-identity contract is stated in bytes, so the bytes are in the
-    payload.
+    payload — plus ``warm_points`` and ``recomputed``; it names no store
+    path, since a job keeps nothing on disk of its own.
     """
     from ..core.sweep import latency_sweep
 
-    store_dir = Path(store_dir)
-    fingerprint = spec_fingerprint(spec)
+    job = _JobPoints(journal, spec)
     telemetry_on = telemetry is not None and telemetry.enabled
-    keys = [
-        (n, r)
-        for n in spec["n_values"]
-        for r in range(spec["repeats"])
-    ]
+    if telemetry_on and job.warm:
+        telemetry.inc("service.memo_warm_points", job.warm)
 
     def progress(done: int, total: int, key: Tuple[int, int]) -> None:
         if on_point is not None:
             on_point(done, total)
 
-    warm = 0
-    store = ColumnarSweepStore.open(
-        store_dir, fingerprint, resume=store_dir.exists(), telemetry=telemetry
+    factory_builder, memory_builder = build_workload(spec)
+    points = latency_sweep(
+        factory_builder,
+        memory_builder,
+        spec["n_values"],
+        steps=spec["steps"],
+        repeats=spec["repeats"],
+        scheduler_builder=build_scheduler(spec["scheduler"]),
+        seed=spec["seed"],
+        burn_in=spec["burn_in"],
+        crash_times=_crash_times(spec),
+        store=job,
+        resume=True,
+        on_progress=progress,
+        telemetry=telemetry,
+        # Must match spec_fingerprint: the sweep checks the job's
+        # fingerprint, workload key included.
+        workload=job.fingerprint["workload"],
     )
-    try:
-        # Warm start: pull every already-known point out of the memo
-        # into the store before the sweep looks at it.
-        if memo is not None:
-            for n, r in keys:
-                if (n, r) in store:
-                    continue
-                stored = memo.get(POINT_MEMO_NAME, point_memo_args(spec, n, r))
-                if stored is _MISS or not isinstance(stored, list):
-                    continue
-                store.record(n, r, tuple(stored))
-                warm += 1
-        missing = store.missing(spec["n_values"], spec["repeats"])
-        already = set(keys) - set(missing)
-        if telemetry_on and warm:
-            telemetry.inc("service.memo_warm_points", warm)
-
-        factory_builder, memory_builder = build_workload(spec)
-        points = latency_sweep(
-            factory_builder,
-            memory_builder,
-            spec["n_values"],
-            steps=spec["steps"],
-            repeats=spec["repeats"],
-            scheduler_builder=build_scheduler(spec["scheduler"]),
-            seed=spec["seed"],
-            burn_in=spec["burn_in"],
-            crash_times=_crash_times(spec),
-            store=store,
-            resume=True,
-            on_progress=progress,
-            telemetry=telemetry,
-            # Must match spec_fingerprint: the sweep checks the open
-            # store's fingerprint, workload key included.
-            workload=fingerprint["workload"],
-        )
-        completed = store.triples()
-    finally:
-        store.close()
-    if telemetry_on and missing:
-        telemetry.inc("service.recomputed_points", len(missing))
-
-    if memo is not None:
-        for (n, r), triple in completed.items():
-            if (n, r) in already:
-                continue
-            memo.put(POINT_MEMO_NAME, point_memo_args(spec, n, r), list(triple))
-    triples = [
-        [n, r, [float(v) for v in completed[(n, r)]]]
-        for (n, r) in sorted(completed)
-    ]
+    if job.added:
+        journal.sync()
+        if telemetry_on:
+            telemetry.inc("service.recomputed_points", job.added)
+    completed = job.triples()
     return {
         "points": [
             {
@@ -414,19 +423,23 @@ def run_sweep_job(
             }
             for point in points
         ],
-        "triples": triples,
-        "recomputed": len(missing),
-        "warm_points": warm,
-        "store": str(store_dir),
+        "triples": [
+            [n, r, list(completed[(n, r)])] for (n, r) in sorted(completed)
+        ],
+        "recomputed": job.added,
+        "warm_points": job.warm,
     }
 
 
 class SweepService:
     """The daemon core: ledger + leases + worker pool + dedupe.
 
-    ``job_runner`` is injectable for tests (signature of
-    :func:`run_sweep_job` minus ``memo``); ``clock`` likewise.  All
-    public methods are thread-safe — the HTTP layer calls straight in.
+    ``job_runner`` is injectable for tests (the signature of
+    :func:`run_sweep_job`); ``clock`` likewise.  All public methods are
+    thread-safe — the HTTP layer calls straight in.  The ledger and the
+    point journal are opened here, the journal read once into memory;
+    a second service on the same root fails on their writer locks,
+    naming the holder's PID.
     """
 
     def __init__(
@@ -467,7 +480,11 @@ class SweepService:
         self.ledger = JobLedger(
             self.root / "ledger.jsonl", clock=clock, telemetry=telemetry
         )
-        self.memo = DiskMemo(self.root / "memo", telemetry=telemetry)
+        try:
+            self.journal = PointJournal(self.root / "points.jsonl")
+        except BaseException:
+            self.ledger.close()
+            raise
         self.leases = LeaseTable(clock=clock)
         self._mutex = threading.RLock()
         self._records: Dict[str, JobRecord] = {}
@@ -508,9 +525,9 @@ class SweepService:
 
         Without ``drain``, running jobs are cancelled via their
         heartbeat hook (the next point boundary re-queues them — their
-        completed points are already durable in the store, so nothing
+        completed points are already in the point journal, so nothing
         is lost).  Either way every lease is released and the ledger
-        closed cleanly.
+        and the journal closed cleanly.
         """
         self._stopping.set()
         if not drain:
@@ -532,6 +549,7 @@ class SweepService:
                     job.owner = None
                 self.leases.release(job_id)
             self.ledger.close()
+            self.journal.close()
         self._threads = []
 
     def __enter__(self) -> "SweepService":
@@ -774,17 +792,9 @@ class SweepService:
                 )
                 self._records[job_id].heartbeats += 1
 
-        store_dir = self.root / "stores" / job_id
-        if self._job_runner is not None:
-            return self._job_runner(
-                spec, store_dir, on_point=heartbeat, telemetry=self.telemetry
-            )
-        return run_sweep_job(
-            spec,
-            store_dir,
-            memo=self.memo,
-            on_point=heartbeat,
-            telemetry=self.telemetry,
+        runner = self._job_runner or run_sweep_job
+        return runner(
+            spec, self.journal, on_point=heartbeat, telemetry=self.telemetry
         )
 
     def _note_failure(self, job_id: str, exc: Exception) -> None:

@@ -1,22 +1,25 @@
-"""The crash-safe job ledger: an append-only journal of job events.
+"""The crash-safe journals of the sweep service: job events and points.
 
-The sweep service's durable state is this one JSONL file.  Every
+The sweep service's durable state is two JSONL files under its root.
+The job ledger (:class:`JobLedger`, ``ledger.jsonl``) appends every
 transition of the job state machine
 
     ``queued -> leased -> running -> completed | failed | poisoned``
 
-(plus ``cancelled``, heartbeats, and re-queues after a lease expires) is
-appended as one fsynced JSON record, so the daemon can be SIGKILLed at
-any instant and a restart *replays* the ledger to recover exactly which
-jobs were queued, which were mid-flight under a now-dead worker, and
-which already finished.  Nothing is ever rewritten in place: recovery
-is a fold over events, the same trick as the sweep store one layer
-down — and the same torn-tail repair (:func:`repair_jsonl_tail`)
-handles a crash mid-append.
+(plus ``cancelled``, heartbeats, and re-queues after a lease expires) as
+one fsynced JSON record, so the daemon can be SIGKILLed at any instant
+and a restart *replays* the ledger to recover exactly which jobs were
+queued, which were mid-flight under a now-dead worker, and which
+already finished.  The point journal (:class:`PointJournal`,
+``points.jsonl``) appends every sweep point any job computed, keyed by
+its full identity, so a re-queued job resumes and an overlapping job
+warm starts from it.  Nothing is ever rewritten in place: recovery is a
+fold over records, and the same torn-tail repair
+(:func:`repair_jsonl_tail`) handles a crash mid-append in both.
 
-The file opens under the advisory single-writer lock
+Both open under the advisory single-writer lock
 (:func:`~repro.core.checkpoint.acquire_writer_lock`), so two daemons
-pointed at the same root fail loudly instead of interleaving events.
+pointed at the same root fail loudly instead of interleaving records.
 
 Replay is exposed two ways: :meth:`JobLedger.replay` folds the journal
 into ``{job_id: JobRecord}``, and :meth:`JobLedger.recover` additionally
@@ -30,19 +33,25 @@ import json
 import os
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.checkpoint import (
     CheckpointError,
+    Triple,
     acquire_writer_lock,
+    parse_point_record,
     repair_jsonl_tail,
 )
 from .leases import owner_alive
 
 #: Bumped whenever the ledger record layout changes incompatibly.
 LEDGER_SCHEMA_VERSION = 1
+
+#: Bumped whenever the point journal's record layout changes incompatibly.
+POINT_JOURNAL_SCHEMA_VERSION = 1
 
 #: Terminal states — a job here never transitions again.
 TERMINAL_STATES = frozenset({"completed", "failed", "poisoned", "cancelled"})
@@ -105,19 +114,42 @@ class JobRecord:
         }
 
 
-def _invalid(path: Path, line_no: int, why: str) -> CheckpointError:
+def _invalid(name: str, path: Path, line_no: int, why: str) -> CheckpointError:
     return CheckpointError(
-        f"ledger {path} line {line_no} is structurally invalid ({why})"
+        f"{name} {path} line {line_no} is structurally invalid ({why})"
     )
 
 
-def _decode(path: Path, raw: bytes) -> str:
-    """Decode ledger bytes, naming the line of any invalid UTF-8."""
+def _decode(name: str, path: Path, raw: bytes) -> str:
+    """Decode journal bytes, naming the line of any invalid UTF-8."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise _invalid(path, line_no, "invalid UTF-8") from None
+        raise _invalid(name, path, line_no, "invalid UTF-8") from None
+
+
+def _parse_lines(
+    name: str, path: Path, raw: bytes
+) -> Iterator[Tuple[int, Any]]:
+    """``(line number, decoded JSON)`` for every non-blank line of ``raw``.
+
+    Raises :class:`CheckpointError` naming the first line that does not
+    decode.
+    """
+    for line_no, line in enumerate(_decode(name, path, raw).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            raise _invalid(name, path, line_no, "unparseable JSON")
+        yield line_no, record
+
+
+def _dumps(record: Dict[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 #: Numeric event fields replay converts, and the types each may hold.
@@ -136,90 +168,98 @@ def _check_numbers(path: Path, line_no: int, record: Dict[str, Any]) -> None:
             or not isinstance(record[name], kinds)
         ):
             raise _invalid(
-                path, line_no, f"field {name!r} has invalid value {record[name]!r}"
+                JobLedger.NAME,
+                path,
+                line_no,
+                f"field {name!r} has invalid value {record[name]!r}",
             )
 
 
-class JobLedger:
-    """Append-only, schema-versioned journal of job events.
+class _Journal:
+    """An append-only JSONL file held open under the single-writer lock.
 
-    Appends are thread-safe (the daemon's workers all write through one
-    ledger) and fsynced per event — job transitions are rare next to
-    sweep points, so durability per event is cheap.  The journal is held
-    open for append under the single-writer lock for the lifetime of
-    the instance; :meth:`close` releases both.
+    Line 1 is the schema'd :attr:`HEADER`; every later line is one JSON
+    record.  Opening repairs a torn final line, refuses a header of
+    another schema or journal, and holds the append handle and the
+    writer lock until :meth:`close`.  Appends go through one mutex, so
+    threads can share an instance.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        clock: Callable[[], float] = time.time,
-        telemetry=None,
-    ):
+    #: How error messages name the file.
+    NAME: str
+    #: The header record a fresh file starts with and an old one must carry.
+    HEADER: Dict[str, Any]
+
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self._clock = clock
-        self.telemetry = telemetry
         self._mutex = threading.Lock()
+        self._handle = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = acquire_writer_lock(self.path)
         try:
+            if self.path.exists():
+                repair_jsonl_tail(self.path)
             fresh = not self.path.exists() or self.path.stat().st_size == 0
             if not fresh:
-                repair_jsonl_tail(self.path)
                 self._validate_header()
             self._handle = self.path.open("a", encoding="utf-8")
             if fresh:
-                self._append_raw(
-                    {"kind": "header", "schema": LEDGER_SCHEMA_VERSION}
-                )
+                self._write_line(_dumps(self.HEADER), sync=True)
         except BaseException:
-            if self._lock is not None:
-                self._lock.release()
+            self.close()
             raise
 
-    # -- journal plumbing ---------------------------------------------------
+    def _invalid(self, line_no: int, why: str) -> CheckpointError:
+        return _invalid(self.NAME, self.path, line_no, why)
 
     def _validate_header(self) -> None:
         with self.path.open("rb") as handle:
-            first = _decode(self.path, handle.readline())
+            first = _decode(self.NAME, self.path, handle.readline())
         try:
             header = json.loads(first)
         except ValueError:
-            raise _invalid(self.path, 1, "unparseable header")
+            raise self._invalid(1, "unparseable header")
         if not isinstance(header, dict) or header.get("kind") != "header":
-            raise _invalid(self.path, 1, "missing header record")
-        if header.get("schema") != LEDGER_SCHEMA_VERSION:
+            raise self._invalid(1, "missing header record")
+        if header.get("schema") != self.HEADER["schema"]:
             raise CheckpointError(
-                f"ledger {self.path} has schema "
+                f"{self.NAME} {self.path} has schema "
                 f"{header.get('schema')!r}, this build reads "
-                f"{LEDGER_SCHEMA_VERSION}"
+                f"{self.HEADER['schema']}"
+            )
+        if header != self.HEADER:
+            raise CheckpointError(
+                f"{self.path} is not a {self.NAME}: its header is {header}"
             )
 
-    def _append_raw(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def _write_line(self, line: str, *, sync: bool) -> None:
+        """Append one line and flush it; ``sync`` also fsyncs.
+
+        Callers other than ``__init__`` hold the mutex.
+        """
+        if self._handle is None:
+            raise CheckpointError(f"{self.NAME} {self.path} is closed")
         self._handle.write(line + "\n")
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        if sync:
+            os.fsync(self._handle.fileno())
 
-    def append(self, event: str, job_id: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event record (thread-safe, fsynced)."""
-        if event not in _EVENT_STATE:
-            raise ValueError(f"unknown ledger event {event!r}")
-        record = {
-            "kind": "event",
-            "event": event,
-            "job": str(job_id),
-            "t": float(self._clock()),
-        }
-        record.update(fields)
-        with self._mutex:
-            if self._handle is None:
-                raise CheckpointError(f"ledger {self.path} is closed")
-            self._append_raw(record)
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.inc(f"service.ledger_{event}")
-        return record
+    def _records(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(line number, record)`` for every record past the header.
+
+        A torn final line was repaired on open, so any line that is not
+        a JSON object is real corruption and raises, naming the line.
+        """
+        raw = self.path.read_bytes()
+        for line_no, record in _parse_lines(self.NAME, self.path, raw):
+            if not isinstance(record, dict):
+                raise self._invalid(line_no, "expected an object")
+            if record.get("kind") != "header":
+                yield line_no, record
+
+    @property
+    def closed(self) -> bool:
+        return self._handle is None
 
     def close(self) -> None:
         """Release the journal handle and the writer lock (idempotent)."""
@@ -233,11 +273,53 @@ class JobLedger:
                 self._lock.release()
                 self._lock = None
 
-    def __enter__(self) -> "JobLedger":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class JobLedger(_Journal):
+    """Append-only, schema-versioned journal of job events.
+
+    Appends are thread-safe (the daemon's workers all write through one
+    ledger) and fsynced per event — job transitions are rare next to
+    sweep points, so durability per event is cheap.  The journal is held
+    open for append under the single-writer lock for the lifetime of
+    the instance; :meth:`close` releases both.
+    """
+
+    NAME = "ledger"
+    HEADER = {"kind": "header", "schema": LEDGER_SCHEMA_VERSION}
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        *,
+        clock: Callable[[], float] = time.time,
+        telemetry=None,
+    ):
+        self._clock = clock
+        self.telemetry = telemetry
+        super().__init__(path)
+
+    def append(self, event: str, job_id: str, **fields: Any) -> Dict[str, Any]:
+        """Append one event record (thread-safe, fsynced)."""
+        if event not in _EVENT_STATE:
+            raise ValueError(f"unknown ledger event {event!r}")
+        record = {
+            "kind": "event",
+            "event": event,
+            "job": str(job_id),
+            "t": float(self._clock()),
+        }
+        record.update(fields)
+        with self._mutex:
+            self._write_line(_dumps(record), sync=True)
+        if self.telemetry is not None and self.telemetry.enabled:
+            self.telemetry.inc(f"service.ledger_{event}")
+        return record
 
     # -- replay -------------------------------------------------------------
 
@@ -252,49 +334,26 @@ class JobLedger:
         :class:`CheckpointError` naming it.
         """
         path = Path(path)
-        out: List[Dict[str, Any]] = []
         raw = path.read_bytes()
-        complete = raw[: raw.rfind(b"\n") + 1] if not raw.endswith(b"\n") else raw
-        for line_no, line in enumerate(_decode(path, complete).split("\n"), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                raise _invalid(path, line_no, "unparseable JSON")
-            if isinstance(record, dict) and record.get("kind") == "event":
-                out.append(record)
-        return out
+        complete = raw[: raw.rfind(b"\n") + 1]
+        return [
+            record
+            for _, record in _parse_lines(cls.NAME, path, complete)
+            if isinstance(record, dict) and record.get("kind") == "event"
+        ]
 
     def events(self) -> List[Dict[str, Any]]:
         """Every event record in append order (validated)."""
         out: List[Dict[str, Any]] = []
-        text = _decode(self.path, self.path.read_bytes())
-        for line_no, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # A torn final line is repaired on open; mid-file
-                # garbage is real corruption and must be loud.
-                raise _invalid(self.path, line_no, "unparseable JSON")
-            if not isinstance(record, dict):
-                raise _invalid(self.path, line_no, "expected an object")
+        for line_no, record in self._records():
             kind = record.get("kind")
-            if kind == "header":
-                continue
             if kind != "event":
-                raise _invalid(self.path, line_no, f"unknown kind {kind!r}")
+                raise self._invalid(line_no, f"unknown kind {kind!r}")
             event = record.get("event")
             if event not in _EVENT_STATE:
-                raise _invalid(
-                    self.path, line_no, f"unknown event {event!r}"
-                )
+                raise self._invalid(line_no, f"unknown event {event!r}")
             if not isinstance(record.get("job"), str):
-                raise _invalid(self.path, line_no, "missing job id")
+                raise self._invalid(line_no, "missing job id")
             _check_numbers(self.path, line_no, record)
             out.append(record)
         return out
@@ -413,3 +472,77 @@ class JobLedger:
             if self.telemetry is not None and self.telemetry.enabled:
                 self.telemetry.inc("service.recovered_jobs")
         return jobs
+
+
+class PointJournal(_Journal):
+    """Every sweep point the service computed, one checksummed line each.
+
+    A point's key is its full identity, the tuple
+    :func:`~repro.service.daemon.point_memo_args` builds: everything
+    that can change its triple, then ``(n, replicate)``.  Opening loads
+    the file once into an in-memory index that stores each identity
+    once for all of its points.  :meth:`append` writes one flushed line
+    and no fsync, so a SIGKILLed job keeps every point it finished;
+    :meth:`sync` makes them durable against a machine crash too, once
+    per job.  Each line carries the CRC-32 of its record, so a flipped
+    byte raises :class:`CheckpointError` naming the line instead of
+    serving a wrong triple.
+    """
+
+    NAME = "point journal"
+    HEADER = {
+        "kind": "header",
+        "journal": "points",
+        "schema": POINT_JOURNAL_SCHEMA_VERSION,
+    }
+
+    def __init__(self, path: Union[str, Path]):
+        super().__init__(path)
+        self._index: Dict[Tuple, Dict[Tuple[int, int], Triple]] = {}
+        try:
+            for line_no, record in self._records():
+                crc = record.pop("crc", None)
+                if crc != zlib.crc32(_dumps(record).encode("utf-8")):
+                    raise self._invalid(line_no, "checksum mismatch")
+                key, triple = parse_point_record(record, self.path, line_no)
+                identity = record.get("id")
+                if not isinstance(identity, list) or any(
+                    isinstance(item, (list, dict)) for item in identity
+                ):
+                    raise self._invalid(line_no, "'id' is not a flat list")
+                self._index.setdefault(tuple(identity), {})[key] = triple
+        except BaseException:
+            self.close()
+            raise
+
+    def __len__(self) -> int:
+        return sum(len(points) for points in self._index.values())
+
+    def get(self, key: Tuple) -> Optional[Triple]:
+        """The triple journaled under ``key``, or ``None``."""
+        points = self._index.get(key[:-2])
+        return None if points is None else points.get(key[-2:])
+
+    def append(self, key: Tuple, triple: Triple) -> None:
+        """Journal one point as one flushed line (thread-safe, no fsync)."""
+        values = [float(value) for value in triple]
+        body = _dumps(
+            {
+                "id": list(key[:-2]),
+                "kind": "point",
+                "n": int(key[-2]),
+                "r": int(key[-1]),
+                "v": values,
+            }
+        )
+        crc = zlib.crc32(body.encode("utf-8"))
+        with self._mutex:
+            self._write_line(f'{body[:-1]},"crc":{crc}}}', sync=False)
+            self._index.setdefault(key[:-2], {})[key[-2:]] = tuple(values)
+
+    def sync(self) -> None:
+        """Fsync every point appended so far."""
+        with self._mutex:
+            if self._handle is None:
+                raise CheckpointError(f"{self.NAME} {self.path} is closed")
+            os.fsync(self._handle.fileno())

@@ -209,36 +209,45 @@ class TestScuIntegration:
 
 
 class TestListValues:
-    """Flat lists of numbers (the service's point triples) round-trip."""
+    """Values are numbers only: a list entry (the service's point
+    triples, before it kept its own journal) is corrupt on disk, and a
+    list put raises."""
 
-    def test_list_value_roundtrip(self, tmp_path):
-        memo = DiskMemo(tmp_path)
-        memo.put("triples", (2, 0), [1.5, 2.5, 3.5])
-        assert memo.get("triples", (2, 0)) == [1.5, 2.5, 3.5]
+    def write_entry(self, memo, args, value):
+        path = memo.entry_path("triples", args)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(
+                {"schema": 1, "key": ["triples", list(args)], "value": value}
+            )
+        )
 
-    def test_tuple_value_stored_as_list(self, tmp_path):
+    def test_list_entry_on_disk_is_corruption(self, tmp_path):
         memo = DiskMemo(tmp_path)
-        memo.put("triples", (2, 1), (1.0, 2.0, 3.0))
-        assert memo.get("triples", (2, 1)) == [1.0, 2.0, 3.0]
+        self.write_entry(memo, (2, 0), [1.5, 2.5, 3.5])
+        reset_memo_counters()
+        assert memo.get("triples", (2, 0)) is memo_module._MISS
+        assert memo_counters()["disk_corrupt"] == 1
+
+    @pytest.mark.parametrize(
+        "value", [[1.5, 2.5, 3.5], (1.0, 2.0, 3.0)], ids=["list", "tuple"]
+    )
+    def test_list_put_raises_naming_the_type(self, tmp_path, value):
+        memo = DiskMemo(tmp_path)
+        with pytest.raises(TypeError, match=type(value).__name__):
+            memo.put("triples", (2, 1), value)
+        assert not memo.entry_path("triples", (2, 1)).exists()
 
     def test_non_numeric_list_is_corruption(self, tmp_path):
         memo = DiskMemo(tmp_path)
-        memo.put("triples", (4, 0), [1.0, 2.0, 3.0])
-        path = memo.entry_path("triples", (4, 0))
-        payload = json.loads(path.read_text())
-        payload["value"] = [1.0, "oops", 3.0]
-        path.write_text(json.dumps(payload))
+        self.write_entry(memo, (4, 0), [1.0, "oops", 3.0])
         reset_memo_counters()
         assert memo.get("triples", (4, 0)) is memo_module._MISS
         assert memo_counters()["disk_corrupt"] == 1
 
     def test_empty_list_is_corruption(self, tmp_path):
         memo = DiskMemo(tmp_path)
-        memo.put("triples", (4, 1), [1.0])
-        path = memo.entry_path("triples", (4, 1))
-        payload = json.loads(path.read_text())
-        payload["value"] = []
-        path.write_text(json.dumps(payload))
+        self.write_entry(memo, (4, 1), [])
         assert memo.get("triples", (4, 1)) is memo_module._MISS
 
 

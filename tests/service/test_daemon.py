@@ -1,10 +1,16 @@
 """Tests for the sweep service daemon core (repro.service.daemon)."""
 
+import builtins
+import io
+import json
+import os
+import re
 import threading
 import time
 
 import pytest
 
+from repro.core.checkpoint import CheckpointError
 from repro.core.runner import RetryPolicy
 from repro.core.telemetry import MetricsRegistry
 from repro.service import (
@@ -140,7 +146,10 @@ class TestFakeRunnerService:
         return SweepService(tmp_path, job_runner=runner, **kwargs)
 
     def test_submit_runs_and_completes(self, tmp_path):
-        def runner(spec, store_dir, *, on_point, telemetry):
+        journals = []
+
+        def runner(spec, journal, *, on_point, telemetry):
+            journals.append(journal)
             on_point(1, 1)
             return {"recomputed": 0, "triples": []}
 
@@ -150,9 +159,11 @@ class TestFakeRunnerService:
             status = wait_terminal(service, snap["job_id"])
         assert status["state"] == "completed"
         assert status["heartbeats"] >= 1
+        # Every job runs against the service's one point journal.
+        assert journals == [service.journal]
 
     def test_resubmit_is_dedupe_hit(self, tmp_path):
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             return {"ok": True}
 
         telemetry = MetricsRegistry()
@@ -167,7 +178,7 @@ class TestFakeRunnerService:
     def test_admission_control_sheds_load(self, tmp_path):
         gate = threading.Event()
 
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             gate.wait(30)
             return {}
 
@@ -189,7 +200,7 @@ class TestFakeRunnerService:
     def test_failed_job_retried_then_poisoned(self, tmp_path):
         attempts = []
 
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             attempts.append(1)
             raise RuntimeError("injected persistent failure")
 
@@ -209,7 +220,7 @@ class TestFakeRunnerService:
     def test_transient_failure_recovers(self, tmp_path):
         calls = []
 
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             calls.append(1)
             if len(calls) == 1:
                 raise RuntimeError("transient")
@@ -225,7 +236,7 @@ class TestFakeRunnerService:
     def test_cancel_queued_job(self, tmp_path):
         gate = threading.Event()
 
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             gate.wait(30)
             return {}
 
@@ -241,7 +252,7 @@ class TestFakeRunnerService:
         started = threading.Event()
         release = threading.Event()
 
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             started.set()
             for _ in range(600):
                 release.wait(0.05)
@@ -256,7 +267,7 @@ class TestFakeRunnerService:
         assert status["state"] == "cancelled"
 
     def test_unknown_job_raises(self, tmp_path):
-        def runner(spec, store_dir, *, on_point, telemetry):
+        def runner(spec, journal, *, on_point, telemetry):
             return {}
 
         with self.make(tmp_path, runner) as service:
@@ -267,7 +278,7 @@ class TestFakeRunnerService:
         gate = threading.Event()
         ran = []
 
-        def blocking_runner(spec, store_dir, *, on_point, telemetry):
+        def blocking_runner(spec, journal, *, on_point, telemetry):
             gate.wait(30)
             return {}
 
@@ -281,7 +292,7 @@ class TestFakeRunnerService:
         wait_terminal(service, queued)
         service.shutdown()
 
-        def counting_runner(spec, store_dir, *, on_point, telemetry):
+        def counting_runner(spec, journal, *, on_point, telemetry):
             ran.append(spec["seed"])
             return {}
 
@@ -368,87 +379,138 @@ class TestRealSweepService:
         assert telemetry.counters["service.recomputed_points"] == 4
 
 
-class TestRunSweepJobStoreOpens:
-    """``run_sweep_job`` opens a job's store once: the memo warm start
-    and the sweep record into the same handle, and the final triples
-    come from that handle.  Closing does not compact, so a job's store
-    holds no npz chunk."""
+def _journal(path):
+    from repro.service.ledger import PointJournal
 
-    def test_one_open_per_job_novel_and_warm(self, tmp_path, monkeypatch):
-        from repro.core.memo import DiskMemo
+    return PointJournal(path)
+
+
+class TestRunSweepJobBudget:
+    """What a job costs the disk, counted through wrappers: no store
+    open and no new file per job, and one fsync for a job that adds
+    points, none for a job that adds none."""
+
+    def counted(self, monkeypatch, job):
+        """``job()``'s result and its fsyncs, store opens and new files."""
         from repro.core.store import ColumnarSweepStore
+
+        counts = {"fsyncs": 0, "store_opens": 0, "created": []}
+        real_fsync, real_os_open, real_open = os.fsync, os.open, builtins.open
+        real_store_open = ColumnarSweepStore.open
+
+        def fsync(fd):
+            counts["fsyncs"] += 1
+            return real_fsync(fd)
+
+        def os_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT and not os.path.exists(path):
+                counts["created"].append(str(path))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def py_open(file, mode="r", *args, **kwargs):
+            if (
+                isinstance(file, (str, bytes, os.PathLike))
+                and set(mode) & set("wax")
+                and not os.path.exists(file)
+            ):
+                counts["created"].append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        def store_open(cls, *args, **kwargs):
+            counts["store_opens"] += 1
+            return real_store_open(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync)
+            patch.setattr(os, "open", os_open)
+            patch.setattr(builtins, "open", py_open)
+            patch.setattr(io, "open", py_open)
+            patch.setattr(ColumnarSweepStore, "open", classmethod(store_open))
+            result = job()
+        return result, counts
+
+    def test_novel_warm_and_all_warm_jobs(self, tmp_path, monkeypatch):
         from repro.service import run_sweep_job
 
-        opens = []
-        loads = []
-        original = ColumnarSweepStore.open
-        original_load = ColumnarSweepStore.load_completed
-
-        def counting_open(cls, *args, **kwargs):
-            opens.append(args[0])
-            return original(*args, **kwargs)
-
-        def counting_load(cls, *args, **kwargs):
-            loads.append(args[0])
-            return original_load(*args, **kwargs)
-
-        monkeypatch.setattr(
-            ColumnarSweepStore, "open", classmethod(counting_open)
-        )
-        monkeypatch.setattr(
-            ColumnarSweepStore, "load_completed", classmethod(counting_load)
-        )
+        journal = _journal(tmp_path / "points.jsonl")
+        files = sorted(tmp_path.rglob("*"))
         spec = validate_spec(
             {"n_values": [2, 3, 4], "steps": 300, "repeats": 3, "seed": 3}
         )
-        memo = DiskMemo(tmp_path / "memo")
-        novel = run_sweep_job(spec, tmp_path / "novel.store", memo=memo)
-        assert len(opens) == 1
-        warm = run_sweep_job(spec, tmp_path / "warm.store", memo=memo)
-        assert len(opens) == 2
-        assert loads == []
-        assert warm["warm_points"] == 9
-        assert warm["triples"] == novel["triples"]
-        assert len(novel["triples"]) == 9
-        monkeypatch.undo()
-        for name in ("novel.store", "warm.store"):
-            store_dir = tmp_path / name
-            assert list(store_dir.glob("chunk-*.npz")) == []
-            completed = ColumnarSweepStore.load_completed(store_dir)
-            assert [
-                [n, r, list(completed[(n, r)])] for n, r in sorted(completed)
-            ] == novel["triples"]
+        jobs = {
+            "novel": spec,
+            "warm": validate_spec(dict(spec, n_values=[2, 3, 4, 5])),
+            "all-warm": validate_spec(dict(spec, n_values=[3, 4])),
+        }
+        results, counts = {}, {}
+        for kind, job_spec in jobs.items():
+            results[kind], counts[kind] = self.counted(
+                monkeypatch, lambda: run_sweep_job(job_spec, journal)
+            )
+        assert [
+            (results[kind]["warm_points"], results[kind]["recomputed"])
+            for kind in jobs
+        ] == [(0, 9), (9, 3), (6, 0)]
+        assert [counts[kind]["fsyncs"] for kind in jobs] == [1, 1, 0]
+        assert [counts[kind]["store_opens"] for kind in jobs] == [0, 0, 0]
+        assert [counts[kind]["created"] for kind in jobs] == [[], [], []]
+        # The file count under the root grows with neither jobs nor points.
+        assert sorted(tmp_path.rglob("*")) == files
+        novel = {(n, r): v for n, r, v in results["novel"]["triples"]}
+        for kind in ("warm", "all-warm"):
+            for n, r, triple in results[kind]["triples"]:
+                if (n, r) in novel:
+                    assert triple == novel[(n, r)]
+        journal.close()
+
+    def test_service_root_holds_the_two_journals_whatever_ran(self, tmp_path):
+        with SweepService(tmp_path, workers=1) as service:
+            for seed in range(3):
+                job_id = service.submit(dict(SPEC, seed=seed))["job_id"]
+                assert wait_terminal(service, job_id)["state"] == "completed"
+            live = sorted(path.name for path in tmp_path.rglob("*"))
+        assert live == [
+            "ledger.jsonl",
+            "ledger.jsonl.lock",
+            "points.jsonl",
+            "points.jsonl.lock",
+        ]
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "ledger.jsonl",
+            "points.jsonl",
+        ]
 
 
 class TestEngineFreeJobs:
-    """The engine is no part of a job: not of its spec, its store
-    fingerprint or its point-memo key."""
+    """The engine is no part of a job: not of its spec, its sweep
+    fingerprint or its point-journal key."""
 
     def test_memo_warm_starts_whatever_engine_computed_it(
         self, tmp_path, monkeypatch
     ):
         from repro.core import sweep as sweep_mod
-        from repro.core.memo import DiskMemo
         from repro.service import run_sweep_job
 
         spec = validate_spec(
             {"n_values": [2, 3], "steps": 300, "repeats": 2, "seed": 4}
         )
-        memo = DiskMemo(tmp_path / "memo")
+        journal = _journal(tmp_path / "points.jsonl")
         auto_sweep = sweep_mod.latency_sweep
         monkeypatch.setattr(
             sweep_mod,
             "latency_sweep",
             lambda *args, **kwargs: auto_sweep(*args, engine="serial", **kwargs),
         )
-        serial = run_sweep_job(spec, tmp_path / "serial.store", memo=memo)
+        serial = run_sweep_job(spec, journal)
         assert serial["recomputed"] == 4
         monkeypatch.setattr(sweep_mod, "latency_sweep", auto_sweep)
-        warm = run_sweep_job(spec, tmp_path / "auto.store", memo=memo)
+        warm = run_sweep_job(spec, journal)
         assert warm["warm_points"] == 4
         assert warm["recomputed"] == 0
         assert warm["triples"] == serial["triples"]
-        cold = run_sweep_job(spec, tmp_path / "cold.store")
+        journal.close()
+        with _journal(tmp_path / "cold.jsonl") as cold_journal:
+            cold = run_sweep_job(spec, cold_journal)
         assert cold["recomputed"] == 4
         assert cold["triples"] == serial["triples"]
 
@@ -458,22 +520,33 @@ class TestEngineFreeJobs:
     def test_spec_fingerprint_matches_the_sweep_under_any_scheduler(
         self, tmp_path, scheduler
     ):
-        # run_sweep_job opens the store with spec_fingerprint, then the
-        # sweep re-opens it with its own; a mismatch would raise.
-        from repro.core.store import ColumnarSweepStore
+        # The job's journal view carries spec_fingerprint, and the sweep
+        # checks it against its own; a mismatch would raise.
         from repro.service import run_sweep_job
-        from repro.service.daemon import spec_fingerprint
 
         spec = validate_spec(
             {"n_values": [2], "steps": 300, "repeats": 2,
              "scheduler": scheduler}
         )
-        store = tmp_path / "job.store"
-        result = run_sweep_job(spec, store)
+        with _journal(tmp_path / "points.jsonl") as journal:
+            result = run_sweep_job(spec, journal)
         assert result["recomputed"] == 2
-        assert ColumnarSweepStore.load_fingerprint(store) == (
-            spec_fingerprint(spec)
+
+    def test_a_view_with_another_fingerprint_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.checkpoint import CheckpointMismatchError
+        from repro.service import daemon, run_sweep_job
+
+        spec = validate_spec({"n_values": [2], "steps": 300, "repeats": 2})
+        honest = daemon.spec_fingerprint
+        monkeypatch.setattr(
+            daemon, "spec_fingerprint", lambda s: dict(honest(s), seed=-1)
         )
+        with _journal(tmp_path / "points.jsonl") as journal:
+            with pytest.raises(CheckpointMismatchError, match="seed"):
+                run_sweep_job(spec, journal)
+            assert len(journal) == 0
 
     def _old_ledger(self, root, old_spec, *events):
         """A ledger as a daemon that still took ``engine`` left it."""
@@ -510,12 +583,17 @@ class TestEngineFreeJobs:
             point.system_latency.mean for point in direct
         ]
 
-    def test_old_ledger_job_with_schema_1_store_fails_by_name(self, tmp_path):
-        import json
+    def test_legacy_store_and_memo_directories_are_not_read(self, tmp_path):
+        from repro.algorithms.counter import cas_counter, make_counter_memory
+        from repro.core.memo import DiskMemo
+        from repro.core.store import ColumnarSweepStore
+        from repro.core.sweep import latency_sweep
+        from repro.service.daemon import point_memo_args
 
         old_spec = dict(validate_spec(SPEC), engine="batched")
-        # The old daemon died mid-job: leased, with a partial store
-        # written under the schema-1 fingerprint (engine, no scheduler).
+        # An older daemon died mid-job, leaving the per-job store (under
+        # the schema-1 fingerprint) and a point-memo entry whose triple
+        # is wrong; the journal layout reads neither.
         job_id = self._old_ledger(
             tmp_path,
             old_spec,
@@ -531,14 +609,54 @@ class TestEngineFreeJobs:
             "metrics": ["system_latency", "completion_rate",
                         "fairness_ratio"],
         }))
-        with SweepService(
-            tmp_path,
-            workers=1,
-            retry_policy=RetryPolicy(max_retries=1, base_delay=0.0),
-        ) as service:
+        entry = DiskMemo(tmp_path / "memo").entry_path(
+            "service-point", point_memo_args(old_spec, 2, 0)
+        )
+        entry.parent.mkdir(parents=True)
+        entry.write_text(json.dumps({
+            "schema": 1,
+            "key": ["service-point",
+                    list(point_memo_args(old_spec, 2, 0))],
+            "value": [9.0, 9.0, 9.0],
+        }))
+        legacy = {
+            path: path.read_bytes()
+            for path in tmp_path.rglob("*")
+            if path.is_file() and path.parent != tmp_path
+        }
+        with SweepService(tmp_path, workers=1) as service:
             status = wait_terminal(service, job_id)
-            assert status["state"] in ("failed", "poisoned")
-            assert "schema version 1" in status["error"]
-            # The daemon keeps serving new work.
-            fresh = service.submit(dict(SPEC, seed=8))["job_id"]
-            assert wait_terminal(service, fresh)["state"] == "completed"
+            assert status["state"] == "completed", status["error"]
+            result = service.result(job_id)
+        assert (result["warm_points"], result["recomputed"]) == (0, 4)
+        direct = tmp_path / "direct.store"
+        latency_sweep(
+            cas_counter,
+            make_counter_memory,
+            SPEC["n_values"],
+            steps=SPEC["steps"],
+            repeats=SPEC["repeats"],
+            seed=SPEC["seed"],
+            store=direct,
+        )
+        completed = ColumnarSweepStore.load_completed(direct)
+        assert result["triples"] == [
+            [n, r, list(completed[(n, r)])] for n, r in sorted(completed)
+        ]
+        assert {
+            path: path.read_bytes() for path in legacy
+        } == legacy
+
+    def test_foreign_journal_schema_fails_by_name(self, tmp_path):
+        path = tmp_path / "points.jsonl"
+        path.write_text(
+            json.dumps({"kind": "header", "journal": "points", "schema": 99})
+            + "\n"
+        )
+        with pytest.raises(
+            CheckpointError,
+            match=rf"point journal {re.escape(str(path))} has schema 99",
+        ):
+            SweepService(tmp_path)
+        # The refused start left neither journal locked.
+        assert list(tmp_path.glob("*.lock")) == []

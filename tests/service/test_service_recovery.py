@@ -2,77 +2,84 @@
 
 The satellite scenario from the issue: kill the daemon *between lease
 grant and first heartbeat* (armed via ``REPRO_SERVICE_CHAOS_LEASE_PAUSE``),
-restart it, and prove the job is re-leased exactly once and the final
-store is bit-identical to an uninterrupted run — no lost points, no
+restart it, and prove the job is re-leased exactly once and the point
+journal ends bit-identical to an uninterrupted run — no lost points, no
 duplicated points.  A second arm kills the daemon mid-job (after points
-have started landing) and asserts the resumed run converges to the same
-bytes.
+have started landing) and asserts the resumed run recomputes only the
+points the journal did not hold and converges to the same bytes.
 """
 
 import json
+import time
 
-import numpy as np
 import pytest
 
-from repro.core.store import METRIC_COLUMNS
-from repro.service import SweepService
+from repro.service import SweepService, validate_spec
+from repro.service.daemon import point_memo_args
 from repro.testing.chaos import ServiceHarness
 
 SPEC = {"n_values": [2, 3], "steps": 400, "repeats": 2, "seed": 11}
 
-
-def store_point_records(store_dir):
-    """Every ``(n, r)`` record in the store, duplicates included."""
-    records = []
-    for chunk in sorted(store_dir.glob("chunk-*.npz")):
-        with np.load(chunk) as data:
-            records.extend(
-                (int(n), int(r)) for n, r in zip(data["n"], data["r"])
-            )
-    tail = store_dir / "tail.jsonl"
-    if tail.exists():
-        for line in tail.read_text().splitlines():
-            if line.strip():
-                record = json.loads(line)
-                records.append((record["n"], record["r"]))
-    return records
+#: Long enough per point (the batched engine records point by point)
+#: that a kill after the first journaled point lands mid-job.
+MID_JOB_SPEC = {
+    "workload": "msqueue",
+    "n_values": [2, 3, 4, 5],
+    "steps": 20_000,
+    "repeats": 3,
+    "seed": 11,
+}
 
 
-def store_triples(store_dir):
+def journal_point_lines(root, spec):
+    """Every point line of ``spec``'s job in the journal, in order.
+
+    Skips a torn final line, as reopening the journal would.  Asserts
+    no line belongs to another job's identity: this root ran only the
+    one job.
+    """
+    identity = list(point_memo_args(validate_spec(spec), 0, 0)[:-2])
+    path = root / "points.jsonl"
+    if not path.exists():
+        return []
+    complete = path.read_text().split("\n")[:-1]
+    records = [json.loads(line) for line in complete if line.strip()]
+    points = [record for record in records if record["kind"] == "point"]
+    assert all(record["id"] == identity for record in points)
+    return points
+
+
+def store_point_records(root, spec=SPEC):
+    """Every ``(n, r)`` record in the journal, duplicates included."""
+    return [
+        (record["n"], record["r"])
+        for record in journal_point_lines(root, spec)
+    ]
+
+
+def store_triples(root, spec=SPEC):
     """The ``{(n, r): triple}`` mapping a loader would see (last wins)."""
-    triples = {}
-    for chunk in sorted(store_dir.glob("chunk-*.npz")):
-        with np.load(chunk) as data:
-            for index in range(len(data["n"])):
-                key = (int(data["n"][index]), int(data["r"][index]))
-                triples[key] = tuple(
-                    float(data[metric][index]) for metric in METRIC_COLUMNS
-                )
-    tail = store_dir / "tail.jsonl"
-    if tail.exists():
-        for line in tail.read_text().splitlines():
-            if line.strip():
-                record = json.loads(line)
-                triples[(record["n"], record["r"])] = tuple(
-                    float(v) for v in record["v"]
-                )
-    return triples
+    return {
+        (record["n"], record["r"]): tuple(float(v) for v in record["v"])
+        for record in journal_point_lines(root, spec)
+    }
 
 
-@pytest.fixture()
-def reference_triples(tmp_path_factory):
-    """Triples from an uninterrupted in-process run of the same spec."""
-    root = tmp_path_factory.mktemp("reference")
+def uninterrupted_triples(root, spec):
+    """Triples from an uninterrupted in-process run of ``spec``."""
     with SweepService(root, workers=1) as service:
-        job_id = service.submit(SPEC)["job_id"]
-        import time
-
+        job_id = service.submit(spec)["job_id"]
         deadline = time.monotonic() + 120
         while service.status(job_id)["state"] != "completed":
             assert time.monotonic() < deadline, service.status(job_id)
             time.sleep(0.02)
         result = service.result(job_id)
     return {tuple(t[:2]): tuple(t[2]) for t in result["triples"]}
+
+
+@pytest.fixture()
+def reference_triples(tmp_path_factory):
+    return uninterrupted_triples(tmp_path_factory.mktemp("reference"), SPEC)
 
 
 class TestLeaseWindowKill:
@@ -107,9 +114,8 @@ class TestLeaseWindowKill:
             result = client.result(job_id)
             assert harness.terminate() == 0
 
-        store_dir = root / "stores" / job_id
-        assert store_triples(store_dir) == reference_triples
-        records = store_point_records(store_dir)
+        assert store_triples(root) == reference_triples
+        records = store_point_records(root)
         assert sorted(records) == sorted(set(records))  # no duplicates
         assert {tuple(t[:2]): tuple(t[2]) for t in result["triples"]} == (
             reference_triples
@@ -138,14 +144,26 @@ class TestLeaseWindowKill:
 
 class TestMidJobKill:
     def test_sigkill_mid_job_converges_to_uninterrupted_bytes(
-        self, tmp_path, reference_triples
+        self, tmp_path, tmp_path_factory
     ):
+        reference = uninterrupted_triples(
+            tmp_path_factory.mktemp("reference"), MID_JOB_SPEC
+        )
+        total = len(reference)
         root = tmp_path / "service"
         with ServiceHarness(root) as harness:
             client = harness.client()
-            job_id = client.submit(SPEC)["job_id"]
-            harness.wait_for_event("running", count=1)
+            job_id = client.submit(MID_JOB_SPEC)["job_id"]
+            deadline = time.monotonic() + 120
+            while not journal_point_lines(root, MID_JOB_SPEC):
+                assert time.monotonic() < deadline, "no point journaled"
+                time.sleep(0.005)
             harness.sigkill()
+        # Every point the killed job flushed is in the journal, and only
+        # those: the restart must recompute exactly the rest.
+        found = store_triples(root, MID_JOB_SPEC)
+        assert 0 < len(found) < total
+        assert all(reference[key] == triple for key, triple in found.items())
 
         with ServiceHarness(root) as harness:
             client = harness.client()
@@ -154,10 +172,11 @@ class TestMidJobKill:
             result = client.result(job_id)
             assert harness.terminate() == 0
 
-        store_dir = root / "stores" / job_id
-        assert store_triples(store_dir) == reference_triples
-        records = store_point_records(store_dir)
+        assert result["recomputed"] == total - len(found)
+        assert result["warm_points"] == len(found)
+        assert store_triples(root, MID_JOB_SPEC) == reference
+        records = store_point_records(root, MID_JOB_SPEC)
         assert sorted(records) == sorted(set(records))
         assert {tuple(t[:2]): tuple(t[2]) for t in result["triples"]} == (
-            reference_triples
+            reference
         )

@@ -67,12 +67,13 @@ the theory gives exact values, the numbers themselves.  The ablation and
 extension experiments (ABL1-ABL4, EXT1-EXT2) probe the model's stated
 open questions and its motivating observation.
 
-Simulation-heavy benchmarks (THM4, THM5, FIG5, ABL1) run on the batched
-execution engine (`Simulator.run_batched`), which is trace-equivalent to
-the step-by-step executor — identical seeds give identical schedules and
-numbers, enforced by `tests/sim/test_batched_equivalence.py` — at about
-5x (n=16) to 8x (n=64) less wall-clock on 100k-step SCU workloads
-(e.g. SCU(2,1), n=16: 0.60s -> 0.12s per run on the reference machine).
+Simulation-heavy benchmarks run on the fast engines, each bit-identical
+to the step-by-step executor — identical seeds give identical schedules
+and numbers.  FIG5, THM4 and THM5 run on the ensemble engine
+(`EnsembleSimulator`: whole-schedule draws resolved by the compiled
+kernels, enforced by `tests/sim/test_ensemble_equivalence.py`); ABL1
+runs on the batched engine (`Simulator.run_batched`, enforced by
+`tests/sim/test_batched_equivalence.py`).
 
 ## Long-running sweeps: checkpoint, kill, resume
 
@@ -328,11 +329,12 @@ For long campaigns — overnight grids, shared machines, sweeps submitted
 from scripts — run the sweeps through a daemon instead of a foreground
 process.  `repro serve` hosts a durable job queue: every state change
 (queued, leased, running, heartbeat, completed, failed, poisoned)
-journals to an append-only ledger with the same torn-tail repair as the
-store's tail, so the daemon can be SIGKILLed at any instant and a
-restart replays the ledger, detects orphaned leases (dead owner PID or
-lapsed TTL), and resumes each interrupted job from its columnar store —
-recomputing only the missing points:
+journals to an append-only ledger, and every computed point to an
+append-only point journal, both with the same torn-tail repair as the
+store's tail.  The daemon can be SIGKILLed at any instant: a restart
+replays the ledger, detects orphaned leases (dead owner PID or lapsed
+TTL), and resumes each interrupted job from the point journal —
+recomputing only the points it had not yet journaled:
 
 ```console
 $ repro serve --root ~/sweeps --workers 4 &
@@ -355,9 +357,12 @@ Specs name no engine: the daemon runs the same automatic choice as
 an unknown field.  Jobs are content-addressed by their sweep
 fingerprint: resubmitting the same spec returns the finished job
 (`service.dedupe_hits` counts it), and an *overlapping* grid
-warm-starts every already-computed `(n, r)` point from the shared disk
-memo, recomputing only the novel points —
+warm-starts every already-computed `(n, r)` point from the same point
+journal, recomputing only the novel points —
 the result is bit-identical to a direct `latency_sweep` either way.
+The root holds the two journals and nothing per job: a job adds one
+line per new point and one fsync, and its result carries `points`,
+`triples`, `warm_points` and `recomputed` (no `store` path any more).
 Failed jobs retry with deterministic backoff and are quarantined as
 `poisoned` after the retry budget; a full queue rejects loudly with a
 structured `queue-full` payload (HTTP 429, `retriable: true`) instead
